@@ -1,6 +1,7 @@
 """Arithmetic-cost comparison of the covariance engines.
 
-Runs each engine's covariance recursion for a whole number of periods
+Drives the filter's own engines (built by the start path
+:func:`periodickf.filter_series` uses) for a whole number of periods
 under the metering layer in :mod:`periodickf.linalg` and reports exact
 integer flop counts next to wall time.  The counted region is the
 steady-state loop only; one-off initialization (stationary solve,
@@ -25,22 +26,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chandrasekhar import (auto_factorize, build_prelude, chand_init,
-                            step_alg31, step_alg32, step_minv,
-                            to_inverse_state)
 from .exceptions import NotStationary, SingularLift
-from .kalman import prde_step, solve_dple
+from .filtering import ENGINES, LOWRANK_STEPS, _make_engine
+from .kalman import solve_dple
 from .linalg import count_flops
 from .model import PeriodicModel, par_to_state_space, random_stationary_par
 
-ENGINES = ("kalman", "chand31", "chand32", "chand-minv")
-
-_COMPLEXITY = {
-    "kalman": "O(r^3)",
-    "chand31": "O(S m r^2)",
-    "chand32": "O(S m r^2)",
-    "chand-minv": "O(S m r^2)",
-}
+_COMPLEXITY = {"kalman": "O(r^3)",
+               **dict.fromkeys(LOWRANK_STEPS, "O(S m r^2)")}
 
 
 @dataclass
@@ -98,9 +91,10 @@ def count_costs(model: PeriodicModel, n_periods: int,
                 engines: Sequence[str] = ENGINES) -> CostReport:
     """Meter ``n_periods * S`` covariance steps of each engine.
 
-    All engines start from the same covariance (the stationary W_1 when
-    it exists, else the model's W1, else zero); the low-rank engines
-    share one prelude and the automatic start factorization.
+    Builds and steps the same engine objects :func:`filter_series`
+    does.  All engines start from the same covariance (the stationary
+    W_1 when it exists, else the model's W1, else zero); the low-rank
+    engines take the automatic start factorization.
     """
     if n_periods < 1:
         raise ValueError("n_periods must be positive")
@@ -110,38 +104,20 @@ def count_costs(model: PeriodicModel, n_periods: int,
                              f"expected one of {ENGINES}")
     steps = n_periods * model.S
     W, Sigma1 = _initial_sigma(model)
-
-    prelude = factorization = None
-    if any(e != "kalman" for e in engines):
-        prelude = build_prelude(model, Sigma1)
-        factorization = auto_factorize(model, prelude, W=W)
-
-    step_fns = {"chand31": step_alg31, "chand32": step_alg32,
-                "chand-minv": step_minv}
+    built = [_make_engine(model, name, Sigma1, W, trace=False)
+             for name in engines]
     costs = []
-    for name in engines:
-        if name == "kalman":
-            Sigma = Sigma1
-            with count_flops() as counter:
-                t0 = time.perf_counter()
-                for t in range(1, steps + 1):
-                    Sigma = prde_step(model, Sigma, t)
-                seconds = time.perf_counter() - t0
-        else:
-            state = chand_init(model, factorization, prelude)
-            if name == "chand-minv":
-                state = to_inverse_state(state)
-            step_fn = step_fns[name]
-            with count_flops() as counter:
-                t0 = time.perf_counter()
-                for _ in range(steps):
-                    state = step_fn(model, state)
-                seconds = time.perf_counter() - t0
+    for name, eng in zip(engines, built):
+        with count_flops() as counter:
+            t0 = time.perf_counter()
+            for t in range(1, steps + 1):
+                eng.step(t)
+            seconds = time.perf_counter() - t0
         costs.append(EngineCost(engine=name, steps=steps,
                                 flops=counter.flops, seconds=seconds))
+    alphas = [eng.alpha for eng in built if eng.alpha is not None]
     return CostReport(S=model.S, r=model.r, m=model.m, d=model.d,
-                      alpha=None if factorization is None
-                      else factorization.alpha,
+                      alpha=alphas[0] if alphas else None,
                       n_periods=n_periods, costs=costs)
 
 

@@ -304,71 +304,65 @@ def _require_invertible(M: np.ndarray) -> None:
             f"{sv[0]:.3e}]; the inverse-form recursion cannot proceed")
 
 
-def _season_inputs(model, state: ChandrasekharState):
+def _step(model, state: ChandrasekharState, form: str) -> ChandrasekharState:
+    """The step all three recursions share.
+
+    ``form`` is ``"updated"`` (:func:`step_alg31`), ``"current"``
+    (:func:`step_alg32`) or ``"inverse"`` (:func:`step_minv`, where the
+    state's M field holds N = M^{-1}).  The prefix forming
+    ``Omega_{t+S}`` and ``K_{t+S}`` is common; the forms differ in how
+    T = M Y'H is obtained, which gain moves Y, and the M update.
+    """
+    inverse = form == "inverse"
+    if state.m_is_inverse != inverse:
+        raise ValueError("state carries an inverted M; use step_minv"
+                         if state.m_is_inverse else
+                         "state carries M itself; use to_inverse_state first")
+    if state.alpha == 0:
+        # the increment is identically zero, (K, Omega) are periodic
+        # already, and the step costs no arithmetic
+        return ChandrasekharState(t=state.t + 1, Y=state.Y, M=state.M,
+                                  ring=list(state.ring), m_is_inverse=inverse)
     i = (state.t - 1) % model.S
+    F, H = model.F[i], model.H[i]
     K, Omega = state.ring[i]
-    return i, model.F[i], model.H[i], K, Omega
+    Y, M = state.Y, state.M
+    if inverse:
+        _require_invertible(M)
 
+    U = matmul(Y.T, H)                       # alpha x m
+    T = sym_solve(M, U) if inverse else matmul(M, U)   # alpha x m, M U
+    YT = matmul(Y, T)                        # r x m
+    Omega_next = symmetrize(add(Omega, matmul(U.T, T)))
+    K_next = add(K, matmul(F, YT))
 
-def _bookkeeping_step(state: ChandrasekharState) -> ChandrasekharState:
-    # alpha = 0: the increment is identically zero, (K, Omega) are
-    # periodic already, and the step costs no arithmetic.
-    return ChandrasekharState(t=state.t + 1, Y=state.Y, M=state.M,
-                              ring=list(state.ring),
-                              m_is_inverse=state.m_is_inverse)
+    K_y, Omega_y = (K, Omega) if form == "current" else (K_next, Omega_next)
+    B = spd_solve(Omega_y, U.T)              # m x alpha
+    Y_next = sub(matmul(F, Y), matmul(K_y, B))
+    if inverse:
+        M_next = symmetrize(sub(M, matmul(U, B)))
+    elif form == "updated":
+        M_next = symmetrize(add(M, matmul(T, spd_solve(Omega, T.T))))
+    else:
+        M_next = symmetrize(sub(M, matmul(T, spd_solve(Omega_next, T.T))))
+
+    ring = list(state.ring)
+    ring[i] = (K_next, Omega_next)
+    return ChandrasekharState(t=state.t + 1, Y=Y_next, M=M_next, ring=ring,
+                              m_is_inverse=inverse)
 
 
 def step_alg31(model, state: ChandrasekharState) -> ChandrasekharState:
     """One updated-gain step: propagate (K, Omega) by the increment and
     Y by the freshly updated gain; M grows by a congruence with the
     current-period solve."""
-    if state.m_is_inverse:
-        raise ValueError("state carries an inverted M; use step_minv")
-    if state.alpha == 0:
-        return _bookkeeping_step(state)
-    i, F, H, K, Omega = _season_inputs(model, state)
-    Y, M = state.Y, state.M
-
-    U = matmul(Y.T, H)                       # alpha x m
-    T = matmul(M, U)                         # alpha x m
-    YT = matmul(Y, T)                        # r x m
-    Omega_next = symmetrize(add(Omega, matmul(U.T, T)))
-    K_next = add(K, matmul(F, YT))
-
-    B = spd_solve(Omega_next, U.T)           # m x alpha
-    Y_next = sub(matmul(F, Y), matmul(K_next, B))
-    C = spd_solve(Omega, T.T)                # m x alpha
-    M_next = symmetrize(add(M, matmul(T, C)))
-
-    ring = list(state.ring)
-    ring[i] = (K_next, Omega_next)
-    return ChandrasekharState(t=state.t + 1, Y=Y_next, M=M_next, ring=ring)
+    return _step(model, state, "updated")
 
 
 def step_alg32(model, state: ChandrasekharState) -> ChandrasekharState:
     """One current-gain step: Y propagates by the gain read from the
     ring; M shrinks by a congruence with the updated-period solve."""
-    if state.m_is_inverse:
-        raise ValueError("state carries an inverted M; use step_minv")
-    if state.alpha == 0:
-        return _bookkeeping_step(state)
-    i, F, H, K, Omega = _season_inputs(model, state)
-    Y, M = state.Y, state.M
-
-    U = matmul(Y.T, H)
-    T = matmul(M, U)
-    YT = matmul(Y, T)
-    Omega_next = symmetrize(add(Omega, matmul(U.T, T)))
-    K_next = add(K, matmul(F, YT))
-
-    B = spd_solve(Omega, U.T)
-    Y_next = sub(matmul(F, Y), matmul(K, B))
-    C = spd_solve(Omega_next, T.T)
-    M_next = symmetrize(sub(M, matmul(T, C)))
-
-    ring = list(state.ring)
-    ring[i] = (K_next, Omega_next)
-    return ChandrasekharState(t=state.t + 1, Y=Y_next, M=M_next, ring=ring)
+    return _step(model, state, "current")
 
 
 def step_minv(model, state: ChandrasekharState) -> ChandrasekharState:
@@ -380,28 +374,7 @@ def step_minv(model, state: ChandrasekharState) -> ChandrasekharState:
     increment).  Raises :class:`MSingular` when N drifts out of the
     invertibility threshold and :class:`OmegaNotPD` on a failed solve.
     """
-    if not state.m_is_inverse:
-        raise ValueError("state carries M itself; use to_inverse_state first")
-    if state.alpha == 0:
-        return _bookkeeping_step(state)
-    i, F, H, K, Omega = _season_inputs(model, state)
-    Y, N = state.Y, state.M
-    _require_invertible(N)
-
-    U = matmul(Y.T, H)                       # alpha x m
-    T = sym_solve(N, U)                      # alpha x m, equals M U
-    YT = matmul(Y, T)
-    Omega_next = symmetrize(add(Omega, matmul(U.T, T)))
-    K_next = add(K, matmul(F, YT))
-
-    B = spd_solve(Omega_next, U.T)           # m x alpha
-    Y_next = sub(matmul(F, Y), matmul(K_next, B))
-    N_next = symmetrize(sub(N, matmul(U, B)))
-
-    ring = list(state.ring)
-    ring[i] = (K_next, Omega_next)
-    return ChandrasekharState(t=state.t + 1, Y=Y_next, M=N_next, ring=ring,
-                              m_is_inverse=True)
+    return _step(model, state, "inverse")
 
 
 def reconstruct_sigma(prelude: Prelude, history, k: int,

@@ -11,15 +11,24 @@ and differ only in how the pair (K_t, Omega_t) is produced:
 * ``chand32``     - low-rank increment recursion, current-gain form;
 * ``chand-minv``  - low-rank increment recursion propagating M^{-1}.
 
-The low-rank engines never form the r x r covariance unless a sigma
-trace is requested, in which case each season's covariance is
-accumulated from the increments exactly as
+``LOWRANK_STEPS`` maps each low-rank engine name to its step function
+in :mod:`periodickf.chandrasekhar`; ``ENGINES`` is ``kalman`` followed
+by those names.  An engine is built from the starting covariance by
+``_make_engine`` (which :func:`periodickf.bench.count_costs` uses too)
+and has one method, ``step(t)``, returning ``(K_t, Omega_t, Sigma_t)``
+and advancing to time t + 1.  The low-rank engines never form the
+r x r covariance unless a sigma trace is requested (``Sigma_t`` is None
+otherwise), in which case each season's covariance is accumulated from
+the increments exactly as
 :func:`periodickf.chandrasekhar.reconstruct_sigma` does.
 
 The innovations-form Gaussian log-likelihood of a filtered series is
 
     loglik = -1/2 sum_t [ m log 2 pi + log det Omega_t
-                          + e_t' Omega_t^{-1} e_t ].
+                          + e_t' Omega_t^{-1} e_t ],
+
+accumulated inside the filter loop from the same Cholesky factor of
+Omega_t that the gain solve uses.
 """
 
 from __future__ import annotations
@@ -31,12 +40,15 @@ import numpy as np
 from .chandrasekhar import (auto_factorize, build_prelude, chand_init,
                             step_alg31, step_alg32, step_minv,
                             to_inverse_state)
-from .exceptions import (EngineInitFailed, MSingular, NotStationary,
-                         ResidualTooLarge)
+from .exceptions import EngineInitFailed, MSingular, ResidualTooLarge
 from .kalman import _covariance_update, solve_dple
-from .linalg import add, matmul, spd_logdet_quad, spd_solve, sub
+from .linalg import (add, factor_logdet_quad, factor_solve, matmul,
+                     spd_factor, spd_logdet_quad, sub)
 
-ENGINES = ("kalman", "chand31", "chand32", "chand-minv")
+# Engine registry: each low-rank engine name maps to its step function.
+LOWRANK_STEPS = {"chand31": step_alg31, "chand32": step_alg32,
+                 "chand-minv": step_minv}
+ENGINES = ("kalman", *LOWRANK_STEPS)
 INITS = ("zero-state", "stationary", "explicit")
 
 # Invariants an initial covariance must meet (looser than the model-level
@@ -81,51 +93,44 @@ def _check_sigma1(Sigma1: np.ndarray, r: int) -> np.ndarray:
 
 
 def _initial_conditions(model, init: str, xhat1, Sigma1):
+    """``(xhat1, Sigma1, W)``; ``W`` is the list of stationary
+    covariances when this start solved for them, else None."""
     if init not in INITS:
         raise ValueError(f"unknown init {init!r}; expected one of {INITS}")
     if init == "explicit":
         if xhat1 is None or Sigma1 is None:
             raise ValueError("explicit init requires xhat1 and Sigma1")
         x = np.asarray(xhat1, dtype=float).reshape(model.r)
-        return x, _check_sigma1(Sigma1, model.r)
+        return x, _check_sigma1(Sigma1, model.r), None
     x = np.zeros(model.r)
-    if init == "stationary":
-        return x, solve_dple(model)[0]
-    # zero-state: take the model's W1, falling back to the stationary
+    # zero-state takes the model's W1, falling back to the stationary
     # covariance when none is stored.
-    if model.W1 is not None:
-        return x, _check_sigma1(model.W1, model.r)
-    return x, solve_dple(model)[0]
+    if init == "zero-state" and model.W1 is not None:
+        return x, _check_sigma1(model.W1, model.r), None
+    W = solve_dple(model)
+    return x, W[0], W
 
 
 class _KalmanEngine:
-    def __init__(self, model, Sigma1, trace: bool):
+    alpha = None
+
+    def __init__(self, model, Sigma1):
         self.model = model
         self.Sigma = Sigma1
-        self._next = None
 
-    def gains(self, t: int):
-        Omega, K, _, Sigma_next = _covariance_update(self.model, self.Sigma, t)
-        self._next = Sigma_next
-        return K, Omega
-
-    def sigma(self, t: int):
-        return self.Sigma
-
-    def advance(self, t: int):
-        self.Sigma = self._next
+    def step(self, t: int):
+        Sigma = self.Sigma
+        Omega, K, _, self.Sigma = _covariance_update(self.model, Sigma, t)
+        return K, Omega, Sigma
 
 
 class _ChandEngine:
-    _STEPS = {"chand31": step_alg31, "chand32": step_alg32,
-              "chand-minv": step_minv}
-
-    def __init__(self, model, Sigma1, variant: str, trace: bool):
+    def __init__(self, model, Sigma1, W, variant: str, trace: bool):
         self.model = model
-        self.step_fn = self._STEPS[variant]
+        self.step_fn = LOWRANK_STEPS[variant]
         prelude = build_prelude(model, Sigma1)
         try:
-            factorization = auto_factorize(model, prelude)
+            factorization = auto_factorize(model, prelude, W=W)
             state = chand_init(model, factorization, prelude)
             if variant == "chand-minv":
                 state = to_inverse_state(state)
@@ -133,27 +138,29 @@ class _ChandEngine:
             raise EngineInitFailed(
                 f"{variant} engine initialization failed: {exc}") from exc
         self.state = state
+        self.alpha = state.alpha
         self.acc = [s.copy() for s in prelude.Sigma] if trace else None
 
-    def gains(self, t: int):
-        return self.state.current_gain()
-
-    def sigma(self, t: int):
-        return self.acc[(t - 1) % self.model.S]
-
-    def advance(self, t: int):
-        if self.acc is not None and self.state.alpha > 0:
-            Y, M = self.state.factor_pair()
+    def step(self, t: int):
+        K, Omega = self.state.current_gain()
+        Sigma = None
+        if self.acc is not None:
             i = (t - 1) % self.model.S
-            self.acc[i] = self.acc[i] + Y @ M @ Y.T
+            Sigma = self.acc[i]
+            if self.state.alpha > 0:
+                Y, M = self.state.factor_pair()
+                self.acc[i] = Sigma + Y @ M @ Y.T
         self.state = self.step_fn(self.model, self.state)
+        return K, Omega, Sigma
 
 
-def _make_engine(model, engine: str, Sigma1, trace: bool):
+def _make_engine(model, engine: str, Sigma1, W, trace: bool):
+    """``W`` is the stationary covariance list if the caller solved for
+    it; with None a low-rank start solves for it itself."""
     if engine == "kalman":
-        return _KalmanEngine(model, Sigma1, trace)
-    if engine in _ChandEngine._STEPS:
-        return _ChandEngine(model, Sigma1, engine, trace)
+        return _KalmanEngine(model, Sigma1)
+    if engine in LOWRANK_STEPS:
+        return _ChandEngine(model, Sigma1, W, engine, trace)
     raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
 
 
@@ -167,6 +174,11 @@ def _coerce_observations(y, m: int) -> np.ndarray:
         return arr.reshape(0, m)
     if arr.ndim != 2 or arr.shape[1] != m:
         raise ValueError(f"observations must be (n, {m}), got {arr.shape}")
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        t, j = bad[0]
+        raise ValueError(f"observation at t={t + 1}, column {j + 1} is not "
+                         f"finite ({arr[t, j]!r})")
     return arr
 
 
@@ -178,7 +190,7 @@ def filter_series(model, y, engine: str = "kalman",
     Parameters
     ----------
     model : PeriodicModel
-    y : array (n, m), or (n,) when m = 1
+    y : array (n, m), or (n,) when m = 1; every value must be finite
     engine : one of ``ENGINES``
     init : one of ``INITS``; ``zero-state`` uses xhat = 0 with the
         model's W1 (or the stationary covariance when none is stored),
@@ -187,55 +199,57 @@ def filter_series(model, y, engine: str = "kalman",
     sigma_trace : also record the per-step covariance (the low-rank
         engines reconstruct it from their increments).
 
-    Raises ``NotStationary`` when a stationary start is requested from a
+    The stationary covariances are solved for at most once per call:
+    a low-rank engine reuses the solution the start computed.
+
+    Raises ``ValueError`` naming the first non-finite observation,
+    ``NotStationary`` when a stationary start is requested from a
     model without one, ``EngineInitFailed`` when a low-rank engine's
     start factorization fails, and ``OmegaNotPD`` from the recursions.
     """
     y2 = _coerce_observations(y, model.m)
     n = y2.shape[0]
-    x, Sigma1v = _initial_conditions(model, init, xhat1, Sigma1)
-    eng = _make_engine(model, engine, Sigma1v, sigma_trace)
+    x, Sigma1v, W = _initial_conditions(model, init, xhat1, Sigma1)
+    eng = _make_engine(model, engine, Sigma1v, W, sigma_trace)
 
     innovations = np.empty((n, model.m))
     Omegas = np.empty((n, model.m, model.m))
     Ks = np.empty((n, model.r, model.m))
     xhats = np.empty((n + 1, model.r))
     sigmas = np.empty((n, model.r, model.r)) if sigma_trace else None
+    terms = np.empty(n)
 
     for t in range(1, n + 1):
-        K, Omega = eng.gains(t)
+        K, Omega, Sigma = eng.step(t)
         F, _, H, _, _ = model.at(t)
         xhats[t - 1] = x
-        yhat = matmul(H.T, x)
-        e = sub(y2[t - 1], yhat)
-        KtilT = spd_solve(Omega, K.T)                # m x r
+        e = sub(y2[t - 1], matmul(H.T, x))
+        factor = spd_factor(Omega)
+        KtilT = factor_solve(factor, K.T)            # m x r
         x = add(matmul(F, x), matmul(KtilT.T, e))
+        terms[t - 1] = _loglik_term(factor_logdet_quad(factor, e), model.m)
         innovations[t - 1] = e
         Omegas[t - 1] = Omega
         Ks[t - 1] = K
         if sigma_trace:
-            sigmas[t - 1] = eng.sigma(t)
-        eng.advance(t)
+            sigmas[t - 1] = Sigma
     xhats[n] = x
 
-    loglik = float(np.sum(_loglik_terms(innovations, Omegas)))
     return FilterOutput(engine=engine, n=n, innovations=innovations,
-                        Omega=Omegas, K=Ks, xhat=xhats, loglik=loglik,
-                        sigma_trace=sigmas)
+                        Omega=Omegas, K=Ks, xhat=xhats,
+                        loglik=float(np.sum(terms)), sigma_trace=sigmas)
 
 
-def _loglik_terms(innovations: np.ndarray, Omegas: np.ndarray) -> np.ndarray:
-    n, m = innovations.shape
-    terms = np.empty(n)
-    for t in range(n):
-        logdet, quad = spd_logdet_quad(Omegas[t], innovations[t])
-        terms[t] = -0.5 * (m * _LOG_2PI + logdet + quad)
-    return terms
+def _loglik_term(logdet_quad: tuple[float, float], m: int) -> float:
+    logdet, quad = logdet_quad
+    return -0.5 * (m * _LOG_2PI + logdet + quad)
 
 
 def loglik_terms(output: FilterOutput) -> np.ndarray:
     """Per-step contributions to the Gaussian log-likelihood."""
-    return _loglik_terms(output.innovations, output.Omega)
+    m = output.innovations.shape[1]
+    return np.array([_loglik_term(spd_logdet_quad(Omega, e), m)
+                     for e, Omega in zip(output.innovations, output.Omega)])
 
 
 def gaussian_loglik(output: FilterOutput) -> float:
@@ -244,6 +258,4 @@ def gaussian_loglik(output: FilterOutput) -> float:
     Log-determinants come from Cholesky factors; no matrix is ever
     inverted explicitly. An empty series has log-likelihood 0.
     """
-    if output.n == 0:
-        return 0.0
     return float(np.sum(loglik_terms(output)))

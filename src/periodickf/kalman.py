@@ -159,6 +159,20 @@ def dpre_fixed_point(model: PeriodicModel, tol: float = 1e-10,
         residual=float(residual), periods=max_periods)
 
 
+def period_noise(model: PeriodicModel) -> np.ndarray:
+    """The one-period accumulated noise ``Qbar`` of the periodic
+    Lyapunov equation ``W_1 = Phi W_1 Phi' + Qbar``."""
+    S = model.S
+    Qbar = model.G[S - 1] @ model.Q[S - 1] @ model.G[S - 1].T
+    P = np.eye(model.r)
+    for k in range(1, S):
+        P = P @ model.F[S - k]          # F_S .. F_{S-k+1}
+        Gk = model.G[S - k - 1]
+        Qk = model.Q[S - k - 1]
+        Qbar = Qbar + P @ Gk @ Qk @ Gk.T @ P.T
+    return 0.5 * (Qbar + Qbar.T)
+
+
 def solve_dple(model: PeriodicModel) -> list[np.ndarray]:
     """Stationary state covariances ``[W_1, .., W_S]``.
 
@@ -174,15 +188,7 @@ def solve_dple(model: PeriodicModel) -> list[np.ndarray]:
             f"monodromy spectral radius {rho:.9f} is not below 1")
     S, r = model.S, model.r
     Phi = monodromy(model)
-
-    Qbar = model.G[S - 1] @ model.Q[S - 1] @ model.G[S - 1].T
-    P = np.eye(r)
-    for k in range(1, S):
-        P = P @ model.F[S - k]          # F_S .. F_{S-k+1}
-        Gk = model.G[S - k - 1]
-        Qk = model.Q[S - k - 1]
-        Qbar = Qbar + P @ Gk @ Qk @ Gk.T @ P.T
-    Qbar = 0.5 * (Qbar + Qbar.T)
+    Qbar = period_noise(model)
 
     lift = np.eye(r * r) - np.kron(Phi, Phi)
     try:

@@ -19,7 +19,7 @@ Accounting rules (exact integers, charged per call):
 * elementwise add/subtract, including the addition inside
   ``symmetrize``: one flop per element.
 
-Transposes, scalar scalings, and the definiteness gate in ``spd_solve``
+Transposes, scalar scalings, and the definiteness gate in ``spd_factor``
 are not charged.
 """
 
@@ -104,37 +104,46 @@ def _pd_gate(a: np.ndarray, context: str) -> None:
             f"positive-definiteness threshold (min > {PD_RTOL:g} * max)")
 
 
-def spd_solve(a: np.ndarray, b: np.ndarray, context: str = "innovation covariance") -> np.ndarray:
-    """Solve ``a x = b`` for symmetric positive definite ``a``.
+def spd_factor(a: np.ndarray, context: str = "innovation covariance"):
+    """Gate ``a`` as symmetric positive definite and Cholesky-factor it.
 
     Raises :class:`OmegaNotPD` when ``a`` fails the definiteness gate.
     Every SPD system in this package is an innovation covariance, hence
-    the error type.
+    the error type. Returns the factor in ``scipy.linalg.cho_factor``
+    form, for :func:`factor_solve` and :func:`factor_logdet_quad`.
     """
-    n = a.shape[0]
     _pd_gate(a, context)
     try:
         factor = scipy.linalg.cho_factor(a, lower=True)
-        x = scipy.linalg.cho_solve(factor, b)
     except scipy.linalg.LinAlgError as exc:  # borderline cases the gate let by
         raise OmegaNotPD(f"{context}: Cholesky factorization failed") from exc
-    _charge(n ** 3 // 3 + 2 * n * n * _ncols(np.asarray(b)))
-    return x
+    _charge(a.shape[0] ** 3 // 3)
+    return factor
+
+
+def factor_solve(factor, b: np.ndarray) -> np.ndarray:
+    """Solve ``a x = b`` given ``factor = spd_factor(a)``."""
+    n = factor[0].shape[0]
+    _charge(2 * n * n * _ncols(np.asarray(b)))
+    return scipy.linalg.cho_solve(factor, b)
+
+
+def factor_logdet_quad(factor, e: np.ndarray) -> tuple[float, float]:
+    """Return ``(log det a, e' a^{-1} e)`` given ``factor = spd_factor(a)``."""
+    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+    return logdet, float(e @ factor_solve(factor, e))
+
+
+def spd_solve(a: np.ndarray, b: np.ndarray,
+              context: str = "innovation covariance") -> np.ndarray:
+    """Solve ``a x = b`` for symmetric positive definite ``a``."""
+    return factor_solve(spd_factor(a, context), b)
 
 
 def spd_logdet_quad(a: np.ndarray, e: np.ndarray,
                     context: str = "innovation covariance") -> tuple[float, float]:
     """Return ``(log det a, e' a^{-1} e)`` via one Cholesky factorization."""
-    n = a.shape[0]
-    _pd_gate(a, context)
-    try:
-        factor = scipy.linalg.cho_factor(a, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise OmegaNotPD(f"{context}: Cholesky factorization failed") from exc
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    z = scipy.linalg.cho_solve(factor, e)
-    _charge(n ** 3 // 3 + 2 * n * n)
-    return logdet, float(e @ z)
+    return factor_logdet_quad(spd_factor(a, context), e)
 
 
 def sym_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

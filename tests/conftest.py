@@ -1,9 +1,50 @@
 from __future__ import annotations
 
+import os
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from periodickf import PeriodicModel
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def declared_scripts() -> dict[str, str]:
+    """The ``[project.scripts]`` table of pyproject.toml as
+    ``{name: "module:attr"}``."""
+    scripts, inside = {}, False
+    for line in (ROOT / "pyproject.toml").read_text().splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            inside = line == "[project.scripts]"
+        elif inside and "=" in line:
+            name, target = line.split("=", 1)
+            scripts[name.strip()] = target.strip().strip('"\'')
+    return scripts
+
+
+@pytest.fixture(scope="session", autouse=True)
+def console_scripts(tmp_path_factory):
+    """Put a launcher for each declared console script on PATH, running
+    this checkout's entry point, so tests can call the scripts as an
+    installed package would provide them."""
+    bindir = tmp_path_factory.mktemp("bin")
+    for name, target in declared_scripts().items():
+        module, attr = target.split(":")
+        launcher = bindir / name
+        launcher.write_text(
+            f"#!{sys.executable}\n"
+            "import sys\n"
+            f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+            f"from {module} import {attr}\n"
+            f"sys.exit({attr}())\n")
+        launcher.chmod(0o755)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PATH", f"{bindir}{os.pathsep}{os.environ.get('PATH', '')}")
+        yield bindir
 
 
 def random_stationary_model(seed: int, r: int | None = None,

@@ -203,6 +203,16 @@ class TestFilter:
         data = write_obs(tmp_path, np.zeros((2, 1)))
         assert main(["filter", path, data, "--engine", "warp"]) == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_observation_is_located(self, model_file, tmp_path,
+                                               capsys, bad):
+        _, path = model_file
+        data = tmp_path / "y.csv"
+        data.write_text(f"y1\n1.0\n0.5\n{bad}\n2.0\n")
+        assert main(["filter", path, str(data)]) == 2
+        err = capsys.readouterr().err
+        assert "t=3, column 1" in err and bad in err
+
 
 class TestDple:
     def test_json_payload(self, model_file, tmp_path):

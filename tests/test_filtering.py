@@ -85,9 +85,10 @@ class TestLoglik:
         assert out.loglik == pytest.approx(total, rel=1e-12)
         assert gaussian_loglik(out) == pytest.approx(total, rel=1e-12)
 
-    def test_terms_sum_to_total(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_terms_sum_to_total(self, engine):
         model, y = simulated(83, n=17)
-        out = filter_series(model, y, init="stationary")
+        out = filter_series(model, y, engine=engine, init="stationary")
         terms = loglik_terms(out)
         assert terms.shape == (17,)
         assert float(np.sum(terms)) == pytest.approx(out.loglik, rel=1e-13)
@@ -182,6 +183,16 @@ class TestObservationHandling:
         with pytest.raises(ValueError):
             filter_series(model, np.zeros(5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_with_location(self, bad):
+        model, y = simulated(96, n=8, m=2)
+        y = y.copy()
+        y[4, 1] = bad
+        y[6, 0] = np.nan
+        for engine in ENGINES:
+            with pytest.raises(ValueError, match=r"t=5, column 2 "):
+                filter_series(model, y, engine=engine)
+
     def test_innovation_definition(self):
         model, y = simulated(94, n=20, m=2)
         out = filter_series(model, y, init="stationary")
@@ -189,6 +200,28 @@ class TestObservationHandling:
             H = model.H[model.season(t) - 1]
             want = y[t - 1] - H.T @ out.xhat[t - 1]
             assert np.allclose(out.innovations[t - 1], want, atol=1e-12)
+
+
+class TestStartSolvesOnce:
+    @pytest.mark.parametrize("engine", ["chand31", "chand32", "chand-minv"])
+    def test_lowrank_zero_state_solves_dple_once(self, engine, monkeypatch):
+        import periodickf.chandrasekhar as chandrasekhar_module
+        import periodickf.filtering as filtering_module
+
+        calls = []
+
+        def counted(model):
+            calls.append(model)
+            return solve_dple(model)
+
+        monkeypatch.setattr(filtering_module, "solve_dple", counted)
+        monkeypatch.setattr(chandrasekhar_module, "solve_dple", counted)
+        model, y = simulated(97, n=12)
+        assert model.W1 is None
+        out = filter_series(model, y, engine=engine, init="zero-state")
+        assert len(calls) == 1
+        ref = filter_series(model, y, engine="kalman")
+        assert out.loglik == pytest.approx(ref.loglik, rel=1e-9)
 
 
 class TestEngineInitFailure:

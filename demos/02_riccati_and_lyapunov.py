@@ -6,7 +6,8 @@ Three objects organize the covariance side of the periodic filter:
   * the monodromy matrix Phi = F_S .. F_1 (one-period transition);
     the model is periodically stationary iff rho(Phi) < 1;
   * the periodic Lyapunov equation for the stationary state
-    covariances W_1..W_S (solved by an r^2-sized linear lift);
+    covariances W_1..W_S (solved by Smith's doubling on the monodromy,
+    O(r^3) per doubling);
   * the periodic Riccati difference equation (PRDE) whose per-season
     fixed point the filter covariance converges to.
 

@@ -57,8 +57,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .exceptions import (MSingular, NotStationary, ResidualTooLarge,
-                         SingularLift)
+from .exceptions import (MSingular, NotStationary, OmegaNotPD,
+                         ResidualTooLarge, SingularLift)
 from .kalman import _covariance_update, is_periodically_stationary, solve_dple
 from .linalg import (add, matmul, rel_err, spd_solve, sub, sym_solve,
                      symmetrize)
@@ -141,13 +141,18 @@ def build_prelude(model, Sigma1) -> Prelude:
     """Run one period of exact covariance steps from ``Sigma1``.
 
     Collects (Sigma_s, K_s, Omega_s) for s = 1..S and the increment
-    ``Sigma_{S+1} - Sigma_1``.
+    ``Sigma_{S+1} - Sigma_1``.  An :class:`OmegaNotPD` names the step s
+    whose innovation covariance failed.
     """
     Sigma = symmetrize(np.asarray(Sigma1, dtype=float))
     Sigmas, Ks, Omegas = [], [], []
     for s in range(1, model.S + 1):
         Sigmas.append(Sigma)
-        Omega, K, _, Sigma = _covariance_update(model, Sigma, s)
+        try:
+            Omega, K, _, Sigma = _covariance_update(model, Sigma, s)
+        except OmegaNotPD as exc:
+            exc.locate(s, s)
+            raise
         Ks.append(K)
         Omegas.append(Omega)
     delta = symmetrize(sub(Sigma, Sigmas[0]))

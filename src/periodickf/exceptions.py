@@ -8,7 +8,21 @@ from __future__ import annotations
 
 
 class PeriodicFilterError(Exception):
-    """Base class for all domain and numeric failures in this package."""
+    """Base class for all domain and numeric failures in this package.
+
+    ``t`` and ``season`` name the filter step during which the error was
+    raised; they are None for errors raised outside a filter run.
+    """
+
+    t: int | None = None
+    season: int | None = None
+
+    def locate(self, t: int, season: int) -> None:
+        """Record the filter step ``t`` and its season, and name both in
+        the message."""
+        self.t, self.season = t, season
+        self.args = (f"{self.args[0]} during step t={t} (season {season})",
+                     *self.args[1:])
 
 
 class OmegaNotPD(PeriodicFilterError):
@@ -35,8 +49,9 @@ class NonConvergence(PeriodicFilterError):
 
 
 class SingularLift(PeriodicFilterError):
-    """The linear system behind the periodic Lyapunov solve is numerically
-    singular (monodromy spectral radius too close to one)."""
+    """The periodic Lyapunov solve cannot be trusted: its doubling did not
+    settle, or its solution misses the residual gate (monodromy spectral
+    radius too close to one)."""
 
 
 class ResidualTooLarge(PeriodicFilterError):

@@ -40,7 +40,8 @@ import numpy as np
 from .chandrasekhar import (auto_factorize, build_prelude, chand_init,
                             step_alg31, step_alg32, step_minv,
                             to_inverse_state)
-from .exceptions import EngineInitFailed, MSingular, ResidualTooLarge
+from .exceptions import (EngineInitFailed, MSingular, OmegaNotPD,
+                         ResidualTooLarge)
 from .kalman import _covariance_update, solve_dple
 from .linalg import (add, factor_logdet_quad, factor_solve, matmul,
                      spd_factor, spd_logdet_quad, sub)
@@ -205,7 +206,11 @@ def filter_series(model, y, engine: str = "kalman",
     Raises ``ValueError`` naming the first non-finite observation,
     ``NotStationary`` when a stationary start is requested from a
     model without one, ``EngineInitFailed`` when a low-rank engine's
-    start factorization fails, and ``OmegaNotPD`` from the recursions.
+    start factorization fails, and ``OmegaNotPD`` (or ``MSingular``
+    from ``chand-minv``) from the recursions.  These last two carry the
+    step ``t`` and ``season`` during which they were raised; a low-rank
+    engine forms Omega_{t+S} in step t, so it stops one period earlier
+    than ``kalman`` on the same singular Omega.
     """
     y2 = _coerce_observations(y, model.m)
     n = y2.shape[0]
@@ -220,11 +225,15 @@ def filter_series(model, y, engine: str = "kalman",
     terms = np.empty(n)
 
     for t in range(1, n + 1):
-        K, Omega, Sigma = eng.step(t)
+        try:
+            K, Omega, Sigma = eng.step(t)
+            factor = spd_factor(Omega)
+        except (OmegaNotPD, MSingular) as exc:
+            exc.locate(t, model.season(t))
+            raise
         F, _, H, _, _ = model.at(t)
         xhats[t - 1] = x
         e = sub(y2[t - 1], matmul(H.T, x))
-        factor = spd_factor(Omega)
         KtilT = factor_solve(factor, K.T)            # m x r
         x = add(matmul(F, x), matmul(KtilT.T, e))
         terms[t - 1] = _loglik_term(factor_logdet_quad(factor, e), model.m)

@@ -22,8 +22,9 @@ covariances solve the periodic Lyapunov equation
     Qbar = sum_{k=0}^{S-1} (F_S .. F_{S-k+1}) G_{S-k} Q_{S-k} G_{S-k}'
            (F_S .. F_{S-k+1})',
 
-solved here by stacking into an r^2-dimensional linear system, followed
-by the one-season propagation W_{s+1} = F_s W_s F_s' + G_s Q_s G_s'.
+solved here by Smith's doubling on the monodromy, O(r^3) per doubling,
+followed by the one-season propagation
+W_{s+1} = F_s W_s F_s' + G_s Q_s G_s'.
 """
 
 from __future__ import annotations
@@ -42,6 +43,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 # Residual tolerance for the Lyapunov solve and its one-season propagation.
 DPLE_TOL = 1e-10
+# A model is periodically stationary when its monodromy radius is below
+# one by more than this margin.
+STATIONARY_MARGIN = 1e-9
+# Doublings allowed in the Lyapunov solve; one doubling squares the
+# monodromy power, so at the stationarity margin about 35 reach roundoff.
+MAX_DOUBLINGS = 64
 
 
 @dataclass
@@ -112,7 +119,8 @@ def monodromy(model: PeriodicModel) -> np.ndarray:
 
 
 def is_periodically_stationary(model: PeriodicModel,
-                               margin: float = 1e-9) -> tuple[bool, float]:
+                               margin: float = STATIONARY_MARGIN
+                               ) -> tuple[bool, float]:
     """Whether the monodromy spectral radius is below ``1 - margin``.
 
     Returns ``(flag, radius)``.
@@ -173,33 +181,48 @@ def period_noise(model: PeriodicModel) -> np.ndarray:
     return 0.5 * (Qbar + Qbar.T)
 
 
+def _smith_doubling(Phi: np.ndarray, Qbar: np.ndarray) -> np.ndarray | None:
+    """``sum_j Phi^j Qbar Phi'^j`` by doubling: ``W <- W + A W A'``, then
+    ``A <- A A``, from ``A = Phi, W = Qbar``.  Returns None when the added
+    term is still above roundoff (or not finite) after ``MAX_DOUBLINGS``."""
+    A, W = Phi, Qbar
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(MAX_DOUBLINGS):
+            term = A @ W @ A.T
+            W = W + term
+            size = float(np.linalg.norm(term))
+            if not np.isfinite(size):
+                return None
+            if size <= np.finfo(float).eps * float(np.linalg.norm(W)):
+                return W
+            A = A @ A
+    return None
+
+
 def solve_dple(model: PeriodicModel) -> list[np.ndarray]:
     """Stationary state covariances ``[W_1, .., W_S]``.
 
-    Solves the period-1 Lyapunov equation for W_1 through the r^2-sized
-    linear lift, then propagates one season at a time.  Raises
+    Solves the period-1 Lyapunov equation for W_1 by Smith's doubling on
+    the monodromy, then propagates one season at a time.  Raises
     :class:`NotStationary` when the monodromy radius is not below one
-    and :class:`SingularLift` when the lifted system is numerically
-    singular (radius too close to one for the solve to be trusted).
+    and :class:`SingularLift` when the doubling does not settle or the
+    solution misses the ``DPLE_TOL`` residual gate (radius too close to
+    one for the solve to be trusted).
     """
-    stationary, rho = is_periodically_stationary(model)
-    if not stationary:
+    S = model.S
+    Phi = monodromy(model)
+    rho = spectral_radius(Phi)
+    if not rho < 1.0 - STATIONARY_MARGIN:
         raise NotStationary(
             f"monodromy spectral radius {rho:.9f} is not below 1")
-    S, r = model.S, model.r
-    Phi = monodromy(model)
     Qbar = period_noise(model)
 
-    lift = np.eye(r * r) - np.kron(Phi, Phi)
-    try:
-        w = np.linalg.solve(lift, Qbar.ravel())
-    except np.linalg.LinAlgError as exc:
-        raise SingularLift("the lifted Lyapunov system is singular "
-                           f"(monodromy radius {rho:.12f})") from exc
-    if not np.all(np.isfinite(w)):
-        raise SingularLift("the lifted Lyapunov solve produced non-finite "
-                           f"values (monodromy radius {rho:.12f})")
-    W1 = 0.5 * (w.reshape(r, r) + w.reshape(r, r).T)
+    W1 = _smith_doubling(Phi, Qbar)
+    if W1 is None:
+        raise SingularLift(
+            f"the Lyapunov doubling did not settle within {MAX_DOUBLINGS} "
+            f"doublings (monodromy radius {rho:.12f})")
+    W1 = 0.5 * (W1 + W1.T)
     residual = rel_err(W1, Phi @ W1 @ Phi.T + Qbar)
     if residual > DPLE_TOL:
         raise SingularLift(

@@ -88,3 +88,16 @@ def scalar_model() -> PeriodicModel:
                          F=[np.array([[0.5]])], G=[one.copy()],
                          H=[one.copy()], Q=[one.copy()], R=[one.copy()],
                          W1=one.copy())
+
+
+def pinned_state_model() -> PeriodicModel:
+    """S = 2, state (a, b) with a held fixed and b a random walk, both
+    observed (H = I, W1 = I); season 2 observes a without noise.  Step 2
+    pins a exactly, so the innovation covariance Omega_4 (season 2) is
+    singular while Omega_1..Omega_3 are positive definite."""
+    return PeriodicModel(S=2, r=2, m=2, d=1,
+                         F=[np.eye(2)] * 2,
+                         G=[np.array([[0.0], [1.0]])] * 2,
+                         H=[np.eye(2)] * 2, Q=[np.eye(1)] * 2,
+                         R=[np.eye(2), np.diag([0.0, 1.0])],
+                         W1=np.eye(2))

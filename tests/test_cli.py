@@ -15,7 +15,7 @@ from periodickf import (
     solve_dple,
 )
 from periodickf.cli import main
-from conftest import random_stationary_model
+from conftest import pinned_state_model, random_stationary_model
 
 
 @pytest.fixture
@@ -197,6 +197,15 @@ class TestFilter:
                      "--init", "stationary"])
         assert code == 1
         assert "NotStationary" in capsys.readouterr().err
+
+    def test_singular_step_is_located(self, tmp_path, capsys):
+        path = tmp_path / "pinned.json"
+        save_model(pinned_state_model(), path)
+        data = write_obs(tmp_path, np.zeros((6, 2)))
+        assert main(["filter", str(path), data]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("OmegaNotPD: ")
+        assert "during step t=4 (season 2)" in err
 
     def test_unknown_engine_is_usage_error(self, model_file, tmp_path):
         _, path = model_file

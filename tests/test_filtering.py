@@ -6,14 +6,16 @@ from periodickf import (
     ENGINES,
     MSingular,
     NotStationary,
+    OmegaNotPD,
     filter_series,
     gaussian_loglik,
     loglik_terms,
+    par_family,
     rel_err,
     simulate,
     solve_dple,
 )
-from conftest import random_stationary_model
+from conftest import pinned_state_model, random_stationary_model
 
 
 def simulated(seed, n=60, **dims):
@@ -202,6 +204,18 @@ class TestObservationHandling:
             assert np.allclose(out.innovations[t - 1], want, atol=1e-12)
 
 
+class TestLargeState:
+    def test_r512_lowrank_matches_kalman(self):
+        # PAR_4 at r = 512 from a zero-state start: one O(r^3) Lyapunov
+        # solve per call, then the loop
+        model = par_family(4, 7)(512)
+        _, y = simulate(model, 20, seed=512)
+        ref = filter_series(model, y, engine="kalman")
+        out = filter_series(model, y, engine="chand32")
+        assert np.isfinite(ref.loglik)
+        assert out.loglik == pytest.approx(ref.loglik, rel=1e-8, abs=0.0)
+
+
 class TestStartSolvesOnce:
     @pytest.mark.parametrize("engine", ["chand31", "chand32", "chand-minv"])
     def test_lowrank_zero_state_solves_dple_once(self, engine, monkeypatch):
@@ -238,3 +252,29 @@ class TestEngineInitFailure:
         out = filter_series(model, y, engine="chand31", init="stationary")
         ref = filter_series(model, y, engine="kalman", init="stationary")
         assert rel_err(out.Omega, ref.Omega) < 1e-12
+
+
+class TestErrorLocation:
+    def test_kalman_names_the_singular_step(self):
+        with pytest.raises(OmegaNotPD,
+                           match=r"during step t=4 \(season 2\)") as info:
+            filter_series(pinned_state_model(), np.zeros((8, 2)))
+        assert (info.value.t, info.value.season) == (4, 2)
+
+    @pytest.mark.parametrize("engine", ["chand31", "chand32", "chand-minv"])
+    def test_lowrank_names_the_step_one_period_ahead(self, engine):
+        # a low-rank step t forms Omega_{t+S}: the singular Omega_4 is
+        # met in step 2
+        with pytest.raises(OmegaNotPD,
+                           match=r"during step t=2 \(season 2\)") as info:
+            filter_series(pinned_state_model(), np.zeros((8, 2)),
+                          engine=engine)
+        assert (info.value.t, info.value.season) == (2, 2)
+
+    def test_prelude_names_its_step(self):
+        model = pinned_state_model()
+        model.R = [np.diag([0.0, 1.0])] * 2
+        model.W1 = np.diag([0.0, 1.0])
+        with pytest.raises(OmegaNotPD, match=r"during step t=1 ") as info:
+            filter_series(model, np.zeros((4, 2)), engine="chand31")
+        assert (info.value.t, info.value.season) == (1, 1)

@@ -8,13 +8,18 @@ from periodickf import (
     NotStationary,
     OmegaNotPD,
     PeriodicModel,
+    SingularLift,
     dpre_fixed_point,
     is_periodically_stationary,
     kf_step,
     monodromy,
+    par_family,
     prde_step,
+    rel_err,
     solve_dple,
 )
+import periodickf.kalman as kalman_module
+from periodickf.kalman import DPLE_TOL
 from conftest import random_stationary_model
 
 # Scalar fixed point of P = 0.25 P / (P + 1) + 1, i.e. the positive root
@@ -152,7 +157,94 @@ class TestDpreFixedPoint:
         assert P[0][0, 0] == pytest.approx(SCALAR_DPRE_LIMIT, abs=1e-12)
 
 
+def one_period_noise(model):
+    """Qbar: the state covariance one period of the recursion builds up
+    from zero."""
+    Qbar = np.zeros((model.r, model.r))
+    for s in range(1, model.S + 1):
+        F, G, _, Q, _ = model.at(s)
+        Qbar = F @ Qbar @ F.T + G @ Q @ G.T
+    return Qbar
+
+
+def lyapunov_residual(model, W1):
+    Phi = monodromy(model)
+    return rel_err(W1, Phi @ W1 @ Phi.T + one_period_noise(model))
+
+
+def kronecker_w1(model):
+    """Reference W_1 from the r^2 x r^2 system
+    ``(I - Phi kron Phi) vec W_1 = vec Qbar``."""
+    Phi = monodromy(model)
+    r = model.r
+    w = np.linalg.solve(np.eye(r * r) - np.kron(Phi, Phi),
+                        one_period_noise(model).ravel())
+    return w.reshape(r, r)
+
+
+def near_unit_model(eigenvalue: float, r: int = 12) -> PeriodicModel:
+    """S = 1 model whose (non-normal) transition has one eigenvalue at
+    ``eigenvalue`` and the others inside (-0.9, 0.9)."""
+    rng = np.random.default_rng(41)
+    V = rng.normal(size=(r, r))
+    lam = rng.uniform(-0.9, 0.9, size=r)
+    lam[0] = eigenvalue
+    F = V @ np.diag(lam) @ np.linalg.inv(V)
+    return PeriodicModel(S=1, r=r, m=1, d=r, F=[F],
+                         G=[rng.normal(size=(r, r))],
+                         H=[rng.normal(size=(r, 1))], Q=[np.eye(r)],
+                         R=[np.eye(1)])
+
+
 class TestSolveDple:
+    @pytest.mark.parametrize("r", range(1, 13))
+    def test_matches_kronecker_oracle(self, r):
+        for seed in (100 + r, 200 + r, 300 + r):
+            model = random_stationary_model(seed, r=r)
+            want = kronecker_w1(model)
+            got = solve_dple(model)[0]
+            err = np.linalg.norm(got - want) / np.linalg.norm(want)
+            assert err <= 1e-12
+
+    @pytest.mark.parametrize("eigenvalue", [0.999999, -0.999999])
+    def test_residual_at_near_unit_eigenvalue(self, eigenvalue):
+        model = near_unit_model(eigenvalue)
+        rho = np.max(np.abs(np.linalg.eigvals(model.F[0])))
+        assert rho == pytest.approx(0.999999, abs=1e-9)
+        assert lyapunov_residual(model, solve_dple(model)[0]) <= DPLE_TOL
+
+    def test_par_at_r256_within_gate(self):
+        # the r^2 x r^2 Kronecker system would need 34 GB here
+        model = par_family(4, 7)(256)
+        W = solve_dple(model)
+        assert len(W) == 4 and W[0].shape == (256, 256)
+        assert lyapunov_residual(model, W[0]) <= DPLE_TOL
+        F, G, _, Q, _ = model.at(4)
+        assert rel_err(W[0], F @ W[3] @ F.T + G @ Q @ G.T) <= DPLE_TOL
+
+    def test_builds_monodromy_once(self, monkeypatch):
+        calls = []
+
+        def counted(model):
+            calls.append(model)
+            return monodromy(model)
+
+        monkeypatch.setattr(kalman_module, "monodromy", counted)
+        solve_dple(random_stationary_model(42, r=4, S=3))
+        assert len(calls) == 1
+
+    def test_doubling_cap_raises_singular_lift(self, monkeypatch):
+        model = random_stationary_model(43, r=3, S=2, radius=0.9)
+        monkeypatch.setattr(kalman_module, "MAX_DOUBLINGS", 1)
+        with pytest.raises(SingularLift, match="did not settle"):
+            solve_dple(model)
+
+    def test_overflowing_doubling_raises_singular_lift(self):
+        model = random_stationary_model(44, r=2, S=1)
+        model.F = [np.array([[0.5, 1e200], [0.0, 0.5]])]
+        with pytest.raises(SingularLift):
+            solve_dple(model)
+
     def test_scalar_two_season_exact(self):
         one = np.array([[1.0]])
         model = PeriodicModel(S=2, r=1, m=1, d=1,

@@ -52,7 +52,7 @@ state covariance W_1:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -60,27 +60,29 @@ import scipy.linalg
 from .exceptions import (MSingular, NotStationary, OmegaNotPD,
                          ResidualTooLarge, SingularLift)
 from .kalman import _covariance_update, is_periodically_stationary, solve_dple
-from .linalg import (add, matmul, rel_err, spd_solve, sub, sym_solve,
-                     symmetrize)
+from .linalg import (add, factor_solve, matmul, rel_err, spd_factor, sub,
+                     sym_solve, symmetrize)
 
 # A factorization must reproduce its increment to this relative tolerance.
 FACTOR_RESIDUAL_TOL = 1e-8
 # Relative singular-value threshold below which M counts as singular.
 M_SINGULAR_RTOL = 1e-12
-# Default relative eigenvalue cutoff for the eigendecomposition start.
+# Relative eigenvalue cutoff for the eigendecomposition start.
 EIG_KEEP_RTOL = 1e-12
 
 
 @dataclass
 class Prelude:
     """One period of exact filter quantities: ``Sigma[s-1]``,
-    ``K[s-1]``, ``Omega[s-1]`` for seasons s = 1..S, plus the first
-    S-lagged increment ``DeltaSigma1 = Sigma_{S+1} - Sigma_1``."""
+    ``K[s-1]``, ``Omega[s-1]`` and the gated Cholesky factor
+    ``factors[s-1]`` of ``Omega[s-1]`` for seasons s = 1..S, plus the
+    first S-lagged increment ``DeltaSigma1 = Sigma_{S+1} - Sigma_1``."""
 
     Sigma: list
     K: list
     Omega: list
     DeltaSigma1: np.ndarray
+    factors: list
 
     @property
     def S(self) -> int:
@@ -103,15 +105,18 @@ class ChandrasekharState:
     """Recursion state entering time t.
 
     ``ring[(u-1) % S]`` holds the (K, Omega) pair for the unique time u
-    in {t, .., t+S-1} with that season; stepping overwrites the slot of
-    the current season with the values for t+S.  ``M`` holds the middle
-    factor, or its inverse when ``m_is_inverse`` is set.
+    in {t, .., t+S-1} with that season and ``factors[(u-1) % S]`` the
+    gated Cholesky factor of that Omega, formed once when Omega was;
+    stepping overwrites the slot of the current season with the values
+    for t+S.  ``M`` holds the middle factor, or its inverse when
+    ``m_is_inverse`` is set.
     """
 
     t: int
     Y: np.ndarray
     M: np.ndarray
     ring: list = field(default_factory=list)
+    factors: list = field(default_factory=list)
     m_is_inverse: bool = False
 
     @property
@@ -145,18 +150,20 @@ def build_prelude(model, Sigma1) -> Prelude:
     whose innovation covariance failed.
     """
     Sigma = symmetrize(np.asarray(Sigma1, dtype=float))
-    Sigmas, Ks, Omegas = [], [], []
+    Sigmas, Ks, Omegas, factors = [], [], [], []
     for s in range(1, model.S + 1):
         Sigmas.append(Sigma)
         try:
-            Omega, K, _, Sigma = _covariance_update(model, Sigma, s)
+            Omega, K, factor, Sigma = _covariance_update(model, Sigma, s)
         except OmegaNotPD as exc:
             exc.locate(s, s)
             raise
         Ks.append(K)
         Omegas.append(Omega)
+        factors.append(factor)
     delta = symmetrize(sub(Sigma, Sigmas[0]))
-    return Prelude(Sigma=Sigmas, K=Ks, Omega=Omegas, DeltaSigma1=delta)
+    return Prelude(Sigma=Sigmas, K=Ks, Omega=Omegas, DeltaSigma1=delta,
+                   factors=factors)
 
 
 def _factor_residual(Y1: np.ndarray, M1: np.ndarray,
@@ -192,7 +199,7 @@ def factor_gain_form(model, prelude: Prelude) -> Factorization:
     for k in range(S):
         i = S - k - 1  # 0-based index of season S - k
         blocks.append(P @ prelude.K[i])
-        inv_blocks.append(spd_solve(prelude.Omega[i], np.eye(m)))
+        inv_blocks.append(factor_solve(prelude.factors[i], np.eye(m)))
         P = P @ model.F[i]
     Y1 = np.hstack(blocks)
     M1 = -scipy.linalg.block_diag(*inv_blocks)
@@ -219,7 +226,7 @@ def factor_steady_form(model, prelude: Prelude, W0) -> Factorization:
     S = model.S
     SigS = prelude.Sigma[S - 1]
     U = SigS @ model.H[S - 1]                       # r x m
-    X = spd_solve(prelude.Omega[S - 1], U.T)        # m x r
+    X = factor_solve(prelude.factors[S - 1], U.T)   # m x r
     M1 = SigS - np.asarray(W0, dtype=float) - U @ X
     M1 = 0.5 * (M1 + M1.T)
     Y1 = model.F[S - 1].copy()
@@ -227,9 +234,9 @@ def factor_steady_form(model, prelude: Prelude, W0) -> Factorization:
     return Factorization(Y1=Y1, M1=M1, alpha=model.r, method="steady-form")
 
 
-def factor_eigen(DeltaSigma1, rel_tol: float = EIG_KEEP_RTOL) -> Factorization:
+def factor_eigen(DeltaSigma1) -> Factorization:
     """Factor an increment by symmetric eigendecomposition, keeping the
-    eigenvalues with ``|lambda| > rel_tol * max |lambda|``.
+    eigenvalues with ``|lambda| > EIG_KEEP_RTOL * max |lambda|``.
 
     Works for any start; the discarded mass bounds the reproduction
     error. A zero increment yields width alpha = 0.
@@ -242,7 +249,7 @@ def factor_eigen(DeltaSigma1, rel_tol: float = EIG_KEEP_RTOL) -> Factorization:
     if amax == 0.0:
         return Factorization(Y1=np.zeros((r, 0)), M1=np.zeros((0, 0)),
                              alpha=0, method="eigen")
-    keep = np.abs(w) > rel_tol * amax
+    keep = np.abs(w) > EIG_KEEP_RTOL * amax
     Y1 = v[:, keep]
     M1 = np.diag(w[keep])
     return Factorization(Y1=Y1, M1=M1, alpha=int(np.sum(keep)),
@@ -275,7 +282,7 @@ def chand_init(model, factorization: Factorization,
 
     Re-checks that the factorization reproduces the prelude's first
     increment (:class:`ResidualTooLarge` otherwise) and seeds the ring
-    with the startup (K_s, Omega_s) pairs.
+    with the startup (K_s, Omega_s) pairs and their factors.
     """
     _require_residual(factorization.Y1, factorization.M1,
                       prelude.DeltaSigma1, factorization.method)
@@ -283,7 +290,7 @@ def chand_init(model, factorization: Factorization,
             for s in range(model.S)]
     M1 = 0.5 * (factorization.M1 + factorization.M1.T)
     return ChandrasekharState(t=1, Y=factorization.Y1.copy(), M=M1,
-                              ring=ring, m_is_inverse=False)
+                              ring=ring, factors=list(prelude.factors))
 
 
 def to_inverse_state(state: ChandrasekharState) -> ChandrasekharState:
@@ -293,12 +300,10 @@ def to_inverse_state(state: ChandrasekharState) -> ChandrasekharState:
     if state.m_is_inverse:
         return state
     if state.alpha == 0:
-        return ChandrasekharState(t=state.t, Y=state.Y, M=state.M,
-                                  ring=list(state.ring), m_is_inverse=True)
+        return replace(state, m_is_inverse=True)
     _require_invertible(state.M)
     N = sym_solve(state.M, np.eye(state.alpha))
-    return ChandrasekharState(t=state.t, Y=state.Y, M=0.5 * (N + N.T),
-                              ring=list(state.ring), m_is_inverse=True)
+    return replace(state, M=0.5 * (N + N.T), m_is_inverse=True)
 
 
 def _require_invertible(M: np.ndarray) -> None:
@@ -326,11 +331,10 @@ def _step(model, state: ChandrasekharState, form: str) -> ChandrasekharState:
     if state.alpha == 0:
         # the increment is identically zero, (K, Omega) are periodic
         # already, and the step costs no arithmetic
-        return ChandrasekharState(t=state.t + 1, Y=state.Y, M=state.M,
-                                  ring=list(state.ring), m_is_inverse=inverse)
+        return replace(state, t=state.t + 1)
     i = (state.t - 1) % model.S
     F, H = model.F[i], model.H[i]
-    K, Omega = state.ring[i]
+    (K, Omega), factor = state.ring[i], state.factors[i]
     Y, M = state.Y, state.M
     if inverse:
         _require_invertible(M)
@@ -340,21 +344,22 @@ def _step(model, state: ChandrasekharState, form: str) -> ChandrasekharState:
     YT = matmul(Y, T)                        # r x m
     Omega_next = symmetrize(add(Omega, matmul(U.T, T)))
     K_next = add(K, matmul(F, YT))
+    factor_next = spd_factor(Omega_next)
 
-    K_y, Omega_y = (K, Omega) if form == "current" else (K_next, Omega_next)
-    B = spd_solve(Omega_y, U.T)              # m x alpha
+    K_y, factor_y = (K, factor) if form == "current" else (K_next, factor_next)
+    B = factor_solve(factor_y, U.T)          # m x alpha
     Y_next = sub(matmul(F, Y), matmul(K_y, B))
     if inverse:
         M_next = symmetrize(sub(M, matmul(U, B)))
     elif form == "updated":
-        M_next = symmetrize(add(M, matmul(T, spd_solve(Omega, T.T))))
+        M_next = symmetrize(add(M, matmul(T, factor_solve(factor, T.T))))
     else:
-        M_next = symmetrize(sub(M, matmul(T, spd_solve(Omega_next, T.T))))
+        M_next = symmetrize(sub(M, matmul(T, factor_solve(factor_next, T.T))))
 
-    ring = list(state.ring)
-    ring[i] = (K_next, Omega_next)
-    return ChandrasekharState(t=state.t + 1, Y=Y_next, M=M_next, ring=ring,
-                              m_is_inverse=inverse)
+    ring, factors = list(state.ring), list(state.factors)
+    ring[i], factors[i] = (K_next, Omega_next), factor_next
+    return replace(state, t=state.t + 1, Y=Y_next, M=M_next, ring=ring,
+                   factors=factors)
 
 
 def step_alg31(model, state: ChandrasekharState) -> ChandrasekharState:
@@ -447,30 +452,30 @@ def verify_theorem31(model, prelude: Prelude, steps: int) -> TheoremReport:
     S = model.S
     n_total = steps + S + 1
     Sigma = np.asarray(prelude.Sigma[0], dtype=float)
-    Sigmas, Omegas, Ktils = [], [], []
+    Sigmas, factors, Ktils = [], [], []
     for t in range(1, n_total + 1):
         Sigmas.append(Sigma)
-        Omega, _, KtilT, Sigma = _covariance_update(model, Sigma, t)
-        Omegas.append(Omega)
-        Ktils.append(KtilT.T)
+        _, K, factor, Sigma = _covariance_update(model, Sigma, t)
+        factors.append(factor)
+        Ktils.append(factor_solve(factor, K.T).T)
 
     r3 = r4 = r7 = r8 = 0.0
     for t0 in range(steps):  # 0-based; time t = t0 + 1
         F, _, H, _, _ = model.at(t0 + 1)
         delta = Sigmas[t0 + S] - Sigmas[t0]
         delta_next = Sigmas[t0 + S + 1] - Sigmas[t0 + 1]
-        Om_t, Om_tS = Omegas[t0], Omegas[t0 + S]
+        L_t, L_tS = factors[t0], factors[t0 + S]
         Kt, KtS = Ktils[t0], Ktils[t0 + S]
 
         DH = delta @ H
         A_up = F - KtS @ H.T
         A_cur = F - Kt @ H.T
-        inner_up = delta + DH @ spd_solve(Om_t, DH.T)
-        inner_cur = delta - DH @ spd_solve(Om_tS, DH.T)
+        inner_up = delta + DH @ factor_solve(L_t, DH.T)
+        inner_cur = delta - DH @ factor_solve(L_tS, DH.T)
         r3 = max(r3, rel_err(A_up @ inner_up @ A_up.T, delta_next))
         r4 = max(r4, rel_err(A_cur @ inner_cur @ A_cur.T, delta_next))
-        r7 = max(r7, rel_err(Kt, KtS - A_up @ spd_solve(Om_t, DH.T).T))
-        r8 = max(r8, rel_err(KtS, Kt + A_cur @ spd_solve(Om_tS, DH.T).T))
+        r7 = max(r7, rel_err(Kt, KtS - A_up @ factor_solve(L_t, DH.T).T))
+        r8 = max(r8, rel_err(KtS, Kt + A_cur @ factor_solve(L_tS, DH.T).T))
     return TheoremReport(steps=steps, incr_updated_gain=r3,
                          incr_current_gain=r4, gain_backward=r7,
                          gain_forward=r8)

@@ -259,13 +259,7 @@ def cmd_dple(args) -> int:
             "W": [w.tolist() for w in W],
             "residuals": {"lift": lift_resid, "propagation": prop_resid},
         }
-        text = json.dumps(payload, indent=2) + "\n"
-        stream, needs_close = _open_output(args.output)
-        try:
-            stream.write(text)
-        finally:
-            if needs_close:
-                stream.close()
+        _write_text(args.output, json.dumps(payload, indent=2))
         return 0
     header = ["season", "row", "col", "value"]
     rows = []

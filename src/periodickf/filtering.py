@@ -15,11 +15,14 @@ and differ only in how the pair (K_t, Omega_t) is produced:
 in :mod:`periodickf.chandrasekhar`; ``ENGINES`` is ``kalman`` followed
 by those names.  An engine is built from the starting covariance by
 ``_make_engine`` (which :func:`periodickf.bench.count_costs` uses too)
-and has one method, ``step(t)``, returning ``(K_t, Omega_t, Sigma_t)``
-and advancing to time t + 1.  The low-rank engines never form the
-r x r covariance unless a sigma trace is requested (``Sigma_t`` is None
-otherwise), in which case each season's covariance is accumulated from
-the increments exactly as
+and has one method, ``step(t)``, returning ``(K_t, Omega_t, factor_t,
+Sigma_t)`` and advancing to time t + 1.  ``factor_t`` is the Cholesky
+factor of Omega_t, made by ``linalg.spd_factor`` (after the
+positive-definiteness gate) in the code that formed Omega_t, so each
+Omega is gated and factored once and the filter loop factors nothing.
+The low-rank engines never form the r x r covariance unless a sigma
+trace is requested (``Sigma_t`` is None otherwise), in which case each
+season's covariance is accumulated from the increments exactly as
 :func:`periodickf.chandrasekhar.reconstruct_sigma` does.
 
 The innovations-form Gaussian log-likelihood of a filtered series is
@@ -27,8 +30,8 @@ The innovations-form Gaussian log-likelihood of a filtered series is
     loglik = -1/2 sum_t [ m log 2 pi + log det Omega_t
                           + e_t' Omega_t^{-1} e_t ],
 
-accumulated inside the filter loop from the same Cholesky factor of
-Omega_t that the gain solve uses.
+accumulated inside the filter loop from the engine's factor of Omega_t,
+which the gain solve uses too.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .exceptions import (EngineInitFailed, MSingular, OmegaNotPD,
                          ResidualTooLarge)
 from .kalman import _covariance_update, solve_dple
 from .linalg import (add, factor_logdet_quad, factor_solve, matmul,
-                     spd_factor, spd_logdet_quad, sub)
+                     spd_logdet_quad, sub)
 
 # Engine registry: each low-rank engine name maps to its step function.
 LOWRANK_STEPS = {"chand31": step_alg31, "chand32": step_alg32,
@@ -121,8 +124,8 @@ class _KalmanEngine:
 
     def step(self, t: int):
         Sigma = self.Sigma
-        Omega, K, _, self.Sigma = _covariance_update(self.model, Sigma, t)
-        return K, Omega, Sigma
+        Omega, K, factor, self.Sigma = _covariance_update(self.model, Sigma, t)
+        return K, Omega, factor, Sigma
 
 
 class _ChandEngine:
@@ -143,16 +146,16 @@ class _ChandEngine:
         self.acc = [s.copy() for s in prelude.Sigma] if trace else None
 
     def step(self, t: int):
-        K, Omega = self.state.current_gain()
+        i = (t - 1) % self.model.S
+        (K, Omega), factor = self.state.ring[i], self.state.factors[i]
         Sigma = None
         if self.acc is not None:
-            i = (t - 1) % self.model.S
             Sigma = self.acc[i]
             if self.state.alpha > 0:
                 Y, M = self.state.factor_pair()
                 self.acc[i] = Sigma + Y @ M @ Y.T
         self.state = self.step_fn(self.model, self.state)
-        return K, Omega, Sigma
+        return K, Omega, factor, Sigma
 
 
 def _make_engine(model, engine: str, Sigma1, W, trace: bool):
@@ -226,8 +229,7 @@ def filter_series(model, y, engine: str = "kalman",
 
     for t in range(1, n + 1):
         try:
-            K, Omega, Sigma = eng.step(t)
-            factor = spd_factor(Omega)
+            K, Omega, factor, Sigma = eng.step(t)
         except (OmegaNotPD, MSingular) as exc:
             exc.locate(t, model.season(t))
             raise

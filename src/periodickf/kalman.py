@@ -35,8 +35,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .exceptions import NonConvergence, NotStationary, SingularLift
-from .linalg import (add, matmul, rel_err, spd_solve, spectral_radius, sub,
-                     symmetrize)
+from .linalg import (add, factor_solve, matmul, rel_err, spd_factor,
+                     spectral_radius, sub, symmetrize)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import PeriodicModel
@@ -71,18 +71,19 @@ class StepResult:
 
 
 def _covariance_update(model: PeriodicModel, Sigma: np.ndarray, t: int):
-    """One PRDE step. Returns (Omega, K, Ktilde', Sigma_next) where
-    Ktilde' = Omega^{-1} K' is the transposed normalized gain."""
+    """One PRDE step. Returns (Omega, K, factor, Sigma_next), where
+    ``factor`` is the gated Cholesky factor of Omega (``spd_factor``)."""
     F, G, H, Q, R = model.at(t)
     U = matmul(Sigma, H)                                  # r x m
     Omega = symmetrize(add(matmul(H.T, U), R))
     K = matmul(F, U)
-    KtilT = spd_solve(Omega, K.T)                         # m x r
+    factor = spd_factor(Omega)
+    KtilT = factor_solve(factor, K.T)                     # m x r
     FS = matmul(F, Sigma)
     GQ = matmul(G, Q)
     Sigma_next = symmetrize(
         add(sub(matmul(FS, F.T), matmul(K, KtilT)), matmul(GQ, G.T)))
-    return Omega, K, KtilT, Sigma_next
+    return Omega, K, factor, Sigma_next
 
 
 def kf_step(model: PeriodicModel, state: KalmanState,
@@ -94,8 +95,9 @@ def kf_step(model: PeriodicModel, state: KalmanState,
     definiteness gate.
     """
     F, _, H, _, _ = model.at(state.t)
-    Omega, K, KtilT, Sigma_next = _covariance_update(model, state.Sigma,
-                                                     state.t)
+    Omega, K, factor, Sigma_next = _covariance_update(model, state.Sigma,
+                                                      state.t)
+    KtilT = factor_solve(factor, K.T)
     y = np.asarray(y, dtype=float).reshape(model.m)
     yhat = matmul(H.T, state.xhat)
     innovation = sub(y, yhat)
@@ -118,15 +120,12 @@ def monodromy(model: PeriodicModel) -> np.ndarray:
     return Phi
 
 
-def is_periodically_stationary(model: PeriodicModel,
-                               margin: float = STATIONARY_MARGIN
-                               ) -> tuple[bool, float]:
-    """Whether the monodromy spectral radius is below ``1 - margin``.
-
-    Returns ``(flag, radius)``.
+def is_periodically_stationary(model: PeriodicModel) -> tuple[bool, float]:
+    """Whether the monodromy spectral radius is below
+    ``1 - STATIONARY_MARGIN``.  Returns ``(flag, radius)``.
     """
     rho = spectral_radius(monodromy(model))
-    return rho < 1.0 - margin, rho
+    return rho < 1.0 - STATIONARY_MARGIN, rho
 
 
 def dpre_fixed_point(model: PeriodicModel, tol: float = 1e-10,

@@ -96,15 +96,16 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def _pd_gate(a: np.ndarray, context: str) -> None:
+def _pd_gate(a: np.ndarray) -> None:
     w = np.linalg.eigvalsh(a)
     if w[-1] <= 0.0 or w[0] <= PD_RTOL * w[-1]:
         raise OmegaNotPD(
-            f"{context}: eigenvalues in [{w[0]:.6e}, {w[-1]:.6e}] fail the "
-            f"positive-definiteness threshold (min > {PD_RTOL:g} * max)")
+            f"innovation covariance: eigenvalues in [{w[0]:.6e}, "
+            f"{w[-1]:.6e}] fail the positive-definiteness threshold "
+            f"(min > {PD_RTOL:g} * max)")
 
 
-def spd_factor(a: np.ndarray, context: str = "innovation covariance"):
+def spd_factor(a: np.ndarray):
     """Gate ``a`` as symmetric positive definite and Cholesky-factor it.
 
     Raises :class:`OmegaNotPD` when ``a`` fails the definiteness gate.
@@ -112,11 +113,12 @@ def spd_factor(a: np.ndarray, context: str = "innovation covariance"):
     the error type. Returns the factor in ``scipy.linalg.cho_factor``
     form, for :func:`factor_solve` and :func:`factor_logdet_quad`.
     """
-    _pd_gate(a, context)
+    _pd_gate(a)
     try:
         factor = scipy.linalg.cho_factor(a, lower=True)
     except scipy.linalg.LinAlgError as exc:  # borderline cases the gate let by
-        raise OmegaNotPD(f"{context}: Cholesky factorization failed") from exc
+        raise OmegaNotPD(
+            "innovation covariance: Cholesky factorization failed") from exc
     _charge(a.shape[0] ** 3 // 3)
     return factor
 
@@ -134,16 +136,14 @@ def factor_logdet_quad(factor, e: np.ndarray) -> tuple[float, float]:
     return logdet, float(e @ factor_solve(factor, e))
 
 
-def spd_solve(a: np.ndarray, b: np.ndarray,
-              context: str = "innovation covariance") -> np.ndarray:
+def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a x = b`` for symmetric positive definite ``a``."""
-    return factor_solve(spd_factor(a, context), b)
+    return factor_solve(spd_factor(a), b)
 
 
-def spd_logdet_quad(a: np.ndarray, e: np.ndarray,
-                    context: str = "innovation covariance") -> tuple[float, float]:
+def spd_logdet_quad(a: np.ndarray, e: np.ndarray) -> tuple[float, float]:
     """Return ``(log det a, e' a^{-1} e)`` via one Cholesky factorization."""
-    return factor_logdet_quad(spd_factor(a, context), e)
+    return factor_logdet_quad(spd_factor(a), e)
 
 
 def sym_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -291,10 +291,9 @@ def simulate(model: PeriodicModel, n: int, seed: int,
     return xs, ys
 
 
-def random_stationary_par(S: int, p: int, seed: int,
-                          max_radius: float = 0.9) -> ParModel:
+def random_stationary_par(S: int, p: int, seed: int) -> ParModel:
     """Draw a PAR model whose state-space embedding is periodically
-    stationary (monodromy spectral radius below ``max_radius``).
+    stationary (monodromy spectral radius below 0.9).
 
     Coefficients are drawn once and shrunk geometrically until the
     radius condition holds, so the result is deterministic per seed.
@@ -308,7 +307,7 @@ def random_stationary_par(S: int, p: int, seed: int,
     for _ in range(200):
         par = ParModel(S=S, p=p, phi=phi.copy(), sigma2=sigma2.copy())
         rho = spectral_radius(monodromy(par_to_state_space(par)))
-        if rho < max_radius:
+        if rho < 0.9:
             return par
         phi = phi * 0.7
     raise RuntimeError("could not shrink PAR coefficients into the "

@@ -59,6 +59,12 @@ def chand_minv_flops(r, m, a):
             + 2 * a * m * a + a * a + a * a)  # N update
 
 
+def chand_direct_one_factor_flops(r, m, a):
+    """A direct step whose second solve reuses the factor of Omega_t the
+    ring carries: one factorization (of Omega_{t+S}) instead of two."""
+    return chand_direct_flops(r, m, a) - m ** 3 // 3
+
+
 class TestChargeRules:
     def test_matmul(self):
         with count_flops() as c:
@@ -143,6 +149,26 @@ class TestPerStepFormulas:
         with count_flops() as c:
             stepper(model, state)
         assert c.flops == formula(6, 1, a)
+
+    @pytest.mark.parametrize("stepper,formula", [
+        (step_alg31, chand_direct_one_factor_flops),
+        (step_alg32, chand_direct_one_factor_flops),
+        (step_minv, chand_minv_flops),
+    ])
+    def test_low_rank_steps_factor_once_at_m2(self, stepper, formula):
+        # at m = 1 a factorization charges 1**3 // 3 = 0; at m = 2 the
+        # count shows that a step factors only the Omega_{t+S} it forms
+        # and solves with the factor the ring carries for Omega_t
+        model = random_stationary_model(106, r=7, S=2, m=2)
+        prelude = build_prelude(model, solve_dple(model)[0])
+        state = chand_init(model, auto_factorize(model, prelude), prelude)
+        if stepper is step_minv:
+            state = to_inverse_state(state)
+        a = state.alpha
+        assert a == 4  # S m = 4 < r: gain-form width
+        with count_flops() as c:
+            stepper(model, state)
+        assert c.flops == formula(7, 2, a)
 
     def test_low_rank_beats_full_when_r_dominates(self):
         r, m, a = 40, 1, 2

@@ -278,3 +278,82 @@ class TestErrorLocation:
         with pytest.raises(OmegaNotPD, match=r"during step t=1 ") as info:
             filter_series(model, np.zeros((4, 2)), engine="chand31")
         assert (info.value.t, info.value.season) == (1, 1)
+
+
+def _ill_conditioned_r_model():
+    model = random_stationary_model(403, r=4, S=2, m=2)
+    model.R = [np.diag([1.0, 1e-8])] * model.S
+    return model
+
+
+def _worst_step_rel_dev(out, ref):
+    """Largest per-step ``norm(out_t - ref_t) / norm(ref_t)``."""
+    num = np.linalg.norm((out - ref).reshape(len(ref), -1), axis=1)
+    return float(np.max(num / np.linalg.norm(ref.reshape(len(ref), -1),
+                                             axis=1)))
+
+
+class TestLongHorizon:
+    # n = 5000 steps; the low-rank recursions never see a covariance, so
+    # any drift of the increment factors would show up in K and Omega
+    @pytest.mark.parametrize("build", [
+        lambda: random_stationary_model(401, r=4, S=2, m=1, radius=0.999),
+        lambda: random_stationary_model(402, r=5, S=3, m=2),
+        _ill_conditioned_r_model,
+    ], ids=["radius-0.999", "m2", "R-diag-1e-8"])
+    def test_lowrank_tracks_kalman(self, build):
+        model = build()
+        _, y = simulate(model, 5000, seed=7, start="stationary")
+        ref = filter_series(model, y, engine="kalman")
+        for engine in ENGINES[1:]:
+            out = filter_series(model, y, engine=engine)
+            assert _worst_step_rel_dev(out.K, ref.K) <= 1e-11, engine
+            assert _worst_step_rel_dev(out.Omega, ref.Omega) <= 1e-11, engine
+            assert out.loglik == pytest.approx(ref.loglik, rel=1e-8, abs=0.0)
+
+
+class TestGateOncePerOmega:
+    """Each innovation covariance is gated and factored once, where it is
+    formed: n Omegas for ``kalman``; S prelude Omegas plus one
+    Omega_{t+S} per step for a low-rank engine."""
+
+    STARTS = {"gain-form": (dict(r=5, S=2, m=1), False),
+              "steady-form": (dict(r=3, S=2, m=2), False),
+              "eigen": (dict(r=4, S=2, m=1), True)}
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("start", list(STARTS))
+    def test_gate_count(self, engine, start, monkeypatch):
+        import periodickf.filtering as filtering_module
+        import periodickf.linalg as linalg_module
+
+        dims, explicit = self.STARTS[start]
+        model, y = simulated(98, n=15, **dims)
+        kwargs = {}
+        if explicit:
+            # twice the stationary covariance: both closed forms miss
+            # the first increment, so the eigen start is taken
+            kwargs = dict(init="explicit", xhat1=np.zeros(model.r),
+                          Sigma1=2.0 * solve_dple(model)[0])
+        gate = linalg_module._pd_gate
+        factorize = filtering_module.auto_factorize
+        gates, methods = [], []
+
+        def counted_gate(*args):
+            gates.append(args[0])
+            gate(*args)
+
+        def recorded_factorize(*args, **kw):
+            factorization = factorize(*args, **kw)
+            methods.append(factorization.method)
+            return factorization
+
+        monkeypatch.setattr(linalg_module, "_pd_gate", counted_gate)
+        monkeypatch.setattr(filtering_module, "auto_factorize",
+                            recorded_factorize)
+        filter_series(model, y, engine=engine, **kwargs)
+        if engine == "kalman":
+            assert len(gates) == len(y)
+        else:
+            assert methods == [start]
+            assert len(gates) == len(y) + model.S

@@ -14,17 +14,15 @@ from .bench import (CostReport, ScalingTable, count_costs,
 from .chandrasekhar import (ChandrasekharState, Factorization, Prelude,
                             TheoremReport, auto_factorize, build_prelude,
                             chand_init, factor_eigen, factor_gain_form,
-                            factor_steady_form, reconstruct_sigma,
-                            step_alg31, step_alg32, step_minv,
-                            to_inverse_state, verify_theorem31)
+                            factor_steady_form, step_alg31, step_alg32,
+                            step_minv, to_inverse_state, verify_theorem31)
 from .exceptions import (EngineInitFailed, MSingular, NonConvergence,
                          NotStationary, OmegaNotPD, PeriodicFilterError,
                          ResidualTooLarge, SingularLift)
 from .filtering import (ENGINES, INITS, FilterOutput, filter_series,
                         gaussian_loglik, loglik_terms)
-from .kalman import (KalmanState, StepResult, dpre_fixed_point,
-                     is_periodically_stationary, kf_step, monodromy,
-                     prde_step, solve_dple)
+from .kalman import (dpre_fixed_point, is_periodically_stationary,
+                     monodromy, prde_step, solve_dple)
 from .linalg import FlopCounter, count_flops, rel_err
 from .model import (ModelFormatError, ParModel, PeriodicModel, load_model,
                     model_from_dict, model_to_dict, par_from_dict,
@@ -38,16 +36,14 @@ __all__ = [
     "format_scaling_table", "par_family", "scaling_table",
     "ChandrasekharState", "Factorization", "Prelude", "TheoremReport",
     "auto_factorize", "build_prelude", "chand_init", "factor_eigen",
-    "factor_gain_form", "factor_steady_form", "reconstruct_sigma",
-    "step_alg31", "step_alg32", "step_minv", "to_inverse_state",
-    "verify_theorem31",
+    "factor_gain_form", "factor_steady_form", "step_alg31", "step_alg32",
+    "step_minv", "to_inverse_state", "verify_theorem31",
     "EngineInitFailed", "MSingular", "NonConvergence", "NotStationary",
     "OmegaNotPD", "PeriodicFilterError", "ResidualTooLarge", "SingularLift",
     "ENGINES", "INITS", "FilterOutput", "filter_series", "gaussian_loglik",
     "loglik_terms",
-    "KalmanState", "StepResult", "dpre_fixed_point",
-    "is_periodically_stationary", "kf_step", "monodromy", "prde_step",
-    "solve_dple",
+    "dpre_fixed_point", "is_periodically_stationary", "monodromy",
+    "prde_step", "solve_dple",
     "FlopCounter", "count_flops", "rel_err",
     "ModelFormatError", "ParModel", "PeriodicModel", "load_model",
     "model_from_dict", "model_to_dict", "par_from_dict", "par_to_dict",

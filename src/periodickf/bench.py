@@ -98,6 +98,8 @@ def count_costs(model: PeriodicModel, n_periods: int,
     """
     if n_periods < 1:
         raise ValueError("n_periods must be positive")
+    if not engines:
+        raise ValueError(f"no engine given; expected some of {ENGINES}")
     for name in engines:
         if name not in ENGINES:
             raise ValueError(f"unknown engine {name!r}; "
@@ -178,6 +180,15 @@ def par_family(S: int = 2, seed: int = 7) -> Callable[[int], PeriodicModel]:
 
 # --- rendering ---------------------------------------------------------------
 
+def _aligned(cols: list[str], body: list[list[str]]) -> list[str]:
+    """Header, dash rule and body rows, each column padded to its
+    widest cell."""
+    widths = [max([len(col)] + [len(row[i]) for row in body])
+              for i, col in enumerate(cols)]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths))
+            for row in [cols, ["-" * w for w in widths], *body]]
+
+
 def format_cost_table(report: CostReport) -> str:
     header = (f"model: S={report.S} r={report.r} m={report.m} d={report.d}"
               + (f" alpha={report.alpha}" if report.alpha is not None else "")
@@ -191,19 +202,11 @@ def format_cost_table(report: CostReport) -> str:
                  if have_kalman and c.engine != "kalman" else "-")
         body.append([
             c.engine, str(c.steps), str(c.flops),
-            f"{c.flops / c.steps:.1f}",
-            f"{c.flops / c.steps * report.S:.1f}",
+            f"{report.flops_per_step(c.engine):.1f}",
+            f"{report.flops_per_period(c.engine):.1f}",
             f"{c.seconds:.4f}", ratio, _COMPLEXITY[c.engine],
         ])
-    widths = [max(len(cols[i]), *(len(row[i]) for row in body))
-              for i in range(len(cols))]
-    lines = [header,
-             "  ".join(col.ljust(widths[i]) for i, col in enumerate(cols)),
-             "  ".join("-" * w for w in widths)]
-    for row in body:
-        lines.append("  ".join(cell.ljust(widths[i])
-                               for i, cell in enumerate(row)))
-    return "\n".join(lines)
+    return "\n".join([header, *_aligned(cols, body)])
 
 
 def cost_report_rows(report: CostReport):
@@ -215,8 +218,8 @@ def cost_report_rows(report: CostReport):
         rows.append([c.engine, report.S, report.r, report.m, report.d,
                      "" if report.alpha is None else report.alpha,
                      report.n_periods, c.steps, c.flops,
-                     c.flops / c.steps, c.flops / c.steps * report.S,
-                     c.seconds])
+                     report.flops_per_step(c.engine),
+                     report.flops_per_period(c.engine), c.seconds])
     return header, rows
 
 
@@ -228,13 +231,7 @@ def format_scaling_table(table: ScalingTable) -> str:
                      "-" if row.alpha is None else str(row.alpha)]
                     + [f"{row.flops_per_step[e]:.1f}"
                        for e in table.engines])
-    widths = [max(len(cols[i]), *(len(r[i]) for r in body))
-              for i in range(len(cols))]
-    lines = ["  ".join(col.ljust(widths[i]) for i, col in enumerate(cols)),
-             "  ".join("-" * w for w in widths)]
-    for row in body:
-        lines.append("  ".join(cell.ljust(widths[i])
-                               for i, cell in enumerate(row)))
+    lines = _aligned(cols, body)
     for e in table.engines:
         slope = table.slopes[e]
         lines.append(f"log-log slope [{e}]: "

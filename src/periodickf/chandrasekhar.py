@@ -387,32 +387,6 @@ def step_minv(model, state: ChandrasekharState) -> ChandrasekharState:
     return _step(model, state, "inverse")
 
 
-def reconstruct_sigma(prelude: Prelude, history, k: int,
-                      s: int) -> np.ndarray:
-    """Covariance at time ``t = k S + s`` from the prelude plus the
-    recorded increments of season s:
-
-        Sigma_{kS+s} = Sigma_s + sum_{j=0}^{k-1} Y_{jS+s} M_{jS+s} Y'.
-
-    ``history[i]`` must hold the ``(Y, M)`` pair for time i + 1 (the
-    middle factor itself, as returned by
-    :meth:`ChandrasekharState.factor_pair`).
-    """
-    S = prelude.S
-    if not 1 <= s <= S:
-        raise ValueError(f"season must lie in 1..{S}, got {s}")
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    Sigma = prelude.Sigma[s - 1].copy()
-    for j in range(k):
-        t = j * S + s
-        if t - 1 >= len(history):
-            raise ValueError(f"history has no factor pair for time t={t}")
-        Y, M = history[t - 1]
-        Sigma = Sigma + Y @ M @ Y.T
-    return 0.5 * (Sigma + Sigma.T)
-
-
 @dataclass
 class TheoremReport:
     """Maximum relative residuals of the four increment/gain identities

@@ -22,8 +22,12 @@ positive-definiteness gate) in the code that formed Omega_t, so each
 Omega is gated and factored once and the filter loop factors nothing.
 The low-rank engines never form the r x r covariance unless a sigma
 trace is requested (``Sigma_t`` is None otherwise), in which case each
-season's covariance is accumulated from the increments exactly as
-:func:`periodickf.chandrasekhar.reconstruct_sigma` does.
+season's covariance is accumulated from the prelude and the increments,
+
+    Sigma_{kS+s} = Sigma_s + sum_{j=0}^{k-1} Y_{jS+s} M_{jS+s} Y_{jS+s}'.
+
+This trace is the package's one covariance rebuild, and
+:func:`filter_series` its one filter loop.
 
 The innovations-form Gaussian log-likelihood of a filtered series is
 
@@ -200,8 +204,10 @@ def filter_series(model, y, engine: str = "kalman",
         model's W1 (or the stationary covariance when none is stored),
         ``stationary`` forces the stationary covariance, ``explicit``
         takes ``xhat1``/``Sigma1``.
-    sigma_trace : also record the per-step covariance (the low-rank
-        engines reconstruct it from their increments).
+    sigma_trace : also record the per-step covariance Sigma_t; the
+        low-rank engines rebuild it from the prelude and their
+        increments, ``Sigma_{kS+s} = Sigma_s + sum_j Y_{jS+s} M_{jS+s}
+        Y_{jS+s}'`` over j = 0..k-1.
 
     The stationary covariances are solved for at most once per call:
     a low-rank engine reuses the solution the start computed.

@@ -11,7 +11,9 @@ covariance ``Sigma`` and state prediction ``xhat``:
 
 started from xhat = 0 and Sigma = W1. The covariance recursion alone is
 the periodic Riccati difference equation (PRDE); iterating it over whole
-periods to convergence yields the periodic fixed point.
+periods to convergence yields the periodic fixed point.  The filter loop
+itself, state update included, is :func:`periodickf.filter_series`; its
+``kalman`` engine steps the covariance with the PRDE map here.
 
 The monodromy matrix is the one-period state transition
 ``Phi = F_S F_{S-1} ... F_1``; the model is periodically stationary when
@@ -29,7 +31,6 @@ W_{s+1} = F_s W_s F_s' + G_s Q_s G_s'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -51,25 +52,6 @@ STATIONARY_MARGIN = 1e-9
 MAX_DOUBLINGS = 64
 
 
-@dataclass
-class KalmanState:
-    """Filter state entering time t: prediction ``xhat`` (r,) and its
-    error covariance ``Sigma`` (r, r)."""
-
-    t: int
-    xhat: np.ndarray
-    Sigma: np.ndarray
-
-
-@dataclass
-class StepResult:
-    yhat: np.ndarray
-    innovation: np.ndarray
-    Omega: np.ndarray
-    K: np.ndarray
-    next: KalmanState
-
-
 def _covariance_update(model: PeriodicModel, Sigma: np.ndarray, t: int):
     """One PRDE step. Returns (Omega, K, factor, Sigma_next), where
     ``factor`` is the gated Cholesky factor of Omega (``spd_factor``)."""
@@ -84,27 +66,6 @@ def _covariance_update(model: PeriodicModel, Sigma: np.ndarray, t: int):
     Sigma_next = symmetrize(
         add(sub(matmul(FS, F.T), matmul(K, KtilT)), matmul(GQ, G.T)))
     return Omega, K, factor, Sigma_next
-
-
-def kf_step(model: PeriodicModel, state: KalmanState,
-            y: np.ndarray) -> StepResult:
-    """Advance the filter by one observation.
-
-    ``y`` is the length-m observation at time ``state.t``. Raises
-    :class:`OmegaNotPD` when the innovation covariance fails the
-    definiteness gate.
-    """
-    F, _, H, _, _ = model.at(state.t)
-    Omega, K, factor, Sigma_next = _covariance_update(model, state.Sigma,
-                                                      state.t)
-    KtilT = factor_solve(factor, K.T)
-    y = np.asarray(y, dtype=float).reshape(model.m)
-    yhat = matmul(H.T, state.xhat)
-    innovation = sub(y, yhat)
-    xhat_next = add(matmul(F, state.xhat), matmul(KtilT.T, innovation))
-    return StepResult(yhat=yhat, innovation=innovation, Omega=Omega, K=K,
-                      next=KalmanState(t=state.t + 1, xhat=xhat_next,
-                                       Sigma=Sigma_next))
 
 
 def prde_step(model: PeriodicModel, Sigma: np.ndarray, t: int) -> np.ndarray:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from periodickf import PeriodicModel
+from periodickf import PeriodicModel, filter_series
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,7 +30,9 @@ def declared_scripts() -> dict[str, str]:
 def console_scripts(tmp_path_factory):
     """Put a launcher for each declared console script on PATH, running
     this checkout's entry point, so tests can call the scripts as an
-    installed package would provide them."""
+    installed package would provide them; and put this checkout's
+    ``src`` first on PYTHONPATH, so ``python -m periodickf`` in a
+    subprocess imports it too."""
     bindir = tmp_path_factory.mktemp("bin")
     for name, target in declared_scripts().items():
         module, attr = target.split(":")
@@ -44,7 +46,17 @@ def console_scripts(tmp_path_factory):
         launcher.chmod(0o755)
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PATH", f"{bindir}{os.pathsep}{os.environ.get('PATH', '')}")
+        mp.setenv("PYTHONPATH", os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
         yield bindir
+
+
+def traced_run(model, y, Sigma1, engine: str = "kalman"):
+    """``filter_series`` from xhat = 0 and ``Sigma1``, recording the
+    covariance trace."""
+    return filter_series(model, y, engine=engine, init="explicit",
+                         xhat1=np.zeros(model.r), Sigma1=Sigma1,
+                         sigma_trace=True)
 
 
 def random_stationary_model(seed: int, r: int | None = None,

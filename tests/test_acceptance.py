@@ -18,7 +18,6 @@ import pytest
 import scipy.linalg
 
 from periodickf import (
-    KalmanState,
     MSingular,
     PeriodicModel,
     auto_factorize,
@@ -28,12 +27,10 @@ from periodickf import (
     factor_gain_form,
     factor_steady_form,
     filter_series,
-    kf_step,
     monodromy,
     par_family,
     par_to_state_space,
     random_stationary_par,
-    reconstruct_sigma,
     rel_err,
     save_model,
     scaling_table,
@@ -45,7 +42,7 @@ from periodickf import (
     to_inverse_state,
     verify_theorem31,
 )
-from conftest import random_stationary_model
+from conftest import random_stationary_model, traced_run
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CHECKED_IN_MODEL = REPO_ROOT / "demos" / "models" / "stationary_s2.json"
@@ -68,17 +65,10 @@ def suite():
 
 
 def kalman_chain(model, Sigma1, n):
-    """Exact filter quantities (Omega_t, K_t, Sigma_t) for t = 1..n."""
-    state = KalmanState(t=1, xhat=np.zeros(model.r), Sigma=Sigma1)
-    zero = np.zeros(model.m)
-    Omegas, Ks, Sigmas = [], [], [Sigma1]
-    for _ in range(n):
-        res = kf_step(model, state, zero)
-        Omegas.append(res.Omega)
-        Ks.append(res.K)
-        state = res.next
-        Sigmas.append(state.Sigma)
-    return Omegas, Ks, Sigmas
+    """Exact filter quantities (Omega_t, K_t, Sigma_t) for t = 1..n, from
+    the full recursion."""
+    out = traced_run(model, np.zeros((n, model.m)), Sigma1)
+    return out.Omega, out.K, out.sigma_trace
 
 
 def chand_run(model, W1, stepper, n, inverse=False, keep_states=False):
@@ -94,7 +84,7 @@ def chand_run(model, W1, stepper, n, inverse=False, keep_states=False):
         if keep_states:
             states.append(state)
         state = stepper(model, state)
-    return (gains, states, prelude) if keep_states else gains
+    return (gains, states) if keep_states else gains
 
 
 def test_criterion_01_engine_equivalence(suite):
@@ -184,8 +174,7 @@ def test_criterion_04_omega_increment_identity(suite):
     for model, W1 in suite:
         n = 20 * model.S
         Omegas, _, _ = kalman_chain(model, W1, n + model.S)
-        gains, states, _ = chand_run(model, W1, step_alg31, n,
-                                     keep_states=True)
+        _, states = chand_run(model, W1, step_alg31, n, keep_states=True)
         for t in range(1, n + 1):
             H = model.H[model.season(t) - 1]
             inc = states[t - 1].increment()
@@ -215,7 +204,7 @@ def test_criterion_05_rank_monotonicity(suite):
     drops = 0
     for model, W1 in suite:
         n = 20 * model.S
-        _, states, _ = chand_run(model, W1, step_alg31, n, keep_states=True)
+        _, states = chand_run(model, W1, step_alg31, n, keep_states=True)
         specs = [np.linalg.svd(s.increment(), compute_uv=False)
                  for s in states]
         scale0 = specs[0][0] if specs[0].size else 0.0
@@ -366,14 +355,12 @@ def test_criterion_11_covariance_reconstruction(suite):
     for model, W1 in suite:
         n = 20 * model.S
         _, _, Sigmas = kalman_chain(model, W1, n + model.S)
-        _, states, prelude = chand_run(model, W1, step_alg31, n,
-                                       keep_states=True)
-        history = [s.factor_pair() for s in states]
+        rebuilt = traced_run(model, np.zeros((n + model.S, model.m)), W1,
+                             "chand31").sigma_trace
         for k in (1, 5, 20):
             for s in range(1, model.S + 1):
-                got = reconstruct_sigma(prelude, history, k, s)
-                want = Sigmas[k * model.S + s - 1]
-                worst = max(worst, rel_err(got, want))
+                t = k * model.S + s
+                worst = max(worst, rel_err(rebuilt[t - 1], Sigmas[t - 1]))
     ok = worst <= 1e-8
     report(11, ok,
            f"low-rank covariance reconstruction vs the full filter at "

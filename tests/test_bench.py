@@ -205,6 +205,8 @@ class TestCountCosts:
             count_costs(model, 0)
         with pytest.raises(ValueError):
             count_costs(model, 1, engines=("sorcery",))
+        with pytest.raises(ValueError, match="no engine given"):
+            count_costs(model, 1, engines=())
 
     def test_kalman_only_reports_no_alpha(self):
         model = random_stationary_model(106, r=3, S=1, m=1)

@@ -3,7 +3,6 @@ import pytest
 
 from periodickf import (
     Factorization,
-    KalmanState,
     MSingular,
     NotStationary,
     ResidualTooLarge,
@@ -14,11 +13,9 @@ from periodickf import (
     factor_eigen,
     factor_gain_form,
     factor_steady_form,
-    kf_step,
     par_to_state_space,
     prde_step,
     random_stationary_par,
-    reconstruct_sigma,
     rel_err,
     solve_dple,
     step_alg31,
@@ -40,7 +37,8 @@ def scalar_state(scalar_model):
 
 
 def run_lockstep(model, stepper, n_steps, inverse=False):
-    """Yield (t, kf StepResult quantities, chand (K, Omega)) in lockstep."""
+    """Yield (t, exact (K, Omega), chand (K, Omega), chand state) in
+    lockstep."""
     W1 = solve_dple(model)[0]
     prelude = build_prelude(model, W1)
     state = chand_init(model, auto_factorize(model, prelude), prelude)
@@ -366,39 +364,6 @@ class TestImmutability:
         assert np.array_equal(state.Y, Y0) and np.array_equal(state.M, M0)
         for (K, Om), (K0, Om0) in zip(state.ring, ring0):
             assert np.array_equal(K, K0) and np.array_equal(Om, Om0)
-
-
-class TestReconstructSigma:
-    def test_matches_exact_covariance(self):
-        model = random_stationary_model(70, r=4, S=3, m=2)
-        W1 = solve_dple(model)[0]
-        prelude = build_prelude(model, W1)
-        state = chand_init(model, auto_factorize(model, prelude), prelude)
-        n = 6 * model.S
-        history = []
-        for _ in range(n):
-            history.append(state.factor_pair())
-            state = step_alg31(model, state)
-        Sigma = W1
-        exact = [Sigma]
-        for t in range(1, n + model.S + 1):
-            Sigma = prde_step(model, Sigma, t)
-            exact.append(Sigma)
-        for k in range(6):
-            for s in range(1, model.S + 1):
-                got = reconstruct_sigma(prelude, history, k, s)
-                want = exact[k * model.S + s - 1]
-                assert rel_err(got, want) < 1e-10
-
-    def test_argument_validation(self, scalar_model):
-        prelude, state = scalar_state(scalar_model)
-        history = [state.factor_pair()]
-        with pytest.raises(ValueError):
-            reconstruct_sigma(prelude, history, 0, 2)
-        with pytest.raises(ValueError):
-            reconstruct_sigma(prelude, history, -1, 1)
-        with pytest.raises(ValueError):
-            reconstruct_sigma(prelude, history, 5, 1)
 
 
 class TestTheoremIdentities:

@@ -286,6 +286,10 @@ class TestBench:
     def test_bad_engine_list(self, capsys):
         assert main(["bench", "--par", "2", "3", "7",
                      "--engines", "kalman,alchemy"]) == 2
+        for empty in (",", " "):
+            assert main(["bench", "--par", "2", "3", "7",
+                         "--engines", empty]) == 2
+        assert "no engine given" in capsys.readouterr().err
 
     def test_r_sweep_requires_par(self, model_file):
         _, path = model_file

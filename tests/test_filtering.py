@@ -18,6 +18,25 @@ from periodickf import (
 from conftest import pinned_state_model, random_stationary_model
 
 
+@pytest.fixture
+def start_log(monkeypatch):
+    """``(method, alpha)`` of each start factorization ``filter_series``
+    makes while the test runs."""
+    import periodickf.filtering as filtering_module
+
+    factorize = filtering_module.auto_factorize
+    log = []
+
+    def recorded_factorize(*args, **kw):
+        factorization = factorize(*args, **kw)
+        log.append((factorization.method, factorization.alpha))
+        return factorization
+
+    monkeypatch.setattr(filtering_module, "auto_factorize",
+                        recorded_factorize)
+    return log
+
+
 def simulated(seed, n=60, **dims):
     model = random_stationary_model(seed, **dims)
     _, y = simulate(model, n, seed=seed + 1000, start="stationary")
@@ -293,23 +312,46 @@ def _worst_step_rel_dev(out, ref):
                                              axis=1)))
 
 
+def _stationary_case(model):
+    """A stationary model observed from its stationary distribution and
+    filtered from the default start."""
+    return model, simulate(model, 5000, seed=7, start="stationary")[1], {}
+
+
+def _nonstationary_case():
+    """Monodromy radius 1.05, simulated from the zero state and filtered
+    from Sigma1 = I: neither closed-form start applies, so the low-rank
+    engines take the eigen start."""
+    model = random_stationary_model(404, r=4, S=2, m=1, radius=1.05)
+    start = dict(init="explicit", xhat1=np.zeros(4), Sigma1=np.eye(4))
+    return model, simulate(model, 5000, seed=7)[1], start
+
+
 class TestLongHorizon:
     # n = 5000 steps; the low-rank recursions never see a covariance, so
-    # any drift of the increment factors would show up in K and Omega
-    @pytest.mark.parametrize("build", [
-        lambda: random_stationary_model(401, r=4, S=2, m=1, radius=0.999),
-        lambda: random_stationary_model(402, r=5, S=3, m=2),
-        _ill_conditioned_r_model,
-    ], ids=["radius-0.999", "m2", "R-diag-1e-8"])
-    def test_lowrank_tracks_kalman(self, build):
-        model = build()
-        _, y = simulate(model, 5000, seed=7, start="stationary")
-        ref = filter_series(model, y, engine="kalman")
+    # any drift of the increment factors would show up in K and Omega.
+    # ``start`` is the (method, alpha) each low-rank engine must start from.
+    @pytest.mark.parametrize("build, start", [
+        (lambda: _stationary_case(random_stationary_model(
+            401, r=4, S=2, m=1, radius=0.999)), ("gain-form", 2)),
+        (lambda: _stationary_case(random_stationary_model(
+            402, r=5, S=3, m=2)), ("steady-form", 5)),
+        (lambda: _stationary_case(_ill_conditioned_r_model()),
+         ("steady-form", 4)),
+        # PAR_4 with r = 6 observes a state entry without noise (R = 0)
+        (lambda: _stationary_case(par_family(4, 7)(6)), ("gain-form", 4)),
+        (_nonstationary_case, ("eigen", 4)),
+    ], ids=["radius-0.999", "m2", "R-diag-1e-8", "par-R0",
+            "nonstationary-eigen"])
+    def test_lowrank_tracks_kalman(self, build, start, start_log):
+        model, y, kwargs = build()
+        ref = filter_series(model, y, engine="kalman", **kwargs)
         for engine in ENGINES[1:]:
-            out = filter_series(model, y, engine=engine)
+            out = filter_series(model, y, engine=engine, **kwargs)
             assert _worst_step_rel_dev(out.K, ref.K) <= 1e-11, engine
             assert _worst_step_rel_dev(out.Omega, ref.Omega) <= 1e-11, engine
             assert out.loglik == pytest.approx(ref.loglik, rel=1e-8, abs=0.0)
+        assert start_log == [start] * len(ENGINES[1:])
 
 
 class TestGateOncePerOmega:
@@ -323,8 +365,7 @@ class TestGateOncePerOmega:
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("start", list(STARTS))
-    def test_gate_count(self, engine, start, monkeypatch):
-        import periodickf.filtering as filtering_module
+    def test_gate_count(self, engine, start, monkeypatch, start_log):
         import periodickf.linalg as linalg_module
 
         dims, explicit = self.STARTS[start]
@@ -336,24 +377,16 @@ class TestGateOncePerOmega:
             kwargs = dict(init="explicit", xhat1=np.zeros(model.r),
                           Sigma1=2.0 * solve_dple(model)[0])
         gate = linalg_module._pd_gate
-        factorize = filtering_module.auto_factorize
-        gates, methods = [], []
+        gates = []
 
         def counted_gate(*args):
             gates.append(args[0])
             gate(*args)
 
-        def recorded_factorize(*args, **kw):
-            factorization = factorize(*args, **kw)
-            methods.append(factorization.method)
-            return factorization
-
         monkeypatch.setattr(linalg_module, "_pd_gate", counted_gate)
-        monkeypatch.setattr(filtering_module, "auto_factorize",
-                            recorded_factorize)
         filter_series(model, y, engine=engine, **kwargs)
         if engine == "kalman":
             assert len(gates) == len(y)
         else:
-            assert methods == [start]
+            assert [method for method, _ in start_log] == [start]
             assert len(gates) == len(y) + model.S

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from periodickf import (
-    KalmanState,
     NonConvergence,
     NotStationary,
     OmegaNotPD,
@@ -11,7 +10,6 @@ from periodickf import (
     SingularLift,
     dpre_fixed_point,
     is_periodically_stationary,
-    kf_step,
     monodromy,
     par_family,
     prde_step,
@@ -20,7 +18,7 @@ from periodickf import (
 )
 import periodickf.kalman as kalman_module
 from periodickf.kalman import DPLE_TOL
-from conftest import random_stationary_model
+from conftest import random_stationary_model, traced_run
 
 # Scalar fixed point of P = 0.25 P / (P + 1) + 1, i.e. the positive root
 # of P^2 - 0.25 P - 1 = 0, for the model F=0.5, G=H=Q=R=1.
@@ -28,37 +26,39 @@ SCALAR_DPRE_LIMIT = 1.1327822185373186
 
 
 class TestKfStep:
+    """One step of the full Kalman filter, as ``filter_series`` runs it
+    with the ``kalman`` engine."""
+
     def test_scalar_hand_values(self, scalar_model):
         # F=0.5, G=H=Q=R=1, Sigma1=1, xhat1=0, y1=2:
         #   Omega = 1*1*1 + 1 = 2,  K = 0.5*1*1 = 0.5,  yhat = 0, e = 2
         #   xhat2 = 0 + (0.5/2)*2 = 0.5
         #   Sigma2 = 0.25*1 - 0.25/2 + 1 = 1.125
-        state = KalmanState(t=1, xhat=np.zeros(1), Sigma=np.array([[1.0]]))
-        res = kf_step(scalar_model, state, np.array([2.0]))
-        assert res.Omega[0, 0] == pytest.approx(2.0, abs=1e-15)
-        assert res.K[0, 0] == pytest.approx(0.5, abs=1e-15)
-        assert res.yhat[0] == 0.0
-        assert res.innovation[0] == pytest.approx(2.0, abs=1e-15)
-        assert res.next.xhat[0] == pytest.approx(0.5, abs=1e-15)
-        assert res.next.Sigma[0, 0] == pytest.approx(1.125, abs=1e-15)
-        assert res.next.t == 2
+        out = traced_run(scalar_model, np.array([2.0, 0.0]), np.eye(1))
+        assert out.Omega[0, 0, 0] == pytest.approx(2.0, abs=1e-15)
+        assert out.K[0, 0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert out.xhat[0, 0] == 0.0
+        assert out.innovations[0, 0] == pytest.approx(2.0, abs=1e-15)
+        assert out.xhat[1, 0] == pytest.approx(0.5, abs=1e-15)
+        assert out.sigma_trace[0, 0, 0] == 1.0
+        assert out.sigma_trace[1, 0, 0] == pytest.approx(1.125, abs=1e-15)
+        assert prde_step(scalar_model, np.eye(1), 1)[0, 0] == \
+            pytest.approx(1.125, abs=1e-15)
 
     def test_agrees_with_prde_step(self):
         model = random_stationary_model(20, r=4, S=3, m=2)
         Sigma = np.asarray(solve_dple(model)[0])
-        state = KalmanState(t=1, xhat=np.zeros(4), Sigma=Sigma)
-        res = kf_step(model, state, np.zeros(2))
-        assert np.array_equal(res.next.Sigma, prde_step(model, Sigma, 1))
+        trace = traced_run(model, np.zeros((7, 2)), Sigma).sigma_trace
+        assert np.array_equal(trace[0], Sigma)
+        for t in range(1, 7):
+            assert np.array_equal(trace[t],
+                                  prde_step(model, trace[t - 1], t))
 
     def test_covariance_stays_symmetric_psd(self):
         model = random_stationary_model(21, r=5, S=2, m=2)
-        state = KalmanState(t=1, xhat=np.zeros(5),
-                            Sigma=np.zeros((5, 5)))
         rng = np.random.default_rng(0)
-        for _ in range(40):
-            res = kf_step(model, state, rng.normal(size=2))
-            state = res.next
-            S = state.Sigma
+        out = traced_run(model, rng.normal(size=(41, 2)), np.zeros((5, 5)))
+        for S in out.sigma_trace[1:]:
             assert np.array_equal(S, S.T)
             assert np.linalg.eigvalsh(S)[0] > -1e-10 * np.linalg.norm(S)
 
@@ -66,9 +66,9 @@ class TestKfStep:
         model = random_stationary_model(22, r=2, m=1)
         model.H = [np.zeros_like(h) for h in model.H]
         model.R = [np.zeros_like(r) for r in model.R]
-        state = KalmanState(t=1, xhat=np.zeros(2), Sigma=np.eye(2))
-        with pytest.raises(OmegaNotPD):
-            kf_step(model, state, np.zeros(1))
+        with pytest.raises(OmegaNotPD) as info:
+            traced_run(model, np.zeros((1, 1)), np.eye(2))
+        assert info.value.t == 1
 
     def test_season_rotation_of_time_index(self):
         # stepping at t and at t + S must apply the same matrices

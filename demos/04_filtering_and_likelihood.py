@@ -15,13 +15,16 @@ log-likelihood is the innovations-form Gaussian one,
 
     log L = -1/2 sum_t [ m log 2 pi + log det Omega_t + e_t' Omega_t^{-1} e_t ].
 
+The filter forms each step's term in its loop and keeps them in
+``FilterOutput.terms``.
+
 Deterministic; simulates its own data.
 """
 
 import numpy as np
 
 from periodickf import (ENGINES, filter_series, gaussian_loglik, load_model,
-                        loglik_terms, rel_err, simulate, solve_dple)
+                        rel_err, simulate, solve_dple)
 
 SEED = 99
 
@@ -61,7 +64,7 @@ for e in ENGINES:
 
 print("\n== log-likelihood decomposition ==")
 
-terms = loglik_terms(base)
+terms = base.terms
 print(f"loglik = {base.loglik:.10f}; gaussian_loglik(output) = "
       f"{gaussian_loglik(base):.10f}; sum of {terms.size} per-step terms = "
       f"{terms.sum():.10f}")

@@ -20,7 +20,7 @@ from .exceptions import (EngineInitFailed, MSingular, NonConvergence,
                          NotStationary, OmegaNotPD, PeriodicFilterError,
                          ResidualTooLarge, SingularLift)
 from .filtering import (ENGINES, INITS, FilterOutput, filter_series,
-                        gaussian_loglik, loglik_terms)
+                        gaussian_loglik)
 from .kalman import (dpre_fixed_point, is_periodically_stationary,
                      monodromy, prde_step, solve_dple)
 from .linalg import FlopCounter, count_flops, rel_err
@@ -41,7 +41,6 @@ __all__ = [
     "EngineInitFailed", "MSingular", "NonConvergence", "NotStationary",
     "OmegaNotPD", "PeriodicFilterError", "ResidualTooLarge", "SingularLift",
     "ENGINES", "INITS", "FilterOutput", "filter_series", "gaussian_loglik",
-    "loglik_terms",
     "dpre_fixed_point", "is_periodically_stationary", "monodromy",
     "prde_step", "solve_dple",
     "FlopCounter", "count_flops", "rel_err",

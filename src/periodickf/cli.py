@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .exceptions import EngineInitFailed, PeriodicFilterError
-from .filtering import ENGINES, filter_series, loglik_terms
+from .filtering import ENGINES, filter_series
 from .kalman import monodromy, period_noise, solve_dple
 from .linalg import rel_err, spectral_radius
 from .model import (ModelFormatError, ParModel, load_model,
@@ -221,12 +221,11 @@ def cmd_filter(args) -> int:
     if reference is not None:
         header += ["dev_vs_" + args.compare]
 
-    terms = loglik_terms(out) if out.n else np.zeros(0)
     rows = []
     running_ll = 0.0
     running_dev = 0.0
     for t in range(out.n):
-        running_ll += terms[t]
+        running_ll += out.terms[t]
         row = ([str(t + 1)]
                + [_fmt(v) for v in out.innovations[t]]
                + [_fmt(out.Omega[t][j, j]) for j in range(model.m)]

@@ -2,7 +2,8 @@
 
 All engines share the same state update
 
-    xhat[t+1] = F_s xhat[t] + K_t Omega_t^{-1} (y[t] - H_s' xhat[t])
+    e_t = y[t] - H_s' xhat[t],   w_t = Omega_t^{-1} e_t,
+    xhat[t+1] = F_s xhat[t] + K_t w_t
 
 and differ only in how the pair (K_t, Omega_t) is produced:
 
@@ -29,13 +30,12 @@ season's covariance is accumulated from the prelude and the increments,
 This trace is the package's one covariance rebuild, and
 :func:`filter_series` its one filter loop.
 
-The innovations-form Gaussian log-likelihood of a filtered series is
+The innovations-form Gaussian log-likelihood is the sum of the terms
 
-    loglik = -1/2 sum_t [ m log 2 pi + log det Omega_t
-                          + e_t' Omega_t^{-1} e_t ],
+    -1/2 [ m log 2 pi + log det Omega_t + e_t' w_t ],
 
-accumulated inside the filter loop from the engine's factor of Omega_t,
-which the gain solve uses too.
+which the loop forms from the same w_t as the state update: one solve
+with the factor of Omega_t per step serves both.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ from .chandrasekhar import (auto_factorize, build_prelude, chand_init,
 from .exceptions import (EngineInitFailed, MSingular, OmegaNotPD,
                          ResidualTooLarge)
 from .kalman import _covariance_update, solve_dple
-from .linalg import (add, factor_logdet_quad, factor_solve, matmul,
-                     spd_logdet_quad, sub)
+from .linalg import add, factor_logdet, factor_solve, matmul, spd_factor, sub
 
 # Engine registry: each low-rank engine name maps to its step function.
 LOWRANK_STEPS = {"chand31": step_alg31, "chand32": step_alg32,
@@ -73,8 +72,9 @@ class FilterOutput:
 
     ``innovations[t-1]``, ``Omega[t-1]`` and ``K[t-1]`` belong to time
     t; ``xhat[t-1]`` is the prediction entering time t (so ``xhat`` has
-    n + 1 rows). ``sigma_trace[t-1]`` (present on request) is the
-    prediction-error covariance at time t.
+    n + 1 rows). ``terms[t-1]`` is time t's log-likelihood term, and
+    ``loglik`` their sum. ``sigma_trace[t-1]`` (present on request) is
+    the prediction-error covariance at time t.
     """
 
     engine: str
@@ -85,12 +85,15 @@ class FilterOutput:
     xhat: np.ndarray            # (n + 1, r)
     loglik: float
     sigma_trace: np.ndarray | None = None
+    terms: np.ndarray | None = None     # (n,)
 
 
 def _check_sigma1(Sigma1: np.ndarray, r: int) -> np.ndarray:
     Sigma1 = np.asarray(Sigma1, dtype=float)
     if Sigma1.shape != (r, r):
         raise ValueError(f"Sigma1 must be {r}x{r}")
+    if not np.all(np.isfinite(Sigma1)):
+        raise ValueError("Sigma1 is not finite")
     norm = float(np.linalg.norm(Sigma1))
     if float(np.linalg.norm(Sigma1 - Sigma1.T)) > SIGMA_SYM_RTOL * max(norm, 1e-300):
         raise ValueError("Sigma1 is not symmetric")
@@ -108,8 +111,10 @@ def _initial_conditions(model, init: str, xhat1, Sigma1):
     if init == "explicit":
         if xhat1 is None or Sigma1 is None:
             raise ValueError("explicit init requires xhat1 and Sigma1")
-        x = np.asarray(xhat1, dtype=float).reshape(model.r)
-        return x, _check_sigma1(Sigma1, model.r), None
+        x = np.asarray(xhat1, dtype=float)
+        if x.size != model.r or not np.all(np.isfinite(x)):
+            raise ValueError(f"xhat1 must be {model.r} finite values")
+        return x.reshape(model.r), _check_sigma1(Sigma1, model.r), None
     x = np.zeros(model.r)
     # zero-state takes the model's W1, falling back to the stationary
     # covariance when none is stored.
@@ -178,8 +183,6 @@ def _coerce_observations(y, m: int) -> np.ndarray:
         if m != 1:
             raise ValueError(f"observations must be (n, {m})")
         arr = arr.reshape(-1, 1)
-    if arr.size == 0:
-        return arr.reshape(0, m)
     if arr.ndim != 2 or arr.shape[1] != m:
         raise ValueError(f"observations must be (n, {m}), got {arr.shape}")
     bad = np.argwhere(~np.isfinite(arr))
@@ -242,9 +245,9 @@ def filter_series(model, y, engine: str = "kalman",
         F, _, H, _, _ = model.at(t)
         xhats[t - 1] = x
         e = sub(y2[t - 1], matmul(H.T, x))
-        KtilT = factor_solve(factor, K.T)            # m x r
-        x = add(matmul(F, x), matmul(KtilT.T, e))
-        terms[t - 1] = _loglik_term(factor_logdet_quad(factor, e), model.m)
+        w = factor_solve(factor, e)                  # Omega_t^{-1} e_t
+        x = add(matmul(F, x), matmul(K, w))
+        terms[t - 1] = _loglik_term(factor, e, w)
         innovations[t - 1] = e
         Omegas[t - 1] = Omega
         Ks[t - 1] = K
@@ -254,25 +257,21 @@ def filter_series(model, y, engine: str = "kalman",
 
     return FilterOutput(engine=engine, n=n, innovations=innovations,
                         Omega=Omegas, K=Ks, xhat=xhats,
-                        loglik=float(np.sum(terms)), sigma_trace=sigmas)
+                        loglik=float(np.sum(terms)), sigma_trace=sigmas,
+                        terms=terms)
 
 
-def _loglik_term(logdet_quad: tuple[float, float], m: int) -> float:
-    logdet, quad = logdet_quad
-    return -0.5 * (m * _LOG_2PI + logdet + quad)
-
-
-def loglik_terms(output: FilterOutput) -> np.ndarray:
-    """Per-step contributions to the Gaussian log-likelihood."""
-    m = output.innovations.shape[1]
-    return np.array([_loglik_term(spd_logdet_quad(Omega, e), m)
-                     for e, Omega in zip(output.innovations, output.Omega)])
+def _loglik_term(factor, e: np.ndarray, w: np.ndarray) -> float:
+    """One step's term, given Omega's factor and ``w = Omega^{-1} e``."""
+    return -0.5 * (e.size * _LOG_2PI + factor_logdet(factor) + float(e @ w))
 
 
 def gaussian_loglik(output: FilterOutput) -> float:
-    """Innovations-form Gaussian log-likelihood of a filtered series.
-
-    Log-determinants come from Cholesky factors; no matrix is ever
-    inverted explicitly. An empty series has log-likelihood 0.
-    """
-    return float(np.sum(loglik_terms(output)))
+    """Innovations-form Gaussian log-likelihood, recomputed from the
+    stored innovations and Omegas (each factored again); an empty series
+    has log-likelihood 0."""
+    terms = []
+    for e, Omega in zip(output.innovations, output.Omega):
+        factor = spd_factor(Omega)
+        terms.append(_loglik_term(factor, e, factor_solve(factor, e)))
+    return float(np.sum(terms))

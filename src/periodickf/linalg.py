@@ -111,7 +111,7 @@ def spd_factor(a: np.ndarray):
     Raises :class:`OmegaNotPD` when ``a`` fails the definiteness gate.
     Every SPD system in this package is an innovation covariance, hence
     the error type. Returns the factor in ``scipy.linalg.cho_factor``
-    form, for :func:`factor_solve` and :func:`factor_logdet_quad`.
+    form, for :func:`factor_solve` and :func:`factor_logdet`.
     """
     _pd_gate(a)
     try:
@@ -130,20 +130,14 @@ def factor_solve(factor, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve(factor, b)
 
 
-def factor_logdet_quad(factor, e: np.ndarray) -> tuple[float, float]:
-    """Return ``(log det a, e' a^{-1} e)`` given ``factor = spd_factor(a)``."""
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    return logdet, float(e @ factor_solve(factor, e))
+def factor_logdet(factor) -> float:
+    """Return ``log det a`` given ``factor = spd_factor(a)``."""
+    return 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
 
 
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a x = b`` for symmetric positive definite ``a``."""
     return factor_solve(spd_factor(a), b)
-
-
-def spd_logdet_quad(a: np.ndarray, e: np.ndarray) -> tuple[float, float]:
-    """Return ``(log det a, e' a^{-1} e)`` via one Cholesky factorization."""
-    return factor_logdet_quad(spd_factor(a), e)
 
 
 def sym_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -15,8 +15,8 @@ from periodickf.bench import cost_report_rows, scaling_table_rows
 from periodickf.chandrasekhar import (auto_factorize, build_prelude,
                                       chand_init, step_alg31, step_alg32,
                                       step_minv, to_inverse_state)
-from periodickf.linalg import (add, matmul, spd_logdet_quad, spd_solve, sub,
-                               sym_solve, symmetrize)
+from periodickf.linalg import (add, matmul, spd_solve, sub, sym_solve,
+                               symmetrize)
 from conftest import random_stationary_model
 
 
@@ -93,9 +93,6 @@ class TestChargeRules:
         with count_flops() as c:
             sym_solve(a, np.ones((3, 3)))
         assert c.flops == 9 + 2 * 9 * 3
-        with count_flops() as c:
-            spd_logdet_quad(a, np.ones(3))
-        assert c.flops == 9 + 2 * 9
 
     def test_counters_nest_and_detach(self):
         a = np.ones((2, 2))

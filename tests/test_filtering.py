@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from periodickf import (
     EngineInitFailed,
@@ -7,14 +8,17 @@ from periodickf import (
     MSingular,
     NotStationary,
     OmegaNotPD,
+    count_costs,
+    count_flops,
     filter_series,
     gaussian_loglik,
-    loglik_terms,
     par_family,
     rel_err,
+    save_model,
     simulate,
     solve_dple,
 )
+from periodickf.cli import main
 from conftest import pinned_state_model, random_stationary_model
 
 
@@ -35,6 +39,34 @@ def start_log(monkeypatch):
     monkeypatch.setattr(filtering_module, "auto_factorize",
                         recorded_factorize)
     return log
+
+
+@pytest.fixture
+def gate_log(monkeypatch):
+    """Every matrix ``linalg._pd_gate`` checks while the test runs."""
+    import periodickf.linalg as linalg_module
+
+    gate = linalg_module._pd_gate
+    log = []
+
+    def counted_gate(a):
+        log.append(a)
+        gate(a)
+
+    monkeypatch.setattr(linalg_module, "_pd_gate", counted_gate)
+    return log
+
+
+def direct_terms(out):
+    """Per-step log-likelihood terms from ``slogdet`` and ``solve`` on
+    the stored innovations and Omegas."""
+    terms = []
+    for e, Om in zip(out.innovations, out.Omega):
+        sign, logdet = np.linalg.slogdet(Om)
+        assert sign > 0
+        terms.append(-0.5 * (e.size * np.log(2 * np.pi) + logdet
+                             + e @ np.linalg.solve(Om, e)))
+    return np.array(terms)
 
 
 def simulated(seed, n=60, **dims):
@@ -95,14 +127,7 @@ class TestLoglik:
     def test_matches_direct_formula(self):
         model, y = simulated(82, n=25, r=3, S=2, m=2)
         out = filter_series(model, y, engine="kalman", init="stationary")
-        total = 0.0
-        for t in range(out.n):
-            Om = out.Omega[t]
-            e = out.innovations[t]
-            sign, logdet = np.linalg.slogdet(Om)
-            assert sign > 0
-            total += -0.5 * (2 * np.log(2 * np.pi) + logdet
-                             + e @ np.linalg.solve(Om, e))
+        total = float(np.sum(direct_terms(out)))
         assert out.loglik == pytest.approx(total, rel=1e-12)
         assert gaussian_loglik(out) == pytest.approx(total, rel=1e-12)
 
@@ -110,7 +135,7 @@ class TestLoglik:
     def test_terms_sum_to_total(self, engine):
         model, y = simulated(83, n=17)
         out = filter_series(model, y, engine=engine, init="stationary")
-        terms = loglik_terms(out)
+        terms = out.terms
         assert terms.shape == (17,)
         assert float(np.sum(terms)) == pytest.approx(out.loglik, rel=1e-13)
 
@@ -123,6 +148,25 @@ class TestLoglik:
                  for e, Om in zip(out.innovations, out.Omega)]
         se = np.sqrt(2.0 * 2 / 2000)
         assert abs(np.mean(quads) - 2.0) < 4 * se
+
+    # random stationary models; zero-state starts from W1 = I, so the
+    # low-rank engines take the eigen start there
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), r=st.integers(2, 6),
+           S=st.integers(1, 4), m=st.integers(1, 2),
+           init=st.sampled_from(["zero-state", "stationary"]))
+    def test_terms_and_engine_agreement(self, seed, r, S, m, init):
+        model, y = simulated(seed, n=24, r=r, S=S, m=m)
+        if init == "zero-state":
+            model.W1 = np.eye(r)
+        ref = filter_series(model, y, engine="kalman", init=init)
+        for engine in ENGINES:
+            out = filter_series(model, y, engine=engine, init=init)
+            np.testing.assert_allclose(out.terms, direct_terms(out),
+                                       rtol=1e-10, atol=1e-10)
+            assert float(np.sum(out.terms)) == pytest.approx(out.loglik,
+                                                             rel=1e-13)
+            assert out.loglik == pytest.approx(ref.loglik, rel=1e-8, abs=0.0)
 
 
 class TestInits:
@@ -164,6 +208,31 @@ class TestInits:
             filter_series(model, y, init="explicit", xhat1=x1,
                           Sigma1=-np.eye(2))
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_explicit_rejects_bad_start_before_any_engine(
+            self, engine, monkeypatch):
+        import periodickf.filtering as filtering_module
+
+        model, y = simulated(99, n=5, r=3)
+        make_engine = filtering_module._make_engine
+        built = []
+
+        def recorded_make_engine(*args):
+            built.append(args)
+            return make_engine(*args)
+
+        monkeypatch.setattr(filtering_module, "_make_engine",
+                            recorded_make_engine)
+        x_nan = np.array([0.0, np.nan, 0.0])
+        sigma_inf = np.diag([1.0, 1.0, np.inf])
+        for xhat1, Sigma1, name in [(x_nan, np.eye(3), "xhat1"),
+                                    (np.zeros(4), np.eye(3), "xhat1"),
+                                    (np.zeros(3), sigma_inf, "Sigma1")]:
+            with pytest.raises(ValueError, match=name):
+                filter_series(model, y, engine=engine, init="explicit",
+                              xhat1=xhat1, Sigma1=Sigma1)
+        assert built == []
+
     def test_unknown_names_rejected(self):
         model, y = simulated(89, n=5)
         with pytest.raises(ValueError):
@@ -203,6 +272,10 @@ class TestObservationHandling:
             filter_series(model, np.zeros((5, 3)))
         with pytest.raises(ValueError):
             filter_series(model, np.zeros(5))
+        with pytest.raises(ValueError):
+            filter_series(model, np.zeros((0, 3)))
+        with pytest.raises(ValueError):
+            filter_series(model, np.zeros((0, 3, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected_with_location(self, bad):
@@ -365,9 +438,7 @@ class TestGateOncePerOmega:
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("start", list(STARTS))
-    def test_gate_count(self, engine, start, monkeypatch, start_log):
-        import periodickf.linalg as linalg_module
-
+    def test_gate_count(self, engine, start, start_log, gate_log):
         dims, explicit = self.STARTS[start]
         model, y = simulated(98, n=15, **dims)
         kwargs = {}
@@ -376,17 +447,37 @@ class TestGateOncePerOmega:
             # the first increment, so the eigen start is taken
             kwargs = dict(init="explicit", xhat1=np.zeros(model.r),
                           Sigma1=2.0 * solve_dple(model)[0])
-        gate = linalg_module._pd_gate
-        gates = []
-
-        def counted_gate(*args):
-            gates.append(args[0])
-            gate(*args)
-
-        monkeypatch.setattr(linalg_module, "_pd_gate", counted_gate)
         filter_series(model, y, engine=engine, **kwargs)
         if engine == "kalman":
-            assert len(gates) == len(y)
+            assert len(gate_log) == len(y)
         else:
             assert [method for method, _ in start_log] == [start]
-            assert len(gates) == len(y) + model.S
+            assert len(gate_log) == len(y) + model.S
+
+    def test_cli_filter_gates_each_omega_once(self, tmp_path, gate_log):
+        # the per-step log-likelihood column comes from the terms the
+        # loop formed, not from a second pass over the Omegas
+        model, y = simulated(98, n=15, r=3, S=2, m=1)
+        save_model(model, tmp_path / "model.json")
+        np.savetxt(tmp_path / "y.csv", y, delimiter=",")
+        assert main(["filter", str(tmp_path / "model.json"),
+                     str(tmp_path / "y.csv"), "--engine", "kalman",
+                     "-o", str(tmp_path / "f.csv")]) == 0
+        assert len(gate_log) == len(y)
+
+
+class TestOneSolvePerStep:
+    def test_kalman_loop_flops(self):
+        # per step, next to the engine's covariance step: H'x, e, one
+        # solve w = Omega^{-1} e, F x, K w and the sum; no m x r gain
+        # solve
+        r, m = 5, 2
+        model, y = simulated(99, n=12, r=r, S=2, m=m)
+        Sigma1 = solve_dple(model)[0]
+        report = count_costs(model, 1, engines=("kalman",))
+        engine_step = report.flops_per_step("kalman")
+        with count_flops() as c:
+            filter_series(model, y, init="explicit", xhat1=np.zeros(r),
+                          Sigma1=Sigma1)
+        loop_step = 4 * r * m + 2 * r * r + 2 * m * m + m + r   # 105
+        assert c.flops == len(y) * (engine_step + loop_step)

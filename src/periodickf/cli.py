@@ -170,21 +170,22 @@ def cmd_simulate(args) -> int:
 
 def _read_observations(path, m: int) -> np.ndarray:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        raw = [row for row in csv.reader(fh) if row]
-    if raw and not _is_numeric_row(raw[0]):
+        reader = csv.reader(fh)
+        raw = [(reader.line_num, row) for row in reader if row]
+    if raw and not _is_numeric_row(raw[0][1]):
         raw = raw[1:]  # header row
     if not raw:
         return np.zeros((0, m))
+    for line, row in raw:
+        if len(row) != m:
+            raise ModelFormatError(
+                f"{path}: row {line} has {len(row)} observation column(s), "
+                f"expected {m}")
     try:
-        data = np.array([[float(cell) for cell in row] for row in raw])
+        return np.array([[float(cell) for cell in row] for _, row in raw])
     except ValueError:
         raise ModelFormatError(f"{path}: non-numeric observation data") \
             from None
-    if data.shape[1] != m:
-        raise ModelFormatError(
-            f"{path}: expected {m} observation column(s), "
-            f"got {data.shape[1]}")
-    return data
 
 
 def _is_numeric_row(row) -> bool:

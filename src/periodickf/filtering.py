@@ -30,6 +30,21 @@ season's covariance is accumulated from the prelude and the increments,
 This trace is the package's one covariance rebuild, and
 :func:`filter_series` its one filter loop.
 
+Steady-gain switch.  Every engine also carries a flag ``settled``: set
+after a step once its ``(K_t, Omega_t, factor_t, Sigma_t)`` sequence
+has become exactly S-periodic.  ``kalman`` settles when the covariance
+it produced equals bitwise the one from S steps back (exact, since the
+PRDE map is deterministic); a low-rank engine when its ring has not
+changed bitwise for S steps and a bound on the next increment lies far
+below the last bit of every ring entry (a sufficient condition it
+enforces, stated in ``_ChandEngine``; never with a sigma trace).  From
+the next step on the loop reads each season's four values, and its
+``m log 2 pi + log det Omega``, from a per-season cache filled by the
+last period of steps, and stops calling ``step``.  The switch lives in
+the loop, not in the engines, so ``count_costs`` keeps metering the
+recursion itself; ``FilterOutput.settled_at`` is the last step that
+called the engine.
+
 The innovations-form Gaussian log-likelihood is the sum of the terms
 
     -1/2 [ m log 2 pi + log det Omega_t + e_t' w_t ],
@@ -63,6 +78,11 @@ INITS = ("zero-state", "stationary", "explicit")
 SIGMA_SYM_RTOL = 1e-10
 SIGMA_EIG_FLOOR_RTOL = 1e-8
 
+# A low-rank engine settles only once the bound on its next increment is
+# this far below every ring entry: 2^-54 (half a unit in the last place,
+# relative) times a margin of 2^-20 (see ``_ChandEngine``).
+SETTLE_MARGIN = 2.0 ** -74
+
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
@@ -74,7 +94,10 @@ class FilterOutput:
     t; ``xhat[t-1]`` is the prediction entering time t (so ``xhat`` has
     n + 1 rows). ``terms[t-1]`` is time t's log-likelihood term, and
     ``loglik`` their sum. ``sigma_trace[t-1]`` (present on request) is
-    the prediction-error covariance at time t.
+    the prediction-error covariance at time t. ``settled_at`` is the
+    last step that called the engine before its gains were served from
+    the steady-gain cache, or None when the run never settled (every
+    step then called it).
     """
 
     engine: str
@@ -86,6 +109,7 @@ class FilterOutput:
     loglik: float
     sigma_trace: np.ndarray | None = None
     terms: np.ndarray | None = None     # (n,)
+    settled_at: int | None = None
 
 
 def _check_sigma1(Sigma1: np.ndarray, r: int) -> np.ndarray:
@@ -124,20 +148,68 @@ def _initial_conditions(model, init: str, xhat1, Sigma1):
     return x, W[0], W
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays of one shape hold the same bits: bitwise
+    equality, stricter than ``np.array_equal`` (-0.0 differs from 0.0)
+    and a tenth of its cost on small arrays."""
+    return a.tobytes() == b.tobytes()
+
+
 class _KalmanEngine:
+    """The full covariance recursion.
+
+    Settled once the covariance a step produces, Sigma_{t+1}, equals
+    bitwise (``_same_bits``) the one from S steps back,
+    Sigma_{t+1-S}.  The PRDE map is deterministic, so from then on every
+    step repeats the step one period before it exactly.
+    """
+
     alpha = None
 
     def __init__(self, model, Sigma1):
         self.model = model
         self.Sigma = Sigma1
+        self.recent = [None] * model.S      # recent[(u-1) % S] = Sigma_u
+        self.settled = False
 
     def step(self, t: int):
         Sigma = self.Sigma
         Omega, K, factor, self.Sigma = _covariance_update(self.model, Sigma, t)
+        S = self.model.S
+        self.recent[(t - 1) % S] = Sigma
+        before = self.recent[t % S]         # Sigma_{t+1-S}; None while t < S
+        self.settled = before is not None and _same_bits(self.Sigma, before)
         return K, Omega, factor, Sigma
 
 
 class _ChandEngine:
+    """A low-rank increment recursion.
+
+    A step t is quiet when the ring entry it wrote, (K_{t+S},
+    Omega_{t+S}), equals bitwise the entry (K_t, Omega_t) it replaced.
+    The engine is settled when both hold:
+
+    (a) the last S steps were quiet, so the next S steps return the S
+        before them (each factor is a deterministic function of its
+        Omega);
+    (b) the next step's increment terms are below the last bit of every
+        ring entry by a margin: with ``beta = norm(Y)^2 norm(M)``, every
+        season s has ``beta norm(H_s)^2 <= SETTLE_MARGIN * min |Omega_s|``
+        and ``beta norm(F_s) norm(H_s) <= SETTLE_MARGIN * min |K_s|``.
+        The minima are entrywise and the norms Frobenius, except that
+        ``chand-minv``, which holds N = M^{-1}, takes norm(M) as
+        1 / (smallest singular value of N).  The left sides bound every
+        entry of ``H'Y M Y'H`` and ``F Y M Y'H``, so an exact zero entry
+        of K or Omega requires a zero increment.
+
+    (b) is the sufficient condition this engine enforces for the steps
+    after those S, not a proof: Y and M keep moving, and (b) only leaves
+    a margin of ``2**-20`` against the increment regrowing (an
+    oscillating or non-normal closed loop).  With a sigma trace the
+    engine never settles, because its accumulator keeps adding Y M Y'
+    every step.
+    """
+
     def __init__(self, model, Sigma1, W, variant: str, trace: bool):
         self.model = model
         self.step_fn = LOWRANK_STEPS[variant]
@@ -153,6 +225,13 @@ class _ChandEngine:
         self.state = state
         self.alpha = state.alpha
         self.acc = [s.copy() for s in prelude.Sigma] if trace else None
+        # per season: the factors bounding the entries an increment adds
+        # to Omega and to K, in units of norm(Y)^2 norm(M)
+        self.reach = [(np.linalg.norm(H) ** 2,
+                       np.linalg.norm(F) * np.linalg.norm(H))
+                      for F, H in zip(model.F, model.H)]
+        self.quiet = 0              # consecutive quiet steps
+        self.settled = False
 
     def step(self, t: int):
         i = (t - 1) % self.model.S
@@ -164,7 +243,32 @@ class _ChandEngine:
                 Y, M = self.state.factor_pair()
                 self.acc[i] = Sigma + Y @ M @ Y.T
         self.state = self.step_fn(self.model, self.state)
+        K_next, Omega_next = self.state.ring[i]
+        if (self.acc is None and _same_bits(Omega_next, Omega)
+                and _same_bits(K_next, K)):
+            self.quiet += 1
+        else:
+            self.quiet = 0
+        self.settled = self.quiet >= self.model.S and self._absorbed()
         return K, Omega, factor, Sigma
+
+    def _absorbed(self) -> bool:
+        """Condition (b) on the current state."""
+        Y, M = self.state.Y, self.state.M
+        beta = float(np.linalg.norm(Y)) ** 2
+        if beta == 0.0:
+            return True
+        if self.state.m_is_inverse:     # M holds N: norm(M) = 1 / min sv(N)
+            smallest = float(np.linalg.svd(M, compute_uv=False)[-1])
+            if smallest == 0.0:
+                return False
+            beta /= smallest
+        else:
+            beta *= float(np.linalg.norm(M))
+        return all(beta * to_omega <= SETTLE_MARGIN * np.min(np.abs(Omega))
+                   and beta * to_k <= SETTLE_MARGIN * np.min(np.abs(K))
+                   for (K, Omega), (to_omega, to_k)
+                   in zip(self.state.ring, self.reach))
 
 
 def _make_engine(model, engine: str, Sigma1, W, trace: bool):
@@ -215,6 +319,18 @@ def filter_series(model, y, engine: str = "kalman",
     The stationary covariances are solved for at most once per call:
     a low-rank engine reuses the solution the start computed.
 
+    Once the engine reports that its gains are exactly S-periodic (see
+    the module docstring), later steps read ``(K, Omega, factor, Sigma)``
+    and the log-likelihood constant of their season from a cache filled
+    by the last period of steps, and the engine is no longer stepped;
+    ``settled_at`` in the output names the last step that called it.
+    Every output equals the run that steps the engine to the end, as
+    long as the settle condition holds.  A consequence: the gates of
+    the steps no longer run cannot raise, so a ``chand-minv`` run whose
+    M would drift into ``MSingular`` after ``settled_at`` completes here.
+    The settle-condition property test searches for such runs and for
+    any other frozen/unfrozen difference; it has found none.
+
     Raises ``ValueError`` naming the first non-finite observation,
     ``NotStationary`` when a stationary start is requested from a
     model without one, ``EngineInitFailed`` when a low-rank engine's
@@ -236,18 +352,29 @@ def filter_series(model, y, engine: str = "kalman",
     sigmas = np.empty((n, model.r, model.r)) if sigma_trace else None
     terms = np.empty(n)
 
+    # season -> (K, Omega, factor, Sigma, m log 2 pi + log det Omega)
+    # of the last step that called the engine
+    cache = [None] * model.S
+    settled_at = None
     for t in range(1, n + 1):
-        try:
-            K, Omega, factor, Sigma = eng.step(t)
-        except (OmegaNotPD, MSingular) as exc:
-            exc.locate(t, model.season(t))
-            raise
+        i = (t - 1) % model.S
+        if settled_at is None:
+            try:
+                K, Omega, factor, Sigma = eng.step(t)
+            except (OmegaNotPD, MSingular) as exc:
+                exc.locate(t, model.season(t))
+                raise
+            cache[i] = (K, Omega, factor, Sigma,
+                        _loglik_const(factor, model.m))
+            if eng.settled:
+                settled_at = t
+        K, Omega, factor, Sigma, const = cache[i]
         F, _, H, _, _ = model.at(t)
         xhats[t - 1] = x
         e = sub(y2[t - 1], matmul(H.T, x))
         w = factor_solve(factor, e)                  # Omega_t^{-1} e_t
         x = add(matmul(F, x), matmul(K, w))
-        terms[t - 1] = _loglik_term(factor, e, w)
+        terms[t - 1] = _loglik_term(const, e, w)
         innovations[t - 1] = e
         Omegas[t - 1] = Omega
         Ks[t - 1] = K
@@ -258,12 +385,18 @@ def filter_series(model, y, engine: str = "kalman",
     return FilterOutput(engine=engine, n=n, innovations=innovations,
                         Omega=Omegas, K=Ks, xhat=xhats,
                         loglik=float(np.sum(terms)), sigma_trace=sigmas,
-                        terms=terms)
+                        terms=terms, settled_at=settled_at)
 
 
-def _loglik_term(factor, e: np.ndarray, w: np.ndarray) -> float:
-    """One step's term, given Omega's factor and ``w = Omega^{-1} e``."""
-    return -0.5 * (e.size * _LOG_2PI + factor_logdet(factor) + float(e @ w))
+def _loglik_const(factor, m: int) -> float:
+    """``m log 2 pi + log det Omega``, given Omega's factor."""
+    return m * _LOG_2PI + factor_logdet(factor)
+
+
+def _loglik_term(const: float, e: np.ndarray, w: np.ndarray) -> float:
+    """One step's term, given ``const = _loglik_const(factor, m)`` and
+    ``w = Omega^{-1} e``."""
+    return -0.5 * (const + float(e @ w))
 
 
 def gaussian_loglik(output: FilterOutput) -> float:
@@ -273,5 +406,6 @@ def gaussian_loglik(output: FilterOutput) -> float:
     terms = []
     for e, Omega in zip(output.innovations, output.Omega):
         factor = spd_factor(Omega)
-        terms.append(_loglik_term(factor, e, factor_solve(factor, e)))
+        terms.append(_loglik_term(_loglik_const(factor, e.size), e,
+                                  factor_solve(factor, e)))
     return float(np.sum(terms))

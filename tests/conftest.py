@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import os
 import sys
 from pathlib import Path
@@ -7,7 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from periodickf import PeriodicModel, filter_series
+from periodickf import (FilterOutput, MSingular, OmegaNotPD, PeriodicModel,
+                        filter_series)
+from periodickf.filtering import (_coerce_observations, _initial_conditions,
+                                  _make_engine)
+from periodickf.linalg import add, factor_logdet, factor_solve, matmul, sub
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -57,6 +62,73 @@ def traced_run(model, y, Sigma1, engine: str = "kalman"):
     return filter_series(model, y, engine=engine, init="explicit",
                          xhat1=np.zeros(model.r), Sigma1=Sigma1,
                          sigma_trace=True)
+
+
+def unfrozen_filter(model, y, engine: str = "kalman",
+                    init: str = "zero-state", xhat1=None, Sigma1=None,
+                    sigma_trace: bool = False) -> FilterOutput:
+    """``filter_series`` without the steady-gain switch: the engine built
+    by ``_make_engine`` is stepped at every t, whatever its ``settled``
+    flag says, and the loop's own state-update and log-likelihood
+    expressions are applied to what it returns."""
+    y2 = _coerce_observations(y, model.m)
+    n = y2.shape[0]
+    x, Sigma1v, W = _initial_conditions(model, init, xhat1, Sigma1)
+    eng = _make_engine(model, engine, Sigma1v, W, sigma_trace)
+    innovations = np.empty((n, model.m))
+    Omegas = np.empty((n, model.m, model.m))
+    Ks = np.empty((n, model.r, model.m))
+    xhats = np.empty((n + 1, model.r))
+    sigmas = np.empty((n, model.r, model.r)) if sigma_trace else None
+    terms = np.empty(n)
+    log_2pi = float(np.log(2.0 * np.pi))
+    for t in range(1, n + 1):
+        try:
+            K, Omega, factor, Sigma = eng.step(t)
+        except (OmegaNotPD, MSingular) as exc:
+            exc.locate(t, model.season(t))
+            raise
+        F, _, H, _, _ = model.at(t)
+        xhats[t - 1] = x
+        e = sub(y2[t - 1], matmul(H.T, x))
+        w = factor_solve(factor, e)
+        x = add(matmul(F, x), matmul(K, w))
+        terms[t - 1] = -0.5 * (e.size * log_2pi + factor_logdet(factor)
+                               + float(e @ w))
+        innovations[t - 1] = e
+        Omegas[t - 1] = Omega
+        Ks[t - 1] = K
+        if sigma_trace:
+            sigmas[t - 1] = Sigma
+    xhats[n] = x
+    return FilterOutput(engine=engine, n=n, innovations=innovations,
+                        Omega=Omegas, K=Ks, xhat=xhats,
+                        loglik=float(np.sum(terms)), sigma_trace=sigmas,
+                        terms=terms)
+
+
+def assert_bitwise_equal(out: FilterOutput, ref: FilterOutput) -> None:
+    """``K``, ``Omega``, ``xhat``, ``innovations``, ``terms``, ``loglik``
+    and the covariance trace of ``out`` equal ``ref``'s exactly."""
+    for name in ("K", "Omega", "xhat", "innovations", "terms",
+                 "sigma_trace"):
+        got, want = getattr(out, name), getattr(ref, name)
+        assert (got is None and want is None) or np.array_equal(got, want), \
+            f"{out.engine}: {name} differs"
+    assert out.loglik == ref.loglik, out.engine
+
+
+def benchmark_round(name: str, seed: int, k: int):
+    """Round ``k`` of benchmark workload ``name`` under ``seed``, built by
+    ``perfbench/workloads.py`` (imported read-only)."""
+    module = sys.modules.get("perfbench_workloads")
+    if module is None:
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules["perfbench_workloads"] = module
+        spec.loader.exec_module(module)
+    return module.build_round(name, seed, k)
 
 
 def random_stationary_model(seed: int, r: int | None = None,

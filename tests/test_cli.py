@@ -15,7 +15,7 @@ from periodickf import (
     solve_dple,
 )
 from periodickf.cli import main
-from conftest import pinned_state_model, random_stationary_model
+from conftest import ROOT, pinned_state_model, random_stationary_model
 
 
 @pytest.fixture
@@ -180,6 +180,19 @@ class TestFilter:
         data = write_obs(tmp_path, np.zeros((4, 2)))
         assert main(["filter", path, data]) == 2
         assert "observation column" in capsys.readouterr().err
+
+    def test_ragged_rows_name_the_first_odd_row(self, tmp_path, capsys):
+        model = str(ROOT / "demos" / "models" / "stationary_s2.json")
+        data = tmp_path / "y.csv"
+        data.write_text("1.0\n2.0,3.0\n0.5\n")
+        assert main(["filter", model, str(data)]) == 2
+        err = capsys.readouterr().err
+        assert "row 2 has 2 observation column(s), expected 1" in err
+        assert "non-numeric" not in err
+        # rows count from the header line
+        data.write_text("y1\n1.0\n0.5\n2.0,3.0\n")
+        assert main(["filter", model, str(data)]) == 2
+        assert "row 4 has 2 " in capsys.readouterr().err
 
     def test_non_numeric_data(self, model_file, tmp_path, capsys):
         _, path = model_file

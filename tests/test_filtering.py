@@ -19,7 +19,8 @@ from periodickf import (
     solve_dple,
 )
 from periodickf.cli import main
-from conftest import pinned_state_model, random_stationary_model
+from conftest import (assert_bitwise_equal, pinned_state_model,
+                      random_stationary_model, unfrozen_filter)
 
 
 @pytest.fixture
@@ -419,12 +420,39 @@ class TestLongHorizon:
     def test_lowrank_tracks_kalman(self, build, start, start_log):
         model, y, kwargs = build()
         ref = filter_series(model, y, engine="kalman", **kwargs)
+        assert_bitwise_equal(ref, unfrozen_filter(model, y, **kwargs))
         for engine in ENGINES[1:]:
             out = filter_series(model, y, engine=engine, **kwargs)
             assert _worst_step_rel_dev(out.K, ref.K) <= 1e-11, engine
             assert _worst_step_rel_dev(out.Omega, ref.Omega) <= 1e-11, engine
             assert out.loglik == pytest.approx(ref.loglik, rel=1e-8, abs=0.0)
-        assert start_log == [start] * len(ENGINES[1:])
+            assert out.settled_at is not None, engine
+            assert_bitwise_equal(out, unfrozen_filter(model, y, engine=engine,
+                                                      **kwargs))
+        # two starts per engine: the frozen run and its unfrozen reference
+        assert start_log == [start] * (2 * len(ENGINES[1:]))
+
+
+@pytest.fixture(scope="module")
+def horizon_1e5():
+    """PAR_4 at r = 6 over 10^5 steps, and kalman's filter of it."""
+    model = par_family(4, 7)(6)
+    y = simulate(model, 100_000, seed=7, start="stationary")[1]
+    return model, y, filter_series(model, y, engine="kalman")
+
+
+class TestHorizon1e5:
+    # 10^5 steps cost seconds only because every engine settles early
+    # (by t = 16 on this model) and the loop then reads its cache
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_tracks_kalman(self, engine, horizon_1e5):
+        model, y, ref = horizon_1e5
+        out = (ref if engine == "kalman"
+               else filter_series(model, y, engine=engine))
+        assert out.settled_at is not None
+        assert _worst_step_rel_dev(out.K, ref.K) <= 1e-11
+        assert _worst_step_rel_dev(out.Omega, ref.Omega) <= 1e-11
+        assert out.loglik == pytest.approx(ref.loglik, rel=1e-8, abs=0.0)
 
 
 class TestGateOncePerOmega:
@@ -447,7 +475,8 @@ class TestGateOncePerOmega:
             # the first increment, so the eigen start is taken
             kwargs = dict(init="explicit", xhat1=np.zeros(model.r),
                           Sigma1=2.0 * solve_dple(model)[0])
-        filter_series(model, y, engine=engine, **kwargs)
+        out = filter_series(model, y, engine=engine, **kwargs)
+        assert out.settled_at is None   # n = 15 is too short to settle
         if engine == "kalman":
             assert len(gate_log) == len(y)
         else:

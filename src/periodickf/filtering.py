@@ -51,10 +51,21 @@ The innovations-form Gaussian log-likelihood is the sum of the terms
 
 which the loop forms from the same w_t as the state update: one solve
 with the factor of Omega_t per step serves both.
+
+The state update and the term are evaluated with bare numpy operators
+and one LAPACK ``potrs`` call on the cached factor, in the expression
+order of the metered helpers in :mod:`periodickf.linalg` (so bitwise
+their results), and the loop charges the active flop counter once per
+step with what those helpers would charge,
+``2mr + m + 2m^2 + 2r^2 + 2rm + r``.  The solve's checks run only when
+its status or ``e_t' w_t`` flags a problem (``_check_solve``): a
+non-finite innovation still raises ``ValueError`` at its step, naming
+the step and season.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +76,7 @@ from .chandrasekhar import (auto_factorize, build_prelude, chand_init,
 from .exceptions import (EngineInitFailed, MSingular, OmegaNotPD,
                          ResidualTooLarge)
 from .kalman import _covariance_update, solve_dple
-from .linalg import add, factor_logdet, factor_solve, matmul, spd_factor, sub
+from .linalg import _charge, _potrs, factor_logdet, factor_solve, spd_factor
 
 # Engine registry: each low-rank engine name maps to its step function.
 LOWRANK_STEPS = {"chand31": step_alg31, "chand32": step_alg32,
@@ -331,7 +342,9 @@ def filter_series(model, y, engine: str = "kalman",
     The settle-condition property test searches for such runs and for
     any other frozen/unfrozen difference; it has found none.
 
-    Raises ``ValueError`` naming the first non-finite observation,
+    Raises ``ValueError`` naming the first non-finite observation or,
+    during the loop, the first non-finite innovation (say from a huge
+    explicit ``xhat1``) with its step and season,
     ``NotStationary`` when a stationary start is requested from a
     model without one, ``EngineInitFailed`` when a low-rank engine's
     start factorization fails, and ``OmegaNotPD`` (or ``MSingular``
@@ -352,6 +365,10 @@ def filter_series(model, y, engine: str = "kalman",
     sigmas = np.empty((n, model.r, model.r)) if sigma_trace else None
     terms = np.empty(n)
 
+    # the metered cost of one step's state update, charged once per
+    # step: H'x, e = y - H'x, w = Omega^{-1} e, F x, K w and their sum
+    m, r = model.m, model.r
+    step_flops = 2*m*r + m + 2*m*m + 2*r*r + 2*r*m + r
     # season -> (K, Omega, factor, Sigma, m log 2 pi + log det Omega)
     # of the last step that called the engine
     cache = [None] * model.S
@@ -369,12 +386,16 @@ def filter_series(model, y, engine: str = "kalman",
             if eng.settled:
                 settled_at = t
         K, Omega, factor, Sigma, const = cache[i]
-        F, _, H, _, _ = model.at(t)
+        F, H = model.F[i], model.H[i]
         xhats[t - 1] = x
-        e = sub(y2[t - 1], matmul(H.T, x))
-        w = factor_solve(factor, e)                  # Omega_t^{-1} e_t
-        x = add(matmul(F, x), matmul(K, w))
-        terms[t - 1] = _loglik_term(const, e, w)
+        e = y2[t - 1] - H.T @ x
+        w, info = _potrs(factor[0], e, lower=factor[1])     # Omega_t^{-1} e_t
+        ew = e @ w
+        if info or not math.isfinite(ew):
+            _check_solve(info, e, t, model.season(t))
+        x = F @ x + K @ w
+        terms[t - 1] = -0.5 * (const + ew)
+        _charge(step_flops)
         innovations[t - 1] = e
         Omegas[t - 1] = Omega
         Ks[t - 1] = K
@@ -393,10 +414,20 @@ def _loglik_const(factor, m: int) -> float:
     return m * _LOG_2PI + factor_logdet(factor)
 
 
-def _loglik_term(const: float, e: np.ndarray, w: np.ndarray) -> float:
-    """One step's term, given ``const = _loglik_const(factor, m)`` and
-    ``w = Omega^{-1} e``."""
-    return -0.5 * (const + float(e @ w))
+def _check_solve(info: int, e: np.ndarray, t: int, season: int) -> None:
+    """The checks of step t's solve ``w = Omega^{-1} e``, run when its
+    ``info`` is nonzero or ``e' w`` is not finite (which a non-finite e
+    always makes it): a non-finite innovation raises ``ValueError``
+    naming the step and season, as does an illegal LAPACK argument.  A
+    finite innovation whose ``e' w`` overflows passes, and its term is
+    -inf.  The factor needs no check here: ``spd_factor`` formed it from
+    a matrix it checked finite."""
+    if not np.isfinite(e).all():
+        raise ValueError(f"innovation at t={t} (season {season}) is not "
+                         f"finite ({e!r})")
+    if info:
+        raise ValueError(f"potrs: illegal value in argument {-info} at "
+                         f"t={t} (season {season})")
 
 
 def gaussian_loglik(output: FilterOutput) -> float:
@@ -406,6 +437,6 @@ def gaussian_loglik(output: FilterOutput) -> float:
     terms = []
     for e, Omega in zip(output.innovations, output.Omega):
         factor = spd_factor(Omega)
-        terms.append(_loglik_term(_loglik_const(factor, e.size), e,
-                                  factor_solve(factor, e)))
+        terms.append(-0.5 * (_loglik_const(factor, e.size)
+                             + float(e @ factor_solve(factor, e))))
     return float(np.sum(terms))

@@ -2,10 +2,23 @@
 
 Every covariance recursion in this package routes its matrix arithmetic
 through the helpers below so that the benchmark module can meter it.
-When no counter is active the helpers are thin wrappers around the
-corresponding numpy/scipy calls; activating a counter only increments a
-tally, so numerical results are bitwise identical with metering on or
-off.
+When no counter is active the arithmetic helpers are thin wrappers
+around the corresponding numpy calls; activating a counter only
+increments a tally, so numerical results are bitwise identical with
+metering on or off.
+
+The Cholesky helpers call LAPACK ``potrf``/``potrs`` directly (the
+double-precision routines ``scipy.linalg.cho_factor``/``cho_solve``
+call, with the same ``lower=1, clean=0`` arguments, fetched once at
+import), so their results are bitwise those of the scipy wrappers
+without the wrappers' per-call cost.  The checks those wrappers made
+are made here:
+
+* a non-finite matrix or right-hand side raises ``ValueError``;
+* ``potrf`` reporting a non-positive leading minor (``info > 0``)
+  raises :class:`OmegaNotPD`, after the eigenvalue gate ``_pd_gate``;
+* LAPACK reporting an illegal argument (``info < 0``) raises
+  ``ValueError``, as does a right-hand side of the wrong height.
 
 Accounting rules (exact integers, charged per call):
 
@@ -37,6 +50,11 @@ from .exceptions import OmegaNotPD
 # Relative eigenvalue threshold below which a nominally PD matrix is
 # rejected.
 PD_RTOL = 1e-12
+
+# The LAPACK Cholesky routines behind ``scipy.linalg.cho_factor`` and
+# ``cho_solve`` for float64, called without their wrappers.
+_potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"),
+                                               dtype=np.float64)
 
 
 @dataclass
@@ -105,29 +123,46 @@ def _pd_gate(a: np.ndarray) -> None:
             f"(min > {PD_RTOL:g} * max)")
 
 
+def _require_finite(a, what: str) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must not contain infs or NaNs")
+
+
 def spd_factor(a: np.ndarray):
     """Gate ``a`` as symmetric positive definite and Cholesky-factor it.
 
-    Raises :class:`OmegaNotPD` when ``a`` fails the definiteness gate.
+    Raises :class:`OmegaNotPD` when ``a`` fails the definiteness gate
+    or its factorization, and ``ValueError`` when ``a`` is not finite.
     Every SPD system in this package is an innovation covariance, hence
     the error type. Returns the factor in ``scipy.linalg.cho_factor``
-    form, for :func:`factor_solve` and :func:`factor_logdet`.
+    form ``(c, lower)``, bitwise ``cho_factor(a, lower=True)``, for
+    :func:`factor_solve` and :func:`factor_logdet`.
     """
     _pd_gate(a)
-    try:
-        factor = scipy.linalg.cho_factor(a, lower=True)
-    except scipy.linalg.LinAlgError as exc:  # borderline cases the gate let by
+    _require_finite(a, "matrix to factor")
+    c, info = _potrf(a, lower=1, clean=0)
+    if info > 0:        # borderline cases the gate let by
         raise OmegaNotPD(
-            "innovation covariance: Cholesky factorization failed") from exc
+            "innovation covariance: Cholesky factorization failed "
+            f"({info}-th leading minor not positive definite)")
+    if info < 0:
+        raise ValueError(f"potrf: illegal value in argument {-info}")
     _charge(a.shape[0] ** 3 // 3)
-    return factor
+    return c, True
 
 
 def factor_solve(factor, b: np.ndarray) -> np.ndarray:
-    """Solve ``a x = b`` given ``factor = spd_factor(a)``."""
-    n = factor[0].shape[0]
+    """Solve ``a x = b`` given ``factor = spd_factor(a)``; bitwise
+    ``scipy.linalg.cho_solve(factor, b)``."""
+    c, lower = factor
+    n = c.shape[0]
     _charge(2 * n * n * _ncols(np.asarray(b)))
-    return scipy.linalg.cho_solve(factor, b)
+    _require_finite(c, "Cholesky factor")
+    _require_finite(b, "right-hand side")
+    x, info = _potrs(c, b, lower=lower)
+    if info != 0:
+        raise ValueError(f"potrs: illegal value in argument {-info}")
+    return x
 
 
 def factor_logdet(factor) -> float:

@@ -56,6 +56,30 @@ def console_scripts(tmp_path_factory):
         yield bindir
 
 
+@pytest.fixture
+def step_log(monkeypatch):
+    """The times t at which ``filter_series`` called its engine's step."""
+    import periodickf.filtering as filtering_module
+
+    make_engine = filtering_module._make_engine
+    log = []
+
+    def recorded_make_engine(*args):
+        eng = make_engine(*args)
+        step = eng.step
+
+        def counted_step(t):
+            log.append(t)
+            return step(t)
+
+        eng.step = counted_step
+        return eng
+
+    monkeypatch.setattr(filtering_module, "_make_engine",
+                        recorded_make_engine)
+    return log
+
+
 def traced_run(model, y, Sigma1, engine: str = "kalman"):
     """``filter_series`` from xhat = 0 and ``Sigma1``, recording the
     covariance trace."""

@@ -12,6 +12,7 @@ from periodickf import (
     count_flops,
     filter_series,
     gaussian_loglik,
+    load_model,
     par_family,
     rel_err,
     save_model,
@@ -19,8 +20,10 @@ from periodickf import (
     solve_dple,
 )
 from periodickf.cli import main
-from conftest import (assert_bitwise_equal, pinned_state_model,
+from conftest import (ROOT, assert_bitwise_equal, pinned_state_model,
                       random_stationary_model, unfrozen_filter)
+
+STATIONARY_S2 = ROOT / "demos" / "models" / "stationary_s2.json"
 
 
 @pytest.fixture
@@ -510,3 +513,95 @@ class TestOneSolvePerStep:
                           Sigma1=Sigma1)
         loop_step = 4 * r * m + 2 * r * r + 2 * m * m + m + r   # 105
         assert c.flops == len(y) * (engine_step + loop_step)
+
+
+class TestNonFiniteInnovation:
+    """An innovation that overflows from finite inputs raises
+    ``ValueError`` naming its step and season, at that step: the engine
+    is stepped no further."""
+
+    @staticmethod
+    def run(model, y, engine, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return filter_series(model, y, engine=engine, **kwargs)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_huge_start_fails_at_step_one(self, engine, step_log):
+        # the demo model with its seasons swapped observes x1 + x2 / 2
+        # first, which overflows from xhat1 = (1.7e308, 1.7e308)
+        model = load_model(STATIONARY_S2)
+        for name in "FGHQR":
+            setattr(model, name, getattr(model, name)[::-1])
+        y = simulate(model, 10, seed=3)[1]
+        with pytest.raises(ValueError,
+                           match=r"innovation at t=1 \(season 1\) is not "
+                                 r"finite"):
+            self.run(model, y, engine, init="explicit",
+                     xhat1=[1.7e308, 1.7e308], Sigma1=np.eye(2))
+        assert step_log == [1]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("t", [4, 41])
+    def test_later_step(self, engine, t, step_log):
+        # y = +1.7e308 at t - 1 drives the prediction for t to about
+        # that size, so y = -1.7e308 at t overflows; t = 41 is served
+        # from the steady-gain cache
+        model = load_model(STATIONARY_S2)
+        y = simulate(model, 60, seed=3)[1]
+        settled_at = filter_series(model, y, engine=engine).settled_at
+        assert 4 < settled_at < 41
+        del step_log[:]
+        y[t - 2], y[t - 1] = 1.7e308, -1.7e308
+        with pytest.raises(ValueError,
+                           match=rf"innovation at t={t} \(season "
+                                 rf"{model.season(t)}\) is not finite"):
+            self.run(model, y, engine)
+        assert step_log == list(range(1, min(t, settled_at) + 1))
+
+    def test_overflowing_term_of_finite_innovation_passes(self):
+        # e finite but e' w overflows: the term is -inf, no error
+        model = load_model(STATIONARY_S2)
+        y = simulate(model, 10, seed=3)[1]
+        y[0] = 1e300
+        out = self.run(model, y, "kalman")
+        assert np.isfinite(out.innovations).all()
+        assert out.terms[0] == -np.inf
+
+
+def _flop_case(name: str):
+    """A model and series of one benchmark workload shape."""
+    if name == "stationary_s2":
+        model, n, seed = load_model(STATIONARY_S2), 300, 5
+    elif name == "par4-r48":
+        model, n, seed = par_family(4, 1)(48), 150, 6
+    else:
+        model, n, seed = random_stationary_model(21, r=12, S=4, m=2), 150, 7
+    return model, simulate(model, n, seed=seed)[1]
+
+
+class TestMeteredFlopPins:
+    """``count_flops`` totals of whole ``filter_series`` calls, pinned:
+    the loop charges its state update once per step, with what the
+    metered helpers ``sub``, ``matmul``, ``factor_solve`` and ``add``
+    charged for it, so the totals are those the helper-by-helper loop
+    gave.  One input per benchmark workload shape; every run settles
+    except ``kalman`` on the m = 2 model."""
+
+    PINNED = {
+        "stationary_s2": {"kalman": 8060, "chand31": 8560, "chand32": 8560,
+                          "chand-minv": 8534},
+        "par4-r48": {"kalman": 50803864, "chand31": 4472682,
+                     "chand32": 4472682, "chand-minv": 4473819},
+        "m2-r12": {"kalman": 2488800, "chand31": 555624, "chand32": 540642,
+                   "chand-minv": 565934},
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_totals(self, case):
+        model, y = _flop_case(case)
+        got = {}
+        for engine in ENGINES:
+            with count_flops() as counter:
+                filter_series(model, y, engine=engine)
+            got[engine] = counter.flops
+        assert got == self.PINNED[case]

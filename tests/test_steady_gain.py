@@ -20,30 +20,6 @@ LOWRANK = ENGINES[1:]
 STATIONARY_S2 = ROOT / "demos" / "models" / "stationary_s2.json"
 
 
-@pytest.fixture
-def step_log(monkeypatch):
-    """The times t at which ``filter_series`` called its engine's step."""
-    import periodickf.filtering as filtering_module
-
-    make_engine = filtering_module._make_engine
-    log = []
-
-    def recorded_make_engine(*args):
-        eng = make_engine(*args)
-        step = eng.step
-
-        def counted_step(t):
-            log.append(t)
-            return step(t)
-
-        eng.step = counted_step
-        return eng
-
-    monkeypatch.setattr(filtering_module, "_make_engine",
-                        recorded_make_engine)
-    return log
-
-
 def stationary_s2(n: int, seed: int):
     model = load_model(STATIONARY_S2)
     return model, simulate(model, n, seed=seed)[1]

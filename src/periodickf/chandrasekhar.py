@@ -60,7 +60,7 @@ import scipy.linalg
 from .exceptions import (MSingular, NotStationary, OmegaNotPD,
                          ResidualTooLarge, SingularLift)
 from .kalman import _covariance_update, is_periodically_stationary, solve_dple
-from .linalg import (add, factor_solve, matmul, rel_err, spd_factor, sub,
+from .linalg import (_charge, _solve, factor_solve, rel_err, spd_factor, sub,
                      sym_solve, symmetrize)
 
 # A factorization must reproduce its increment to this relative tolerance.
@@ -322,6 +322,12 @@ def _step(model, state: ChandrasekharState, form: str) -> ChandrasekharState:
     state's M field holds N = M^{-1}).  The prefix forming
     ``Omega_{t+S}`` and ``K_{t+S}`` is common; the forms differ in how
     T = M Y'H is obtained, which gain moves Y, and the M update.
+
+    The arithmetic is bare numpy operators and ``potrs`` solves
+    (``linalg._solve``) in the expression order of the metered helpers
+    in :mod:`periodickf.linalg`, so bitwise their results; the step
+    charges the active counter once with what those helpers would
+    charge, besides what ``spd_factor`` and ``sym_solve`` charge.
     """
     inverse = form == "inverse"
     if state.m_is_inverse != inverse:
@@ -336,25 +342,34 @@ def _step(model, state: ChandrasekharState, form: str) -> ChandrasekharState:
     F, H = model.F[i], model.H[i]
     (K, Omega), factor = state.ring[i], state.factors[i]
     Y, M = state.Y, state.M
+    (r, a), m = Y.shape, H.shape[1]
     if inverse:
         _require_invertible(M)
 
-    U = matmul(Y.T, H)                       # alpha x m
-    T = sym_solve(M, U) if inverse else matmul(M, U)   # alpha x m, M U
-    YT = matmul(Y, T)                        # r x m
-    Omega_next = symmetrize(add(Omega, matmul(U.T, T)))
-    K_next = add(K, matmul(F, YT))
+    U = Y.T @ H                              # alpha x m
+    T = sym_solve(M, U) if inverse else M @ U    # alpha x m, M U
+    YT = Y @ T                               # r x m
+    Omega_next = Omega + U.T @ T
+    Omega_next = 0.5 * (Omega_next + Omega_next.T)
+    K_next = K + F @ YT
     factor_next = spd_factor(Omega_next)
 
     K_y, factor_y = (K, factor) if form == "current" else (K_next, factor_next)
-    B = factor_solve(factor_y, U.T)          # m x alpha
-    Y_next = sub(matmul(F, Y), matmul(K_y, B))
+    B = _solve(factor_y, U.T)                # m x alpha
+    Y_next = F @ Y - K_y @ B
     if inverse:
-        M_next = symmetrize(sub(M, matmul(U, B)))
+        M_next = M - U @ B
     elif form == "updated":
-        M_next = symmetrize(add(M, matmul(T, factor_solve(factor, T.T))))
+        M_next = M + T @ _solve(factor, T.T)
     else:
-        M_next = symmetrize(sub(M, matmul(T, factor_solve(factor_next, T.T))))
+        M_next = M - T @ _solve(factor_next, T.T)
+    M_next = 0.5 * (M_next + M_next.T)
+    # U, Y T, Omega (product, add, symmetrize), K (product, add), B,
+    # Y (two products, subtract), M (product, add or subtract,
+    # symmetrize); M U unless inverse; the second solve unless inverse
+    _charge(4*a*r*m + 2*m*a*m + 2*m*m + 2*r*r*m + r*m + 2*m*m*a
+            + 2*r*r*a + 2*r*m*a + r*a + 2*a*m*a + 2*a*a
+            + (0 if inverse else 2*a*a*m + 2*m*m*a))
 
     ring, factors = list(state.ring), list(state.factors)
     ring[i], factors[i] = (K_next, Omega_next), factor_next

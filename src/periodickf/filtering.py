@@ -38,9 +38,11 @@ PRDE map is deterministic); a low-rank engine when its ring has not
 changed bitwise for S steps and a bound on the next increment lies far
 below the last bit of every ring entry (a sufficient condition it
 enforces, stated in ``_ChandEngine``; never with a sigma trace).  From
-the next step on the loop reads each season's four values, and its
-``m log 2 pi + log det Omega``, from a per-season cache filled by the
-last period of steps, and stops calling ``step``.  The switch lives in
+the next step on the loop stops calling ``step`` and runs the state
+update alone, with each season's gain and factor from the last period
+of steps; after the loop it copies that period's Omega, K, Sigma and
+``m log 2 pi + log det Omega`` into the settled steps, season by
+season.  The switch lives in
 the loop, not in the engines, so ``count_costs`` keeps metering the
 recursion itself; ``FilterOutput.settled_at`` is the last step that
 called the engine.
@@ -56,8 +58,10 @@ The state update and the term are evaluated with bare numpy operators
 and one LAPACK ``potrs`` call on the cached factor, in the expression
 order of the metered helpers in :mod:`periodickf.linalg` (so bitwise
 their results), and the loop charges the active flop counter once per
-step with what those helpers would charge,
-``2mr + m + 2m^2 + 2r^2 + 2rm + r``.  The solve's checks run only when
+call with what those helpers would charge, n times the per-step
+``2mr + m + 2m^2 + 2r^2 + 2rm + r``.  The loop keeps each step's
+``e_t' w_t`` and forms the terms from them in one vectorized expression
+after it.  The solve's checks run only when
 its status or ``e_t' w_t`` flags a problem (``_check_solve``): a
 non-finite innovation still raises ``ValueError`` at its step, naming
 the step and season.
@@ -331,9 +335,9 @@ def filter_series(model, y, engine: str = "kalman",
     a low-rank engine reuses the solution the start computed.
 
     Once the engine reports that its gains are exactly S-periodic (see
-    the module docstring), later steps read ``(K, Omega, factor, Sigma)``
-    and the log-likelihood constant of their season from a cache filled
-    by the last period of steps, and the engine is no longer stepped;
+    the module docstring), later steps repeat ``(K, Omega, factor,
+    Sigma)`` and the log-likelihood constant of the step one period
+    before them, and the engine is no longer stepped;
     ``settled_at`` in the output names the last step that called it.
     Every output equals the run that steps the engine to the end, as
     long as the settle condition holds.  A consequence: the gates of
@@ -363,45 +367,53 @@ def filter_series(model, y, engine: str = "kalman",
     Ks = np.empty((n, model.r, model.m))
     xhats = np.empty((n + 1, model.r))
     sigmas = np.empty((n, model.r, model.r)) if sigma_trace else None
-    terms = np.empty(n)
+    ews = np.empty(n)           # e_t' w_t
+    consts = np.empty(n)        # m log 2 pi + log det Omega_t
 
-    # the metered cost of one step's state update, charged once per
-    # step: H'x, e = y - H'x, w = Omega^{-1} e, F x, K w and their sum
-    m, r = model.m, model.r
+    # the metered cost of one step's state update: H'x, e = y - H'x,
+    # w = Omega^{-1} e, F x, K w and their sum
+    m, r, S = model.m, model.r, model.S
     step_flops = 2*m*r + m + 2*m*m + 2*r*r + 2*r*m + r
-    # season -> (K, Omega, factor, Sigma, m log 2 pi + log det Omega)
-    # of the last step that called the engine
-    cache = [None] * model.S
+    # season -> (F, H', K, Cholesky factor of Omega, its lower flag) of
+    # the last step that called the engine
+    update = [None] * S
     settled_at = None
     for t in range(1, n + 1):
-        i = (t - 1) % model.S
+        i = (t - 1) % S
         if settled_at is None:
             try:
                 K, Omega, factor, Sigma = eng.step(t)
             except (OmegaNotPD, MSingular) as exc:
                 exc.locate(t, model.season(t))
                 raise
-            cache[i] = (K, Omega, factor, Sigma,
-                        _loglik_const(factor, model.m))
+            update[i] = (model.F[i], model.H[i].T, K, *factor)
+            consts[t - 1] = _loglik_const(factor, m)
+            Omegas[t - 1] = Omega
+            Ks[t - 1] = K
+            if sigma_trace:
+                sigmas[t - 1] = Sigma
             if eng.settled:
                 settled_at = t
-        K, Omega, factor, Sigma, const = cache[i]
-        F, H = model.F[i], model.H[i]
+        F, HT, K, c, lower = update[i]
         xhats[t - 1] = x
-        e = y2[t - 1] - H.T @ x
-        w, info = _potrs(factor[0], e, lower=factor[1])     # Omega_t^{-1} e_t
+        e = y2[t - 1] - HT @ x
+        innovations[t - 1] = e
+        w, info = _potrs(c, e, lower)                   # Omega_t^{-1} e_t
         ew = e @ w
         if info or not math.isfinite(ew):
             _check_solve(info, e, t, model.season(t))
         x = F @ x + K @ w
-        terms[t - 1] = -0.5 * (const + ew)
-        _charge(step_flops)
-        innovations[t - 1] = e
-        Omegas[t - 1] = Omega
-        Ks[t - 1] = K
-        if sigma_trace:
-            sigmas[t - 1] = Sigma
+        ews[t - 1] = ew
     xhats[n] = x
+    if settled_at is not None:
+        # each settled step repeats the step one period before it
+        # (settled_at >= S: an engine settles after S steps at the soonest)
+        for j in range(settled_at, min(settled_at + S, n)):
+            for out in (Omegas, Ks, consts, sigmas):
+                if out is not None:
+                    out[j::S] = out[j - S]
+    terms = -0.5 * (consts + ews)
+    _charge(step_flops * n)
 
     return FilterOutput(engine=engine, n=n, innovations=innovations,
                         Omega=Omegas, K=Ks, xhat=xhats,

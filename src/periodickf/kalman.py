@@ -36,8 +36,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .exceptions import NonConvergence, NotStationary, SingularLift
-from .linalg import (add, factor_solve, matmul, rel_err, spd_factor,
-                     spectral_radius, sub, symmetrize)
+from .linalg import (_charge, _solve, rel_err, spd_factor, spectral_radius,
+                     symmetrize)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import PeriodicModel
@@ -54,17 +54,28 @@ MAX_DOUBLINGS = 64
 
 def _covariance_update(model: PeriodicModel, Sigma: np.ndarray, t: int):
     """One PRDE step. Returns (Omega, K, factor, Sigma_next), where
-    ``factor`` is the gated Cholesky factor of Omega (``spd_factor``)."""
+    ``factor`` is the gated Cholesky factor of Omega (``spd_factor``).
+
+    The arithmetic is bare numpy operators and one ``potrs`` solve
+    (``linalg._solve``) in the expression order of the metered helpers
+    in :mod:`periodickf.linalg`, so bitwise their results; the step
+    charges the active counter once with what those helpers would
+    charge, besides the factorization ``spd_factor`` charges."""
     F, G, H, Q, R = model.at(t)
-    U = matmul(Sigma, H)                                  # r x m
-    Omega = symmetrize(add(matmul(H.T, U), R))
-    K = matmul(F, U)
+    (r, m), d = H.shape, Q.shape[0]
+    U = Sigma @ H                                         # r x m
+    Omega = H.T @ U + R
+    Omega = 0.5 * (Omega + Omega.T)
+    K = F @ U
     factor = spd_factor(Omega)
-    KtilT = factor_solve(factor, K.T)                     # m x r
-    FS = matmul(F, Sigma)
-    GQ = matmul(G, Q)
-    Sigma_next = symmetrize(
-        add(sub(matmul(FS, F.T), matmul(K, KtilT)), matmul(GQ, G.T)))
+    KtilT = _solve(factor, K.T)                           # m x r
+    Sigma_next = (F @ Sigma) @ F.T - K @ KtilT + (G @ Q) @ G.T
+    Sigma_next = 0.5 * (Sigma_next + Sigma_next.T)
+    # Sigma H, Omega (product, add, symmetrize), F U, the solve,
+    # F Sigma, G Q, the three products of Sigma_next, its subtract, add
+    # and symmetrize
+    _charge(4*r*r*m + 2*m*r*m + 2*m*m + 2*m*m*r + 4*r**3 + 2*r*d*d
+            + 2*r*m*r + 2*r*d*r + 3*r*r)
     return Omega, K, factor, Sigma_next
 
 

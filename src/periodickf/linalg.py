@@ -1,11 +1,17 @@
 """Dense linear-algebra primitives with optional flop metering.
 
-Every covariance recursion in this package routes its matrix arithmetic
-through the helpers below so that the benchmark module can meter it.
-When no counter is active the arithmetic helpers are thin wrappers
-around the corresponding numpy calls; activating a counter only
-increments a tally, so numerical results are bitwise identical with
-metering on or off.
+The arithmetic helpers below (``matmul``, ``add``, ``sub``,
+``symmetrize``, the solves) charge their documented cost to the active
+counter on every call; they remain for the benchmark replay and the
+one-off solves.  The per-step code (the covariance steps in
+:mod:`periodickf.kalman` and :mod:`periodickf.chandrasekhar`, and the
+filter loop) evaluates the same expressions with bare numpy operators
+and charges what those helpers would charge in one sum, once per step
+(the filter loop once per call); ``spd_factor`` and ``sym_solve``,
+which it still calls, charge their own share.  So its results and
+counts are bitwise those of the helper-by-helper code.  Activating a
+counter only increments a tally, so numerical results are bitwise
+identical with metering on or off.
 
 The Cholesky helpers call LAPACK ``potrf``/``potrs`` directly (the
 double-precision routines ``scipy.linalg.cho_factor``/``cho_solve``
@@ -20,7 +26,18 @@ are made here:
 * LAPACK reporting an illegal argument (``info < 0``) raises
   ``ValueError``, as does a right-hand side of the wrong height.
 
-Accounting rules (exact integers, charged per call):
+The step code solves through ``_solve``, which runs these checks only
+when ``potrs``'s status or a non-finite solution flags a problem.
+
+``sym_solve`` calls ``sytrf``/``sytrs`` on the upper triangle, bitwise
+``scipy.linalg.solve(a, b, assume_a="sym")``, with that function's
+checks written out: non-finite input raises ``ValueError``, a singular
+``a`` (``sytrf`` ``info > 0``, or a zero 1 x 1 ``a``, which takes the
+scalar path ``b / a``) raises ``LinAlgError``, and a reciprocal
+condition estimate (``sycon`` with the ``lange`` 1-norm) below machine
+epsilon emits ``LinAlgWarning``.
+
+Accounting rules (exact integers):
 
 * product of an (a, b) matrix by a (b, c) matrix: ``2*a*b*c`` flops
   (a matrix-vector product is the ``c = 1`` case);
@@ -38,12 +55,15 @@ are not charged.
 
 from __future__ import annotations
 
+import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from numpy.linalg import LinAlgError
+from scipy.linalg import LinAlgWarning
 
 from .exceptions import OmegaNotPD
 
@@ -51,10 +71,14 @@ from .exceptions import OmegaNotPD
 # rejected.
 PD_RTOL = 1e-12
 
-# The LAPACK Cholesky routines behind ``scipy.linalg.cho_factor`` and
-# ``cho_solve`` for float64, called without their wrappers.
-_potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"),
-                                               dtype=np.float64)
+# The float64 LAPACK routines behind ``scipy.linalg.cho_factor`` and
+# ``cho_solve`` and behind ``scipy.linalg.solve(assume_a="sym")``,
+# called without their wrappers.
+(_potrf, _potrs, _sytrf, _sytrf_lwork, _sytrs, _sycon,
+ _lange) = scipy.linalg.get_lapack_funcs(
+    ("potrf", "potrs", "sytrf", "sytrf_lwork", "sytrs", "sycon", "lange"),
+    dtype=np.float64)
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass
@@ -115,7 +139,8 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 
 
 def _pd_gate(a: np.ndarray) -> None:
-    w = np.linalg.eigvalsh(a)
+    # the eigenvalue LAPACK returns for a 1 x 1 matrix is its entry
+    w = a[0] if a.shape == (1, 1) else np.linalg.eigvalsh(a)
     if w[-1] <= 0.0 or w[0] <= PD_RTOL * w[-1]:
         raise OmegaNotPD(
             f"innovation covariance: eigenvalues in [{w[0]:.6e}, "
@@ -159,15 +184,27 @@ def factor_solve(factor, b: np.ndarray) -> np.ndarray:
     _charge(2 * n * n * _ncols(np.asarray(b)))
     _require_finite(c, "Cholesky factor")
     _require_finite(b, "right-hand side")
+    return _solve(factor, b)
+
+
+def _solve(factor, b: np.ndarray) -> np.ndarray:
+    """:func:`factor_solve` without its charge, its input checks run
+    only when ``potrs`` reports an error or the solution is not finite
+    (which a non-finite right-hand side always makes it; the factors
+    ``spd_factor`` makes are finite)."""
+    c, lower = factor
     x, info = _potrs(c, b, lower=lower)
-    if info != 0:
-        raise ValueError(f"potrs: illegal value in argument {-info}")
+    if info or not np.isfinite(x).all():
+        _require_finite(c, "Cholesky factor")
+        _require_finite(b, "right-hand side")
+        if info:
+            raise ValueError(f"potrs: illegal value in argument {-info}")
     return x
 
 
 def factor_logdet(factor) -> float:
     """Return ``log det a`` given ``factor = spd_factor(a)``."""
-    return 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+    return 2.0 * float(np.sum(np.log(factor[0].diagonal())))
 
 
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -176,9 +213,36 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def sym_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a x = b`` for symmetric (possibly indefinite) ``a``."""
+    """Solve ``a x = b`` for symmetric (possibly indefinite) ``a``, read
+    from its upper triangle; bitwise ``scipy.linalg.solve(a, b,
+    assume_a="sym")``, with its checks (see the module docstring)."""
+    _require_finite(a, "matrix")
+    _require_finite(b, "right-hand side")
     n = a.shape[0]
-    x = scipy.linalg.solve(a, b, assume_a="sym")
+    if n == 1:
+        if a[0, 0] == 0:
+            raise LinAlgError("A singular matrix detected.")
+        x = b / a[0, 0]
+    else:
+        # with the optimal workspace, as scipy: above the block size a
+        # smaller one changes the factorization's rounding
+        lu, ipiv, info = _sytrf(a, lower=0,
+                                lwork=int(_sytrf_lwork(n, lower=0)[0]))
+        if info > 0:
+            raise LinAlgError("A singular matrix detected: sytrf found "
+                              f"D({info},{info}) exactly zero.")
+        if info < 0:
+            raise ValueError(f"sytrf: illegal value in argument {-info}")
+        x, info = _sytrs(lu, ipiv, b[:, None] if b.ndim == 1 else b,
+                         lower=0)
+        if info < 0:
+            raise ValueError(f"sytrs: illegal value in argument {-info}")
+        rcond, _ = _sycon(lu, ipiv, _lange("1", a), lower=0)
+        if rcond < _EPS:
+            warnings.warn(f"An ill-conditioned matrix detected: rcond = "
+                          f"{rcond}.", LinAlgWarning, stacklevel=2)
+        # scipy returns the solution in C order
+        x = x[:, 0] if b.ndim == 1 else np.ascontiguousarray(x)
     _charge(n ** 3 // 3 + 2 * n * n * _ncols(np.asarray(b)))
     return x
 

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from periodickf import (
     count_costs,
@@ -13,9 +16,12 @@ from periodickf import (
 )
 from periodickf.bench import cost_report_rows, scaling_table_rows
 from periodickf.chandrasekhar import (auto_factorize, build_prelude,
-                                      chand_init, step_alg31, step_alg32,
-                                      step_minv, to_inverse_state)
-from periodickf.linalg import (add, matmul, spd_solve, sub, sym_solve,
+                                      chand_init, factor_eigen, step_alg31,
+                                      step_alg32, step_minv,
+                                      to_inverse_state)
+from periodickf.kalman import _covariance_update
+from periodickf.linalg import (_charge, add, factor_solve, matmul,
+                               spd_factor, spd_solve, sub, sym_solve,
                                symmetrize)
 from conftest import random_stationary_model
 
@@ -170,6 +176,145 @@ class TestPerStepFormulas:
     def test_low_rank_beats_full_when_r_dominates(self):
         r, m, a = 40, 1, 2
         assert prde_flops(r, m, r) / chand_direct_flops(r, m, a) > 5
+
+
+# --- the helper-by-helper step bodies, kept as the kernels' reference -------
+
+def metered_sym_solve(a, b):
+    """``sym_solve`` as the scipy wrapper plus its charge."""
+    n = a.shape[0]
+    x = scipy.linalg.solve(a, b, assume_a="sym")
+    _charge(n ** 3 // 3 + 2 * n * n * (b.shape[1] if b.ndim == 2 else 1))
+    return x
+
+
+def metered_step(model, state, form):
+    """One low-rank step through the metered helpers, one call per
+    operation, in the order the kernel ``chandrasekhar._step`` keeps."""
+    inverse = form == "inverse"
+    if state.alpha == 0:
+        return replace(state, t=state.t + 1)
+    i = (state.t - 1) % model.S
+    F, H = model.F[i], model.H[i]
+    (K, Omega), factor = state.ring[i], state.factors[i]
+    Y, M = state.Y, state.M
+    U = matmul(Y.T, H)
+    T = metered_sym_solve(M, U) if inverse else matmul(M, U)
+    YT = matmul(Y, T)
+    Omega_next = symmetrize(add(Omega, matmul(U.T, T)))
+    K_next = add(K, matmul(F, YT))
+    factor_next = spd_factor(Omega_next)
+    K_y, factor_y = (K, factor) if form == "current" else (K_next, factor_next)
+    B = factor_solve(factor_y, U.T)
+    Y_next = sub(matmul(F, Y), matmul(K_y, B))
+    if inverse:
+        M_next = symmetrize(sub(M, matmul(U, B)))
+    elif form == "updated":
+        M_next = symmetrize(add(M, matmul(T, factor_solve(factor, T.T))))
+    else:
+        M_next = symmetrize(sub(M, matmul(T, factor_solve(factor_next, T.T))))
+    ring, factors = list(state.ring), list(state.factors)
+    ring[i], factors[i] = (K_next, Omega_next), factor_next
+    return replace(state, t=state.t + 1, Y=Y_next, M=M_next, ring=ring,
+                   factors=factors)
+
+
+def metered_covariance_update(model, Sigma, t):
+    """One PRDE step through the metered helpers, in the order the
+    kernel ``kalman._covariance_update`` keeps."""
+    F, G, H, Q, R = model.at(t)
+    U = matmul(Sigma, H)
+    Omega = symmetrize(add(matmul(H.T, U), R))
+    K = matmul(F, U)
+    factor = spd_factor(Omega)
+    KtilT = factor_solve(factor, K.T)
+    FS = matmul(F, Sigma)
+    GQ = matmul(G, Q)
+    Sigma_next = symmetrize(
+        add(sub(matmul(FS, F.T), matmul(K, KtilT)), matmul(GQ, G.T)))
+    return Omega, K, factor, Sigma_next
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_same_state(got, want):
+    assert got.t == want.t and got.m_is_inverse == want.m_is_inverse
+    assert same_bits(got.Y, want.Y) and same_bits(got.M, want.M)
+    for (K, Omega), (K0, Omega0) in zip(got.ring, want.ring, strict=True):
+        assert same_bits(K, K0) and same_bits(Omega, Omega0)
+    for (c, lower), (c0, lower0) in zip(got.factors, want.factors,
+                                        strict=True):
+        assert same_bits(c, c0) and lower == lower0
+
+
+def start_state(start, m):
+    """A model and a t = 1 recursion state from the named start, at
+    output dimension m."""
+    if start == "gain-form":       # S m < r
+        model = random_stationary_model(110 + m, r=6, S=2, m=m)
+    elif start == "steady-form":   # S m >= r
+        model = random_stationary_model(120 + m, r=m + 1, S=2, m=m)
+    elif start == "eigen":         # a start off the stationary covariance
+        model = random_stationary_model(130 + m, r=4, S=2, m=m)
+    else:                          # Q = 0: the increment vanishes
+        model = random_stationary_model(140 + m, r=2, S=2, m=m)
+        model.Q = [np.zeros_like(q) for q in model.Q]
+    if start == "eigen":
+        prelude = build_prelude(model, np.eye(model.r))
+        factorization = factor_eigen(prelude.DeltaSigma1)
+    else:
+        prelude = build_prelude(model, solve_dple(model)[0])
+        factorization = (factor_eigen(prelude.DeltaSigma1) if start == "zero"
+                         else auto_factorize(model, prelude))
+    assert factorization.method == ("eigen" if start == "zero" else start)
+    assert (factorization.alpha == 0) == (start == "zero")
+    return model, chand_init(model, factorization, prelude)
+
+
+class TestStepKernelsMatchMeteredReference:
+    """The bare step kernels against the helper-by-helper bodies they
+    replaced: bitwise equal states and equal flop counts, step by step
+    over three periods."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("start",
+                             ["gain-form", "steady-form", "eigen", "zero"])
+    @pytest.mark.parametrize("form,stepper", [("updated", step_alg31),
+                                              ("current", step_alg32),
+                                              ("inverse", step_minv)])
+    def test_low_rank_step(self, form, stepper, start, m):
+        model, state = start_state(start, m)
+        if form == "inverse":
+            state = to_inverse_state(state)
+        ref = state
+        for _ in range(3 * model.S):
+            with count_flops() as counted:
+                state = stepper(model, state)
+            with count_flops() as metered:
+                ref = metered_step(model, ref, form)
+            assert_same_state(state, ref)
+            assert counted.flops == metered.flops
+            assert (counted.flops == 0) == (start == "zero")
+
+    @pytest.mark.parametrize("m,d", [(1, 4), (2, 3)])
+    @pytest.mark.parametrize("start", ["stationary", "identity"])
+    def test_covariance_update(self, start, m, d):
+        model = random_stationary_model(150 + m, r=4, S=3, m=m, d=d)
+        Sigma = (solve_dple(model)[0] if start == "stationary"
+                 else np.eye(model.r))
+        ref = Sigma
+        for t in range(1, 3 * model.S + 1):
+            with count_flops() as counted:
+                *got, Sigma = _covariance_update(model, Sigma, t)
+            with count_flops() as metered:
+                *want, ref = metered_covariance_update(model, ref, t)
+            (Omega, K, (c, lower)), (Omega0, K0, (c0, lower0)) = got, want
+            assert same_bits(Omega, Omega0) and same_bits(K, K0)
+            assert same_bits(c, c0) and lower == lower0
+            assert same_bits(Sigma, ref)
+            assert counted.flops == metered.flops == prde_flops(4, m, d)
 
 
 class TestCountCosts:

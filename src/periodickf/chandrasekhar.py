@@ -53,6 +53,7 @@ state covariance W_1:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -109,7 +110,9 @@ class ChandrasekharState:
     gated Cholesky factor of that Omega, formed once when Omega was;
     stepping overwrites the slot of the current season with the values
     for t+S.  ``M`` holds the middle factor, or its inverse when
-    ``m_is_inverse`` is set.
+    ``m_is_inverse`` is set.  A state is not changed once built (a step
+    returns a new one), so values derived from its fields may be cached
+    on it.
     """
 
     t: int
@@ -122,6 +125,14 @@ class ChandrasekharState:
     @property
     def alpha(self) -> int:
         return self.Y.shape[1]
+
+    @cached_property
+    def _m_singular_values(self) -> np.ndarray:
+        """The singular values of the ``M`` field, largest first, taken
+        once per state: for ``chand-minv`` the filter's settle test
+        reads them after the step that made N, and the inverse-form
+        gate at the start of the next step."""
+        return np.linalg.svd(self.M, compute_uv=False)
 
     def current_gain(self) -> tuple[np.ndarray, np.ndarray]:
         """(K_t, Omega_t) at the state's own time."""
@@ -301,13 +312,15 @@ def to_inverse_state(state: ChandrasekharState) -> ChandrasekharState:
         return state
     if state.alpha == 0:
         return replace(state, m_is_inverse=True)
-    _require_invertible(state.M)
+    _require_invertible(state)
     N = sym_solve(state.M, np.eye(state.alpha))
     return replace(state, M=0.5 * (N + N.T), m_is_inverse=True)
 
 
-def _require_invertible(M: np.ndarray) -> None:
-    sv = np.linalg.svd(M, compute_uv=False)
+def _require_invertible(state: ChandrasekharState) -> None:
+    """Raise :class:`MSingular` unless the state's ``M`` field passes
+    the relative singular-value threshold."""
+    sv = state._m_singular_values
     if sv[0] == 0.0 or sv[-1] <= M_SINGULAR_RTOL * sv[0]:
         raise MSingular(
             f"middle factor has singular values in [{sv[-1]:.3e}, "
@@ -323,11 +336,15 @@ def _step(model, state: ChandrasekharState, form: str) -> ChandrasekharState:
     ``Omega_{t+S}`` and ``K_{t+S}`` is common; the forms differ in how
     T = M Y'H is obtained, which gain moves Y, and the M update.
 
-    The arithmetic is bare numpy operators and ``potrs`` solves
-    (``linalg._solve``) in the expression order of the metered helpers
-    in :mod:`periodickf.linalg`, so bitwise their results; the step
-    charges the active counter once with what those helpers would
-    charge, besides what ``spd_factor`` and ``sym_solve`` charge.
+    The arithmetic is numpy's elementwise operators, products through
+    the operands' bound ``ndarray.dot`` and ``potrs`` solves
+    (``linalg._solve``), in the expression order of the metered helpers
+    in :mod:`periodickf.linalg`, so bitwise their results (see that
+    module for the one exception, a zero product of one-element
+    operands); the step charges the active counter once with what those
+    helpers would charge, besides what ``spd_factor`` and ``sym_solve``
+    charge.  The new state is built with the constructor, all fields
+    given.
     """
     inverse = form == "inverse"
     if state.m_is_inverse != inverse:
@@ -344,25 +361,25 @@ def _step(model, state: ChandrasekharState, form: str) -> ChandrasekharState:
     Y, M = state.Y, state.M
     (r, a), m = Y.shape, H.shape[1]
     if inverse:
-        _require_invertible(M)
+        _require_invertible(state)
 
-    U = Y.T @ H                              # alpha x m
-    T = sym_solve(M, U) if inverse else M @ U    # alpha x m, M U
-    YT = Y @ T                               # r x m
-    Omega_next = Omega + U.T @ T
+    U = Y.T.dot(H)                           # alpha x m
+    T = sym_solve(M, U) if inverse else M.dot(U)    # alpha x m, M U
+    YT = Y.dot(T)                            # r x m
+    Omega_next = Omega + U.T.dot(T)
     Omega_next = 0.5 * (Omega_next + Omega_next.T)
-    K_next = K + F @ YT
+    K_next = K + F.dot(YT)
     factor_next = spd_factor(Omega_next)
 
     K_y, factor_y = (K, factor) if form == "current" else (K_next, factor_next)
     B = _solve(factor_y, U.T)                # m x alpha
-    Y_next = F @ Y - K_y @ B
+    Y_next = F.dot(Y) - K_y.dot(B)
     if inverse:
-        M_next = M - U @ B
+        M_next = M - U.dot(B)
     elif form == "updated":
-        M_next = M + T @ _solve(factor, T.T)
+        M_next = M + T.dot(_solve(factor, T.T))
     else:
-        M_next = M - T @ _solve(factor_next, T.T)
+        M_next = M - T.dot(_solve(factor_next, T.T))
     M_next = 0.5 * (M_next + M_next.T)
     # U, Y T, Omega (product, add, symmetrize), K (product, add), B,
     # Y (two products, subtract), M (product, add or subtract,
@@ -373,8 +390,8 @@ def _step(model, state: ChandrasekharState, form: str) -> ChandrasekharState:
 
     ring, factors = list(state.ring), list(state.factors)
     ring[i], factors[i] = (K_next, Omega_next), factor_next
-    return replace(state, t=state.t + 1, Y=Y_next, M=M_next, ring=ring,
-                   factors=factors)
+    return ChandrasekharState(t=state.t + 1, Y=Y_next, M=M_next, ring=ring,
+                              factors=factors, m_is_inverse=state.m_is_inverse)
 
 
 def step_alg31(model, state: ChandrasekharState) -> ChandrasekharState:

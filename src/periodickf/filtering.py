@@ -54,11 +54,14 @@ The innovations-form Gaussian log-likelihood is the sum of the terms
 which the loop forms from the same w_t as the state update: one solve
 with the factor of Omega_t per step serves both.
 
-The state update and the term are evaluated with bare numpy operators
-and one LAPACK ``potrs`` call on the cached factor, in the expression
-order of the metered helpers in :mod:`periodickf.linalg` (so bitwise
-their results), and the loop charges the active flop counter once per
-call with what those helpers would charge, n times the per-step
+The state update and the term are evaluated with one LAPACK ``potrs``
+call on the cached factor and products through bound ``ndarray.dot``
+methods (``F.dot``, ``H'.dot`` and ``K.dot`` are kept per season with
+the factor, and ``e.dot(w)``), in the expression order of the metered
+helpers in :mod:`periodickf.linalg` (so bitwise their results, up to
+the sign of a zero product of one-element operands, see there), and
+the loop charges the active flop counter once per call with what those
+helpers would charge, n times the per-step
 ``2mr + m + 2m^2 + 2r^2 + 2rm + r``.  The loop keeps each step's
 ``e_t' w_t`` and forms the terms from them in one vectorized expression
 after it.  The solve's checks run only when
@@ -274,7 +277,8 @@ class _ChandEngine:
         if beta == 0.0:
             return True
         if self.state.m_is_inverse:     # M holds N: norm(M) = 1 / min sv(N)
-            smallest = float(np.linalg.svd(M, compute_uv=False)[-1])
+            # the same values the next step's invertibility gate reads
+            smallest = float(self.state._m_singular_values[-1])
             if smallest == 0.0:
                 return False
             beta /= smallest
@@ -374,11 +378,12 @@ def filter_series(model, y, engine: str = "kalman",
     # w = Omega^{-1} e, F x, K w and their sum
     m, r, S = model.m, model.r, model.S
     step_flops = 2*m*r + m + 2*m*m + 2*r*r + 2*r*m + r
-    # season -> (F, H', K, Cholesky factor of Omega, its lower flag) of
-    # the last step that called the engine
+    # season -> (F.dot, H'.dot, K.dot, Cholesky factor of Omega, its
+    # lower flag) of the last step that called the engine
     update = [None] * S
     settled_at = None
-    for t in range(1, n + 1):
+    isfinite = math.isfinite
+    for t, yt in enumerate(y2, 1):          # yt = y2[t - 1]
         i = (t - 1) % S
         if settled_at is None:
             try:
@@ -386,7 +391,7 @@ def filter_series(model, y, engine: str = "kalman",
             except (OmegaNotPD, MSingular) as exc:
                 exc.locate(t, model.season(t))
                 raise
-            update[i] = (model.F[i], model.H[i].T, K, *factor)
+            update[i] = (model.F[i].dot, model.H[i].T.dot, K.dot, *factor)
             consts[t - 1] = _loglik_const(factor, m)
             Omegas[t - 1] = Omega
             Ks[t - 1] = K
@@ -394,15 +399,15 @@ def filter_series(model, y, engine: str = "kalman",
                 sigmas[t - 1] = Sigma
             if eng.settled:
                 settled_at = t
-        F, HT, K, c, lower = update[i]
+        F_dot, HT_dot, K_dot, c, lower = update[i]
         xhats[t - 1] = x
-        e = y2[t - 1] - HT @ x
+        e = yt - HT_dot(x)
         innovations[t - 1] = e
         w, info = _potrs(c, e, lower)                   # Omega_t^{-1} e_t
-        ew = e @ w
-        if info or not math.isfinite(ew):
+        ew = e.dot(w)
+        if info or not isfinite(ew):
             _check_solve(info, e, t, model.season(t))
-        x = F @ x + K @ w
+        x = F_dot(x) + K_dot(w)
         ews[t - 1] = ew
     xhats[n] = x
     if settled_at is not None:

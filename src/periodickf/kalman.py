@@ -56,20 +56,23 @@ def _covariance_update(model: PeriodicModel, Sigma: np.ndarray, t: int):
     """One PRDE step. Returns (Omega, K, factor, Sigma_next), where
     ``factor`` is the gated Cholesky factor of Omega (``spd_factor``).
 
-    The arithmetic is bare numpy operators and one ``potrs`` solve
-    (``linalg._solve``) in the expression order of the metered helpers
-    in :mod:`periodickf.linalg`, so bitwise their results; the step
-    charges the active counter once with what those helpers would
-    charge, besides the factorization ``spd_factor`` charges."""
+    The arithmetic is numpy's elementwise operators, products through
+    the operands' bound ``ndarray.dot`` and one ``potrs`` solve
+    (``linalg._solve``), in the expression order of the metered helpers
+    in :mod:`periodickf.linalg`, so bitwise their results (see that
+    module for the one exception, a zero product of one-element
+    operands); the step charges the active counter once with what those
+    helpers would charge, besides the factorization ``spd_factor``
+    charges."""
     F, G, H, Q, R = model.at(t)
     (r, m), d = H.shape, Q.shape[0]
-    U = Sigma @ H                                         # r x m
-    Omega = H.T @ U + R
+    U = Sigma.dot(H)                                      # r x m
+    Omega = H.T.dot(U) + R
     Omega = 0.5 * (Omega + Omega.T)
-    K = F @ U
+    K = F.dot(U)
     factor = spd_factor(Omega)
     KtilT = _solve(factor, K.T)                           # m x r
-    Sigma_next = (F @ Sigma) @ F.T - K @ KtilT + (G @ Q) @ G.T
+    Sigma_next = F.dot(Sigma).dot(F.T) - K.dot(KtilT) + G.dot(Q).dot(G.T)
     Sigma_next = 0.5 * (Sigma_next + Sigma_next.T)
     # Sigma H, Omega (product, add, symmetrize), F U, the solve,
     # F Sigma, G Q, the three products of Sigma_next, its subtract, add

@@ -5,13 +5,22 @@ The arithmetic helpers below (``matmul``, ``add``, ``sub``,
 counter on every call; they remain for the benchmark replay and the
 one-off solves.  The per-step code (the covariance steps in
 :mod:`periodickf.kalman` and :mod:`periodickf.chandrasekhar`, and the
-filter loop) evaluates the same expressions with bare numpy operators
-and charges what those helpers would charge in one sum, once per step
-(the filter loop once per call); ``spd_factor`` and ``sym_solve``,
-which it still calls, charge their own share.  So its results and
-counts are bitwise those of the helper-by-helper code.  Activating a
-counter only increments a tally, so numerical results are bitwise
-identical with metering on or off.
+filter loop) evaluates the same expressions with numpy's elementwise
+operators and makes every matrix product through the operand's bound
+``ndarray.dot``, which skips the ufunc dispatch of ``@`` (about half
+the cost of a product of these small operands).  It charges what the
+helpers would charge in one sum, once per step (the filter loop once
+per call); ``spd_factor`` and ``sym_solve``, which it still calls,
+charge their own share.  So its results and counts are bitwise those of
+the helper-by-helper code, with one exception: ``dot`` multiplies two
+one-element operands directly where ``@`` accumulates from +0.0, so
+such a product that is exactly zero may come out as -0.0 where ``@``
+gives 0.0.  Such a product reaches an output only when the state
+dimension r is 1: a season with F = 0, say, then gives gains of -0.0
+where ``@`` gave 0.0; the values compare equal.  ``tests/test_linalg.py``
+checks ``dot`` against ``@`` on every operand layout the per-step code
+uses.  Activating a counter only increments a tally, so numerical
+results are bitwise identical with metering on or off.
 
 The Cholesky helpers call LAPACK ``potrf``/``potrs`` directly (the
 double-precision routines ``scipy.linalg.cho_factor``/``cho_solve``
@@ -30,7 +39,8 @@ The step code solves through ``_solve``, which runs these checks only
 when ``potrs``'s status or a non-finite solution flags a problem.
 
 ``sym_solve`` calls ``sytrf``/``sytrs`` on the upper triangle, bitwise
-``scipy.linalg.solve(a, b, assume_a="sym")``, with that function's
+``scipy.linalg.solve(a, b, assume_a="sym")`` (with the optimal
+``sytrf`` workspace, queried once per order), with that function's
 checks written out: non-finite input raises ``ValueError``, a singular
 ``a`` (``sytrf`` ``info > 0``, or a zero 1 x 1 ``a``, which takes the
 scalar path ``b / a``) raises ``LinAlgError``, and a reciprocal
@@ -59,6 +69,7 @@ import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.linalg
@@ -79,6 +90,14 @@ PD_RTOL = 1e-12
     ("potrf", "potrs", "sytrf", "sytrf_lwork", "sytrs", "sycon", "lange"),
     dtype=np.float64)
 _EPS = float(np.finfo(np.float64).eps)
+
+
+@cache
+def _sytrf_optimal_lwork(n: int) -> int:
+    """``sytrf``'s optimal workspace for order n (upper triangle).  It
+    depends on n alone, so each order is queried once; the cache holds
+    one integer per order used."""
+    return int(_sytrf_lwork(n, lower=0)[0])
 
 
 @dataclass
@@ -226,8 +245,7 @@ def sym_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     else:
         # with the optimal workspace, as scipy: above the block size a
         # smaller one changes the factorization's rounding
-        lu, ipiv, info = _sytrf(a, lower=0,
-                                lwork=int(_sytrf_lwork(n, lower=0)[0]))
+        lu, ipiv, info = _sytrf(a, lower=0, lwork=_sytrf_optimal_lwork(n))
         if info > 0:
             raise LinAlgError("A singular matrix detected: sytrf found "
                               f"D({info},{info}) exactly zero.")

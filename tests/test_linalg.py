@@ -4,7 +4,9 @@
 directly, and ``sym_solve`` calls ``sytrf``/``sytrs``; their results
 must be bitwise those of ``scipy.linalg.cho_factor(lower=True)``,
 ``cho_solve`` and ``solve(assume_a="sym")``, and every check those
-wrappers made must still raise.
+wrappers made must still raise.  The per-step code makes its products
+through bound ``ndarray.dot``, which must match ``@`` bitwise on every
+operand layout it uses.
 """
 
 import warnings
@@ -15,8 +17,8 @@ import scipy.linalg
 
 import periodickf.linalg as linalg_module
 from periodickf import OmegaNotPD, count_flops
-from periodickf.linalg import (factor_logdet, factor_solve, spd_factor,
-                               sym_solve)
+from periodickf.linalg import (_solve, factor_logdet, factor_solve,
+                               spd_factor, sym_solve)
 
 
 def random_spd(rng, m: int) -> np.ndarray:
@@ -170,6 +172,29 @@ def test_sym_solve_bitwise_equal_to_scipy(n):
                 assert got.flags.c_contiguous == want.flags.c_contiguous
 
 
+def test_sym_solve_queries_the_workspace_once_per_order(monkeypatch):
+    queried = []
+
+    def counting_lwork(n, lower):
+        queried.append(n)
+        return real_lwork(n, lower=lower)
+
+    real_lwork = linalg_module._sytrf_lwork
+    monkeypatch.setattr(linalg_module, "_sytrf_lwork", counting_lwork)
+    linalg_module._sytrf_optimal_lwork.cache_clear()
+    try:
+        rng = np.random.default_rng(11)
+        for n in (3, 96, 3, 96, 3):
+            a = random_symmetric(rng, n)
+            b = rng.normal(size=n)
+            got = sym_solve(a, b)
+            assert got.tobytes() == scipy.linalg.solve(
+                a, b, assume_a="sym").tobytes()
+    finally:
+        linalg_module._sytrf_optimal_lwork.cache_clear()
+    assert queried == [3, 96]
+
+
 def test_sym_solve_charges_per_call():
     for n, b in ((1, np.ones(1)), (1, np.ones((1, 3))), (4, np.ones(4))):
         with count_flops() as c:
@@ -219,3 +244,63 @@ def test_sym_solve_non_finite_input_raises_value_error(bad, n):
             scipy.linalg.solve(*args, assume_a="sym")
         with pytest.raises(ValueError, match="infs or NaNs"):
             sym_solve(*args)
+
+
+def kernel_products(rng, r: int, m: int, a: int, draw):
+    """The (left, right) operands of every product the per-step code
+    makes through ``ndarray.dot``, by site, laid out as that code lays
+    them out: C-contiguous model matrices and results, transposed views
+    (``H.T``, ``Y.T``, ``U.T``, ``F.T``, ``G.T``), a (1, r) row for
+    ``H.T`` at m = 1, single-column ``K`` and ``U`` at m = 1, and the
+    ``potrs`` solutions ``B`` and ``Omega^{-1} K'``.  ``draw(shape)``
+    makes the entries."""
+    F, H, Sigma, Y, M = (draw((r, r)), draw((r, m)), draw((r, r)),
+                         draw((r, a)), draw((a, a)))
+    G, Q, K, x, w, e = (draw((r, 3)), draw((3, 3)), draw((r, m)), draw(r),
+                        draw(m), draw(m))
+    factor = spd_factor(random_spd(rng, m))
+    U = Y.T.dot(H)
+    T = M.dot(U)
+    B = _solve(factor, U.T)
+    return {
+        # filtering.filter_series: the state update and e' w
+        "H.T x": (H.T, x), "F x": (F, x), "K w": (K, w), "e w": (e, w),
+        # chandrasekhar._step
+        "Y.T H": (Y.T, H), "M U": (M, U), "Y T": (Y, T),
+        "U.T T": (U.T, T), "F (Y T)": (F, Y.dot(T)), "F Y": (F, Y),
+        "K B": (K, B), "U B": (U, B),
+        "T (Omega^-1 T.T)": (T, _solve(factor, T.T)),
+        # kalman._covariance_update
+        "Sigma H": (Sigma, H), "H.T U": (H.T, Sigma.dot(H)),
+        "F U": (F, Sigma.dot(H)), "F Sigma": (F, Sigma),
+        "(F Sigma) F.T": (F.dot(Sigma), F.T),
+        "K (Omega^-1 K.T)": (K, _solve(factor, K.T)), "G Q": (G, Q),
+        "(G Q) G.T": (G.dot(Q), G.T),
+    }
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 24, 48, 128])
+def test_dot_is_bitwise_matmul_on_kernel_layouts(r, m):
+    rng = np.random.default_rng(300 + 10 * r + m)
+
+    def nonzero(shape):
+        return rng.normal(size=shape)
+
+    def with_zeros(shape):
+        v = rng.normal(size=shape)
+        v[rng.random(size=shape) < 0.3] = 0.0
+        return v
+
+    for a in sorted({1, 2, 8, r}):
+        for draw in (nonzero, with_zeros):
+            for name, (x, y) in kernel_products(rng, r, m, a, draw).items():
+                got, want = x.dot(y), x @ y
+                layout = (f"{name}: {x.shape} {x.strides} . {y.shape} "
+                          f"{y.strides}, {draw.__name__}")
+                assert np.array_equal(got, want), layout
+                # the one exception: an exactly zero product of two
+                # one-element operands, which dot returns as multiplied
+                # and @ adds to +0.0
+                if draw is nonzero or x.size > 1 or y.size > 1:
+                    assert got.tobytes() == want.tobytes(), layout

@@ -70,6 +70,25 @@ class TestSettling:
         assert_bitwise_equal(out, unfrozen_filter(model, y,
                                                   sigma_trace=True))
 
+    def test_minv_takes_singular_values_once_per_state(self, monkeypatch):
+        # the settle test after step t and the invertibility gate at the
+        # start of step t + 1 read the same N; on this round the settle
+        # test runs on dozens of steps before it passes
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        rd = benchmark_round("estimate-m2", 1, 0)
+        out = filter_series(rd.model, rd.y, engine="chand-minv")
+        # M before its inversion, the N entering each step, and the N the
+        # last step made
+        assert out.settled_at is not None
+        assert len(calls) == out.settled_at + 2
+
 
 def _scaled_to_radius(F: list, radius: float) -> list:
     # scaling every F_s by c scales the monodromy radius by c**S exactly

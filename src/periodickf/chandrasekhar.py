@@ -33,7 +33,8 @@ lemma, giving the inverse-form variant (``step_minv``) that propagates
 
 paired with the updated-gain Y propagation.  (The current-gain Y update
 does not pair with this recursion: the product Y M Y' then stops
-tracking the increment.)
+tracking the increment.)  The update subtracts, but each step still
+makes one symmetric indefinite alpha x alpha solve, for ``M Y'H``.
 
 Three ways to factor the initial increment are provided, two of them
 exact closed forms for a filter started from the periodic stationary
@@ -140,9 +141,7 @@ class ChandrasekharState:
 
     def factor_pair(self) -> tuple[np.ndarray, np.ndarray]:
         """(Y_t, M_t) with M resolved to the middle factor itself."""
-        if not self.m_is_inverse:
-            return self.Y, self.M
-        if self.alpha == 0:
+        if not self.m_is_inverse or self.alpha == 0:
             return self.Y, self.M
         M = sym_solve(self.M, np.eye(self.alpha))
         return self.Y, 0.5 * (M + M.T)
@@ -177,13 +176,8 @@ def build_prelude(model, Sigma1) -> Prelude:
                    factors=factors)
 
 
-def _factor_residual(Y1: np.ndarray, M1: np.ndarray,
-                     delta: np.ndarray) -> float:
-    return rel_err(Y1 @ M1 @ Y1.T, delta)
-
-
 def _require_residual(Y1, M1, delta, method: str) -> None:
-    residual = _factor_residual(Y1, M1, delta)
+    residual = rel_err(Y1 @ M1 @ Y1.T, delta)
     if residual > FACTOR_RESIDUAL_TOL:
         raise ResidualTooLarge(
             f"{method} start reproduces the first increment only to "
@@ -305,7 +299,7 @@ def chand_init(model, factorization: Factorization,
 
 
 def to_inverse_state(state: ChandrasekharState) -> ChandrasekharState:
-    """Replace M by its inverse so the subtraction-only recursion
+    """Replace M by its inverse so the inverse-form recursion
     (:func:`step_minv`) can run.  Raises :class:`MSingular` when M fails
     the relative singular-value threshold."""
     if state.m_is_inverse:
@@ -413,7 +407,8 @@ def step_minv(model, state: ChandrasekharState) -> ChandrasekharState:
     The state's M field holds N = M^{-1}; the update is the subtraction
     ``N+ = N - Y'H Omega_{t+S}^{-1} H'Y`` paired with the updated-gain Y
     propagation (the pairing under which Y N^{-1} Y' keeps tracking the
-    increment).  Raises :class:`MSingular` when N drifts out of the
+    increment); ``M Y'H`` comes from one symmetric indefinite solve with
+    N.  Raises :class:`MSingular` when N drifts out of the
     invertibility threshold and :class:`OmegaNotPD` on a failed solve.
     """
     return _step(model, state, "inverse")

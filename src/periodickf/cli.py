@@ -12,6 +12,7 @@ Column layouts are documented in the README.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -100,38 +101,37 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _open_output(path):
+@contextlib.contextmanager
+def _output(path):
+    """Stdout, or the file at ``path`` opened for writing."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="") as stream:
+        yield stream
 
 
 def _write_csv(path, header, rows) -> None:
-    stream, needs_close = _open_output(path)
-    try:
+    with _output(path) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if needs_close:
-            stream.close()
+
+
+def _write_text(path, text: str) -> None:
+    with _output(path) as stream:
+        stream.write(text + "\n")
 
 
 def _load_state_space(path):
-    obj = load_model(path)
-    if isinstance(obj, ParModel):
-        problems = validate_par(obj)
-        if problems:
-            raise ModelFormatError("invalid PAR model: "
-                                   + "; ".join(problems))
-        return par_to_state_space(obj)
-    return obj
-
-
-def _require_valid(model) -> None:
+    """The valid state-space model in a model file of either schema."""
+    model = load_model(path)
+    if isinstance(model, ParModel):
+        model = par_to_state_space(model)
     problems = validate(model)
     if problems:
         raise ModelFormatError("invalid model: " + "; ".join(problems))
+    return model
 
 
 def cmd_validate(args) -> int:
@@ -152,7 +152,6 @@ def cmd_validate(args) -> int:
 
 def cmd_simulate(args) -> int:
     model = _load_state_space(args.model)
-    _require_valid(model)
     x, y = simulate(model, args.steps, seed=args.seed, start=args.start)
     # no time column: the output feeds straight back into `filter`
     header = [f"y{j + 1}" for j in range(model.m)]
@@ -206,7 +205,6 @@ def _step_deviation(a, b, t: int) -> float:
 
 def cmd_filter(args) -> int:
     model = _load_state_space(args.model)
-    _require_valid(model)
     y = _read_observations(args.data, model.m)
     out = filter_series(model, y, engine=args.engine, init=args.init,
                         sigma_trace=args.sigma_trace)
@@ -243,7 +241,6 @@ def cmd_filter(args) -> int:
 
 def cmd_dple(args) -> int:
     model = _load_state_space(args.model)
-    _require_valid(model)
     W = solve_dple(model)
     Phi = monodromy(model)
 
@@ -321,7 +318,6 @@ def cmd_bench(args) -> int:
         model = par_to_state_space(random_stationary_par(S, p, seed))
     else:
         model = _load_state_space(args.model)
-        _require_valid(model)
     report = bench_mod.count_costs(model, args.periods, engines)
     if args.format == "csv":
         header, rows = bench_mod.cost_report_rows(report)
@@ -329,15 +325,6 @@ def cmd_bench(args) -> int:
     else:
         _write_text(args.output, bench_mod.format_cost_table(report))
     return 0
-
-
-def _write_text(path, text: str) -> None:
-    stream, needs_close = _open_output(path)
-    try:
-        stream.write(text + "\n")
-    finally:
-        if needs_close:
-            stream.close()
 
 
 _HANDLERS = {

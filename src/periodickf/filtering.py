@@ -130,19 +130,21 @@ class FilterOutput:
     settled_at: int | None = None
 
 
-def _check_sigma1(Sigma1: np.ndarray, r: int) -> np.ndarray:
+def _check_sigma1(Sigma1: np.ndarray, r: int, name: str) -> np.ndarray:
+    """``Sigma1`` checked and symmetrized; messages call it ``name``."""
     Sigma1 = np.asarray(Sigma1, dtype=float)
     if Sigma1.shape != (r, r):
-        raise ValueError(f"Sigma1 must be {r}x{r}")
+        raise ValueError(f"{name} must be {r}x{r}")
     if not np.all(np.isfinite(Sigma1)):
-        raise ValueError("Sigma1 is not finite")
+        raise ValueError(f"{name} is not finite")
     norm = float(np.linalg.norm(Sigma1))
     if float(np.linalg.norm(Sigma1 - Sigma1.T)) > SIGMA_SYM_RTOL * max(norm, 1e-300):
-        raise ValueError("Sigma1 is not symmetric")
-    w = np.linalg.eigvalsh(0.5 * (Sigma1 + Sigma1.T))
+        raise ValueError(f"{name} is not symmetric")
+    sym = 0.5 * (Sigma1 + Sigma1.T)
+    w = np.linalg.eigvalsh(sym)
     if w.size and w[0] < -SIGMA_EIG_FLOOR_RTOL * max(float(np.max(np.abs(w))), 1e-300):
-        raise ValueError("Sigma1 is not positive semidefinite")
-    return 0.5 * (Sigma1 + Sigma1.T)
+        raise ValueError(f"{name} is not positive semidefinite")
+    return sym
 
 
 def _initial_conditions(model, init: str, xhat1, Sigma1):
@@ -156,12 +158,13 @@ def _initial_conditions(model, init: str, xhat1, Sigma1):
         x = np.asarray(xhat1, dtype=float)
         if x.size != model.r or not np.all(np.isfinite(x)):
             raise ValueError(f"xhat1 must be {model.r} finite values")
-        return x.reshape(model.r), _check_sigma1(Sigma1, model.r), None
+        return (x.reshape(model.r), _check_sigma1(Sigma1, model.r, "Sigma1"),
+                None)
     x = np.zeros(model.r)
     # zero-state takes the model's W1, falling back to the stationary
     # covariance when none is stored.
     if init == "zero-state" and model.W1 is not None:
-        return x, _check_sigma1(model.W1, model.r), None
+        return x, _check_sigma1(model.W1, model.r, "W1"), None
     W = solve_dple(model)
     return x, W[0], W
 
@@ -257,9 +260,8 @@ class _ChandEngine:
         Sigma = None
         if self.acc is not None:
             Sigma = self.acc[i]
-            if self.state.alpha > 0:
-                Y, M = self.state.factor_pair()
-                self.acc[i] = Sigma + Y @ M @ Y.T
+            if self.state.alpha > 0:    # adding zeros turns -0.0 to 0.0
+                self.acc[i] = Sigma + self.state.increment()
         self.state = self.step_fn(self.model, self.state)
         K_next, Omega_next = self.state.ring[i]
         if (self.acc is None and _same_bits(Omega_next, Omega)

@@ -223,7 +223,7 @@ def _solve(factor, b: np.ndarray) -> np.ndarray:
 
 def factor_logdet(factor) -> float:
     """Return ``log det a`` given ``factor = spd_factor(a)``."""
-    return 2.0 * float(np.sum(np.log(factor[0].diagonal())))
+    return 2.0 * float(np.log(factor[0].diagonal()).sum())
 
 
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -316,9 +316,6 @@ def random_stationary_par(S: int, p: int, seed: int) -> ParModel:
 
 # --- JSON serialization -----------------------------------------------------
 
-_MODEL_KEYS = ("S", "r", "m", "d", "F", "G", "H", "Q", "R")
-
-
 def _int_field(data: dict, key: str) -> int:
     if key not in data:
         raise ModelFormatError(f"missing field {key!r}")

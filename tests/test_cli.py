@@ -318,6 +318,32 @@ class TestBench:
         assert main(["bench", "--par", "2", "3", "7", "--periods", "0"]) == 2
 
 
+class TestInvalidPar:
+    VIOLATION = "sigma2[2] must be positive"
+
+    @pytest.fixture
+    def par_file(self, tmp_path):
+        path = tmp_path / "par.json"
+        path.write_text(json.dumps({"S": 2, "p": 1, "phi": [[0.5], [0.3]],
+                                    "sigma2": [1, -1]}))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["simulate", "filter", "dple",
+                                         "bench"])
+    def test_loaders_exit_two(self, command, par_file, tmp_path, capsys):
+        extra = {"simulate": ["-n", "3"],
+                 "filter": [write_obs(tmp_path, np.zeros((3, 1)))]}
+        assert main([command, par_file, *extra.get(command, [])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: invalid PAR model: {self.VIOLATION}")
+
+    def test_validate_lists_violation(self, par_file, capsys):
+        assert main(["validate", par_file]) == 1
+        assert capsys.readouterr().out.startswith(self.VIOLATION)
+
+
 class TestEntryPoints:
     def test_module_help(self):
         proc = subprocess.run([sys.executable, "-m", "periodickf", "--help"],

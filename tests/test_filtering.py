@@ -212,6 +212,28 @@ class TestInits:
             filter_series(model, y, init="explicit", xhat1=x1,
                           Sigma1=-np.eye(2))
 
+    BAD_STARTS = [
+        pytest.param(np.eye(3), "must be 2x2", id="shape"),
+        pytest.param(np.array([[1.0, 0.5], [0.0, 1.0]]), "is not symmetric",
+                     id="asymmetry"),
+        pytest.param(-np.eye(2), "is not positive semidefinite",
+                     id="indefiniteness")]
+
+    @pytest.mark.parametrize("bad, problem", BAD_STARTS)
+    def test_bad_stored_w1_is_named(self, bad, problem):
+        model, y = simulated(88, n=5, r=2)
+        model.W1 = bad
+        with pytest.raises(ValueError, match=f"^W1 {problem}$"):
+            filter_series(model, y, init="zero-state")
+
+    @pytest.mark.parametrize("bad, problem", BAD_STARTS)
+    def test_bad_explicit_sigma1_is_named(self, bad, problem):
+        model, y = simulated(88, n=5, r=2)
+        model.W1 = np.eye(2)
+        with pytest.raises(ValueError, match=f"^Sigma1 {problem}$"):
+            filter_series(model, y, init="explicit", xhat1=np.zeros(2),
+                          Sigma1=bad)
+
     @pytest.mark.parametrize("engine", ENGINES)
     def test_explicit_rejects_bad_start_before_any_engine(
             self, engine, monkeypatch):

@@ -50,6 +50,16 @@ def test_bitwise_equal_to_scipy(m):
             assert got.tobytes() == ref.tobytes(), name
 
 
+def test_logdet_bitwise_equal_to_np_sum():
+    rng = np.random.default_rng(11)
+    for m in range(1, 25):
+        for _ in range(20):
+            factor = spd_factor(random_spd(rng, m))
+            want = 2.0 * float(np.sum(np.log(factor[0].diagonal())))
+            assert np.float64(factor_logdet(factor)).tobytes() \
+                == np.float64(want).tobytes()
+
+
 @pytest.mark.parametrize("m", [1, 3])
 def test_upper_factor_is_honoured(m):
     rng = np.random.default_rng(7)

@@ -1,0 +1,49 @@
+"""Source hygiene: no private module-level name in ``src/periodickf`` is
+left defined but unread."""
+
+import ast
+
+from conftest import ROOT
+
+PACKAGE = ROOT / "src" / "periodickf"
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_definitions(tree: ast.Module):
+    """Module-level private functions, classes and assigned names."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if _is_private(name))
+
+
+def _reads(tree: ast.Module):
+    """Names loaded, attributes read and names imported."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_private_module_name_is_read():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    read = {name for tree in trees.values() for name in _reads(tree)}
+    unread = [f"{module}: {name}" for module, tree in trees.items()
+              for name in _private_definitions(tree) if name not in read]
+    assert unread == []

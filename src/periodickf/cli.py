@@ -25,8 +25,7 @@ from .filtering import ENGINES, filter_series
 from .kalman import monodromy, period_noise, solve_dple
 from .linalg import rel_err, spectral_radius
 from .model import (ModelFormatError, ParModel, load_model,
-                    par_to_state_space, random_stationary_par, simulate,
-                    validate, validate_par)
+                    par_to_state_space, simulate, validate, validate_par)
 
 
 def _nonneg_int(text: str) -> int:
@@ -127,7 +126,7 @@ def _load_state_space(path):
     """The valid state-space model in a model file of either schema."""
     model = load_model(path)
     if isinstance(model, ParModel):
-        model = par_to_state_space(model)
+        return par_to_state_space(model)
     problems = validate(model)
     if problems:
         raise ModelFormatError("invalid model: " + "; ".join(problems))
@@ -136,12 +135,7 @@ def _load_state_space(path):
 
 def cmd_validate(args) -> int:
     obj = load_model(args.model)
-    if isinstance(obj, ParModel):
-        problems = validate_par(obj)
-        if not problems:
-            problems = validate(par_to_state_space(obj))
-    else:
-        problems = validate(obj)
+    problems = (validate_par if isinstance(obj, ParModel) else validate)(obj)
     for line in problems:
         print(line)
     if problems:
@@ -171,7 +165,7 @@ def _read_observations(path, m: int) -> np.ndarray:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         raw = [(reader.line_num, row) for row in reader if row]
-    if raw and not _is_numeric_row(raw[0][1]):
+    if raw and _non_numeric_column(raw[0][1]):
         raw = raw[1:]  # header row
     if not raw:
         return np.zeros((0, m))
@@ -180,20 +174,22 @@ def _read_observations(path, m: int) -> np.ndarray:
             raise ModelFormatError(
                 f"{path}: row {line} has {len(row)} observation column(s), "
                 f"expected {m}")
-    try:
-        return np.array([[float(cell) for cell in row] for _, row in raw])
-    except ValueError:
-        raise ModelFormatError(f"{path}: non-numeric observation data") \
-            from None
+        col = _non_numeric_column(row)
+        if col:
+            raise ModelFormatError(
+                f"{path}: row {line}, column {col}: non-numeric observation "
+                f"{row[col - 1]!r}")
+    return np.array([[float(cell) for cell in row] for _, row in raw])
 
 
-def _is_numeric_row(row) -> bool:
-    try:
-        for cell in row:
+def _non_numeric_column(row) -> int:
+    """1-based column of the first cell that is not a number, else 0."""
+    for col, cell in enumerate(row, start=1):
+        try:
             float(cell)
-    except ValueError:
-        return False
-    return True
+        except ValueError:
+            return col
+    return 0
 
 
 def _step_deviation(a, b, t: int) -> float:
@@ -301,29 +297,24 @@ def cmd_bench(args) -> int:
                                    "integers") from None
         if not r_values or min(r_values) < 1:
             raise ModelFormatError("--r-sweep needs positive integers")
-        table = bench_mod.scaling_table(bench_mod.par_family(S, seed),
-                                        r_values, engines=engines,
-                                        n_periods=args.periods)
-        if args.format == "csv":
-            header, rows = bench_mod.scaling_table_rows(table)
-            _write_csv(args.output, header, rows)
+        result = bench_mod.scaling_table(bench_mod.par_family(S, seed),
+                                         r_values, engines=engines,
+                                         n_periods=args.periods)
+        to_rows = bench_mod.scaling_table_rows
+        to_text = bench_mod.format_scaling_table
+    else:
+        if args.par is not None:
+            S, p, seed = args.par
+            model = bench_mod.par_family(S, seed)(p)
         else:
-            _write_text(args.output, bench_mod.format_scaling_table(table))
-        return 0
-
-    if args.par is not None:
-        S, p, seed = args.par
-        if S < 1 or p < 1:
-            raise ModelFormatError("--par needs positive S and P")
-        model = par_to_state_space(random_stationary_par(S, p, seed))
-    else:
-        model = _load_state_space(args.model)
-    report = bench_mod.count_costs(model, args.periods, engines)
+            model = _load_state_space(args.model)
+        result = bench_mod.count_costs(model, args.periods, engines)
+        to_rows = bench_mod.cost_report_rows
+        to_text = bench_mod.format_cost_table
     if args.format == "csv":
-        header, rows = bench_mod.cost_report_rows(report)
-        _write_csv(args.output, header, rows)
+        _write_csv(args.output, *to_rows(result))
     else:
-        _write_text(args.output, bench_mod.format_cost_table(report))
+        _write_text(args.output, to_text(result))
     return 0
 
 

@@ -104,9 +104,6 @@ def _sytrf_optimal_lwork(n: int) -> int:
 class FlopCounter:
     flops: int = 0
 
-    def charge(self, n: int) -> None:
-        self.flops += n
-
 
 _ACTIVE: ContextVar[FlopCounter | None] = ContextVar("periodickf_flops",
                                                      default=None)

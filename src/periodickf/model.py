@@ -88,14 +88,17 @@ class ModelFormatError(ValueError):
     """A model file / dict could not be decoded into a model object."""
 
 
-def _as_matrix(entry):
-    try:
-        arr = np.asarray(entry, dtype=float)
-    except (TypeError, ValueError):
-        return None
-    if arr.ndim != 2:
-        return None
-    return arr
+def _plain(val) -> str:
+    """``repr`` of a value, with a numpy scalar shown as the Python one."""
+    return repr(val.item() if isinstance(val, np.generic) else val)
+
+
+def _dim_violations(**dims) -> list[str]:
+    """One message per dimension that is not a positive integer."""
+    return [f"{name} must be a positive integer, got {_plain(val)}"
+            for name, val in dims.items()
+            if isinstance(val, bool) or not isinstance(val, (int, np.integer))
+            or val < 1]
 
 
 def _sym_psd_violations(arr: np.ndarray, label: str) -> list[str]:
@@ -113,6 +116,21 @@ def _sym_psd_violations(arr: np.ndarray, label: str) -> list[str]:
     return out
 
 
+def _matrix_violations(entry, label: str, shape: tuple[int, int],
+                       covariance: bool) -> list[str]:
+    """Shape and finiteness of one matrix; symmetric PSD too when it is a
+    covariance."""
+    try:
+        arr = np.asarray(entry, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != shape:
+        return [f"{label} must be a {shape[0]}x{shape[1]} matrix"]
+    if not np.all(np.isfinite(arr)):
+        return [f"{label} has non-finite entries"]
+    return _sym_psd_violations(arr, label) if covariance else []
+
+
 def validate(model: PeriodicModel) -> list[str]:
     """Check a model against its structural contract.
 
@@ -125,17 +143,10 @@ def validate(model: PeriodicModel) -> list[str]:
     present) symmetric within 1e-12 of their norm with no eigenvalue
     below -1e-10 times their spectral norm.
     """
-    violations: list[str] = []
-    dims_ok = True
-    for name in ("S", "r", "m", "d"):
-        val = getattr(model, name, None)
-        if isinstance(val, bool) or not isinstance(val, (int, np.integer)) or val < 1:
-            violations.append(f"{name} must be a positive integer, got {val!r}")
-            dims_ok = False
-    if not dims_ok:
-        return violations
-
     S, r, m, d = model.S, model.r, model.m, model.d
+    violations = _dim_violations(S=S, r=r, m=m, d=d)
+    if violations:
+        return violations
     shapes = {"F": (r, r), "G": (r, d), "H": (r, m), "Q": (d, d), "R": (m, m)}
     for name, shape in shapes.items():
         seq = getattr(model, name, None)
@@ -148,36 +159,17 @@ def validate(model: PeriodicModel) -> list[str]:
             violations.append(f"{name} has {count} entries, expected S={S}")
             continue
         for s in range(1, S + 1):
-            arr = _as_matrix(seq[s - 1])
-            if arr is None or arr.shape != shape:
-                violations.append(
-                    f"{name}[{s}] must be a {shape[0]}x{shape[1]} matrix")
-                continue
-            if not np.all(np.isfinite(arr)):
-                violations.append(f"{name}[{s}] has non-finite entries")
-                continue
-            if name in ("Q", "R"):
-                violations.extend(_sym_psd_violations(arr, f"{name}[{s}]"))
-
+            violations.extend(_matrix_violations(
+                seq[s - 1], f"{name}[{s}]", shape, name in ("Q", "R")))
     if model.W1 is not None:
-        arr = _as_matrix(model.W1)
-        if arr is None or arr.shape != (r, r):
-            violations.append(f"W1 must be a {r}x{r} matrix")
-        elif not np.all(np.isfinite(arr)):
-            violations.append("W1 has non-finite entries")
-        else:
-            violations.extend(_sym_psd_violations(arr, "W1"))
+        violations.extend(_matrix_violations(model.W1, "W1", (r, r), True))
     return violations
 
 
 def validate_par(par: ParModel) -> list[str]:
     """Structural check for a PAR model; same total-function contract as
     :func:`validate`."""
-    violations: list[str] = []
-    for name in ("S", "p"):
-        val = getattr(par, name, None)
-        if isinstance(val, bool) or not isinstance(val, (int, np.integer)) or val < 1:
-            violations.append(f"{name} must be a positive integer, got {val!r}")
+    violations = _dim_violations(S=par.S, p=par.p)
     if violations:
         return violations
     try:
@@ -198,8 +190,13 @@ def validate_par(par: ParModel) -> list[str]:
         for s in range(1, par.S + 1):
             if not np.isfinite(sigma2[s - 1]) or sigma2[s - 1] <= 0.0:
                 violations.append(f"sigma2[{s}] must be positive, "
-                                  f"got {sigma2[s - 1]!r}")
+                                  f"got {_plain(sigma2[s - 1])}")
     return violations
+
+
+def _require_valid_par(problems: list[str]) -> None:
+    if problems:
+        raise ValueError("invalid PAR model: " + "; ".join(problems))
 
 
 def _companion(coeffs: np.ndarray) -> np.ndarray:
@@ -224,9 +221,7 @@ def par_to_state_space(par: ParModel) -> PeriodicModel:
     coefficients (and innovation variance) of season s+1 (cyclically)
     are assigned to F and Q at season s.
     """
-    problems = validate_par(par)
-    if problems:
-        raise ValueError("invalid PAR model: " + "; ".join(problems))
+    _require_valid_par(validate_par(par))
     S, p = par.S, par.p
     phi = np.asarray(par.phi, dtype=float).reshape(S, p)
     sigma2 = np.asarray(par.sigma2, dtype=float).reshape(-1)
@@ -297,10 +292,12 @@ def random_stationary_par(S: int, p: int, seed: int) -> ParModel:
 
     Coefficients are drawn once and shrunk geometrically until the
     radius condition holds, so the result is deterministic per seed.
+    S and p must be positive integers (``ValueError`` otherwise).
     """
     from .kalman import monodromy
     from .linalg import spectral_radius
 
+    _require_valid_par(_dim_violations(S=S, p=p))
     rng = np.random.default_rng(seed)
     phi = rng.uniform(-1.0, 1.0, (S, p)) * (0.5 ** np.arange(1, p + 1))
     sigma2 = rng.uniform(0.5, 1.5, S)

@@ -54,6 +54,24 @@ class TestValidate:
         path.write_text(json.dumps(par_to_dict(par)))
         assert main(["validate", str(path)]) == 0
 
+    def test_par_checked_once(self, tmp_path, monkeypatch):
+        import periodickf.cli
+        import periodickf.model
+        path = tmp_path / "par.json"
+        path.write_text(json.dumps(par_to_dict(
+            random_stationary_par(S=2, p=2, seed=1))))
+        calls = []
+        original = periodickf.model.validate_par
+
+        def counting(par):
+            calls.append(par)
+            return original(par)
+
+        monkeypatch.setattr(periodickf.model, "validate_par", counting)
+        monkeypatch.setattr(periodickf.cli, "validate_par", counting)
+        assert main(["validate", str(path)]) == 0
+        assert len(calls) == 1
+
     def test_violations_listed(self, tmp_path, capsys):
         model = random_stationary_model(111, r=2, S=2, m=1)
         model.Q[1] = -np.eye(2)
@@ -200,6 +218,14 @@ class TestFilter:
         data.write_text("y1\n1.0\nbroken\n")
         assert main(["filter", path, str(data)]) == 2
 
+    def test_non_numeric_cell_is_located(self, model_file, tmp_path, capsys):
+        _, path = model_file
+        data = tmp_path / "y.csv"
+        data.write_text("1.0\n2.x\n")
+        assert main(["filter", path, str(data)]) == 2
+        err = capsys.readouterr().err
+        assert "row 2, column 1" in err and "'2.x'" in err
+
     def test_nonstationary_model_exits_one(self, tmp_path, capsys):
         model = random_stationary_model(112, r=2, S=2, m=1)
         model.F = [2.0 * f for f in model.F]
@@ -313,6 +339,17 @@ class TestBench:
                      "--r-sweep", "4,eight"]) == 2
         assert main(["bench", "--par", "2", "1", "7",
                      "--r-sweep", "0"]) == 2
+
+    @pytest.mark.parametrize("args, named", [
+        (["--par", "0", "2", "7"], "S must be a positive integer, got 0"),
+        (["--par", "2", "0", "7"], "p must be a positive integer, got 0"),
+        (["--par", "-1", "1", "7", "--r-sweep", "4"],
+         "S must be a positive integer, got -1"),
+    ])
+    def test_bad_par_dimension_is_named(self, args, named, capsys):
+        assert main(["bench", *args]) == 2
+        assert capsys.readouterr().err == \
+            f"error: invalid PAR model: {named}\n"
 
     def test_nonpositive_periods_is_usage_error(self):
         assert main(["bench", "--par", "2", "3", "7", "--periods", "0"]) == 2

@@ -78,6 +78,11 @@ class TestValidate:
         model.r = 0
         assert any("r" in v for v in validate(model))
 
+    def test_numpy_dimension_shown_plain(self):
+        model = random_stationary_model(9)
+        model.m = np.int64(0)
+        assert validate(model) == ["m must be a positive integer, got 0"]
+
     def test_w1_checked_when_present(self):
         model = random_stationary_model(10, r=2)
         model.W1 = np.ones((3, 3))
@@ -130,6 +135,11 @@ class TestParConversion:
         with pytest.raises(ValueError):
             par_to_state_space(par)
         assert any("sigma2" in v for v in validate_par(par))
+
+    def test_sigma2_shown_plain(self):
+        par = ParModel(S=2, p=1, phi=np.array([[0.5], [0.3]]),
+                       sigma2=np.array([1.0, -1.0]))
+        assert validate_par(par) == ["sigma2[2] must be positive, got -1.0"]
 
     def test_state_space_matches_difference_equation(self):
         # drive the PAR recursion and its state-space embedding with the
@@ -238,3 +248,7 @@ class TestRandomStationaryPar:
             par = random_stationary_par(S=4, p=2, seed=seed)
             ok, rho = is_periodically_stationary(par_to_state_space(par))
             assert ok and rho <= 0.9 + 1e-12
+
+    def test_rejects_nonpositive_dimension(self):
+        with pytest.raises(ValueError, match="S must be a positive integer"):
+            random_stationary_par(0, 2, 1)

@@ -1,11 +1,13 @@
 """Source hygiene: no private module-level name in ``src/periodickf`` is
-left defined but unread."""
+left defined but unread, and every class member there is read as an
+attribute somewhere in the project's Python files."""
 
 import ast
 
 from conftest import ROOT
 
 PACKAGE = ROOT / "src" / "periodickf"
+PYTHON_DIRS = [ROOT / name for name in ("src", "tests", "demos", "perfbench")]
 
 
 def _is_private(name: str) -> bool:
@@ -46,4 +48,36 @@ def test_every_private_module_name_is_read():
     read = {name for tree in trees.values() for name in _reads(tree)}
     unread = [f"{module}: {name}" for module, tree in trees.items()
               for name in _private_definitions(tree) if name not in read]
+    assert unread == []
+
+
+def _class_members(tree: ast.Module):
+    """(class, member) for each non-dunder method, property and annotated
+    field of every class."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+            elif isinstance(node, ast.AnnAssign) \
+                    and isinstance(node.target, ast.Name):
+                name = node.target.id
+            else:
+                continue
+            if not (name.startswith("__") and name.endswith("__")):
+                yield cls.name, name
+
+
+def test_every_class_member_is_read():
+    read = {node.attr
+            for folder in PYTHON_DIRS for path in folder.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.name}: {cls}.{name}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for cls, name in _class_members(
+                  ast.parse(path.read_text(encoding="utf-8")))
+              if name not in read]
     assert unread == []

@@ -49,6 +49,11 @@ state covariance W_1:
     with W_0 the stationary covariance entering season S (= W_S);
   * symmetric eigendecomposition of the increment itself, keeping the
     numerically nonzero eigenvalues (works for any start).
+
+The closed forms first check that the model is periodically stationary
+(:func:`periodickf.kalman.is_periodically_stationary`).  Within one
+``filter_series`` call the monodromy radius is computed once: the check
+reads the radius the Lyapunov solve of the same call already took.
 """
 
 from __future__ import annotations
@@ -57,7 +62,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import (MSingular, NotStationary, OmegaNotPD,
                          ResidualTooLarge, SingularLift)
@@ -199,15 +203,18 @@ def factor_gain_form(model, prelude: Prelude) -> Factorization:
             f"gain-form start needs a stationary model "
             f"(monodromy radius {rho:.9f})")
     S, r, m = model.S, model.r, model.m
-    blocks, inv_blocks = [], []
+    blocks = []
+    M1 = np.zeros((m * S, m * S))
     P = np.eye(r)
     for k in range(S):
         i = S - k - 1  # 0-based index of season S - k
         blocks.append(P @ prelude.K[i])
-        inv_blocks.append(factor_solve(prelude.factors[i], np.eye(m)))
-        P = P @ model.F[i]
+        b = slice(k * m, (k + 1) * m)
+        M1[b, b] = factor_solve(prelude.factors[i], np.eye(m))
+        if k < S - 1:
+            P = P @ model.F[i]
     Y1 = np.hstack(blocks)
-    M1 = -scipy.linalg.block_diag(*inv_blocks)
+    M1 = -M1        # off the blocks -0.0, as the negated block_diag gave
     M1 = 0.5 * (M1 + M1.T)
     _require_residual(Y1, M1, prelude.DeltaSigma1, "gain-form")
     return Factorization(Y1=Y1, M1=M1, alpha=m * S, method="gain-form")
@@ -311,11 +318,17 @@ def to_inverse_state(state: ChandrasekharState) -> ChandrasekharState:
     return replace(state, M=0.5 * (N + N.T), m_is_inverse=True)
 
 
-def _require_invertible(state: ChandrasekharState) -> None:
-    """Raise :class:`MSingular` unless the state's ``M`` field passes
-    the relative singular-value threshold."""
+def _m_invertible(state: ChandrasekharState) -> bool:
+    """Whether the state's ``M`` field passes the relative
+    singular-value threshold."""
     sv = state._m_singular_values
-    if sv[0] == 0.0 or sv[-1] <= M_SINGULAR_RTOL * sv[0]:
+    return not (sv[0] == 0.0 or sv[-1] <= M_SINGULAR_RTOL * sv[0])
+
+
+def _require_invertible(state: ChandrasekharState) -> None:
+    """Raise :class:`MSingular` unless :func:`_m_invertible`."""
+    if not _m_invertible(state):
+        sv = state._m_singular_values
         raise MSingular(
             f"middle factor has singular values in [{sv[-1]:.3e}, "
             f"{sv[0]:.3e}]; the inverse-form recursion cannot proceed")

@@ -165,8 +165,8 @@ def _read_observations(path, m: int) -> np.ndarray:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         raw = [(reader.line_num, row) for row in reader if row]
-    if raw and _non_numeric_column(raw[0][1]):
-        raw = raw[1:]  # header row
+    if raw and _is_header(raw[0][1]):
+        raw = raw[1:]
     if not raw:
         return np.zeros((0, m))
     for line, row in raw:
@@ -180,6 +180,17 @@ def _read_observations(path, m: int) -> np.ndarray:
                 f"{path}: row {line}, column {col}: non-numeric observation "
                 f"{row[col - 1]!r}")
     return np.array([[float(cell) for cell in row] for _, row in raw])
+
+
+_NUMBER_START = frozenset("0123456789+-.")
+
+
+def _is_header(row) -> bool:
+    """Whether a first csv row is a header: none of its cells parses as
+    a number or starts like one (a digit, sign or '.'), so a mistyped
+    first observation such as ``1.x`` is read, and reported, as data."""
+    return not any(cell.strip()[:1] in _NUMBER_START
+                   or not _non_numeric_column([cell]) for cell in row)
 
 
 def _non_numeric_column(row) -> int:

@@ -35,9 +35,10 @@ after a step once its ``(K_t, Omega_t, factor_t, Sigma_t)`` sequence
 has become exactly S-periodic.  ``kalman`` settles when the covariance
 it produced equals bitwise the one from S steps back (exact, since the
 PRDE map is deterministic); a low-rank engine when its ring has not
-changed bitwise for S steps and a bound on the next increment lies far
-below the last bit of every ring entry (a sufficient condition it
-enforces, stated in ``_ChandEngine``; never with a sigma trace).  From
+changed bitwise for S steps and the terms the current (Y, M) would add
+to each season's ring entry lie far below the last bit of every entry
+(a sufficient condition it enforces, stated in ``_ChandEngine``; never
+with a sigma trace).  From
 the next step on the loop stops calling ``step`` and runs the state
 update alone, with each season's gain and factor from the last period
 of steps; after the loop it copies that period's Omega, K, Sigma and
@@ -77,13 +78,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chandrasekhar import (auto_factorize, build_prelude, chand_init,
-                            step_alg31, step_alg32, step_minv,
+from .chandrasekhar import (_m_invertible, auto_factorize, build_prelude,
+                            chand_init, step_alg31, step_alg32, step_minv,
                             to_inverse_state)
 from .exceptions import (EngineInitFailed, MSingular, OmegaNotPD,
                          ResidualTooLarge)
 from .kalman import _covariance_update, solve_dple
-from .linalg import _charge, _potrs, factor_logdet, factor_solve, spd_factor
+from .linalg import (_charge, _potrs, _radius_per_call, _sym_solve,
+                     factor_logdet, factor_solve, spd_factor)
 
 # Engine registry: each low-rank engine name maps to its step function.
 LOWRANK_STEPS = {"chand31": step_alg31, "chand32": step_alg32,
@@ -96,9 +98,10 @@ INITS = ("zero-state", "stationary", "explicit")
 SIGMA_SYM_RTOL = 1e-10
 SIGMA_EIG_FLOOR_RTOL = 1e-8
 
-# A low-rank engine settles only once the bound on its next increment is
-# this far below every ring entry: 2^-54 (half a unit in the last place,
-# relative) times a margin of 2^-20 (see ``_ChandEngine``).
+# A low-rank engine settles only once every term its current (Y, M) would
+# add to a ring entry is this far below that entry: 2^-54 (half a unit
+# in the last place, relative) times a margin of 2^-20 (see
+# ``_ChandEngine``).
 SETTLE_MARGIN = 2.0 ** -74
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -213,22 +216,24 @@ class _ChandEngine:
     (a) the last S steps were quiet, so the next S steps return the S
         before them (each factor is a deterministic function of its
         Omega);
-    (b) the next step's increment terms are below the last bit of every
-        ring entry by a margin: with ``beta = norm(Y)^2 norm(M)``, every
-        season s has ``beta norm(H_s)^2 <= SETTLE_MARGIN * min |Omega_s|``
-        and ``beta norm(F_s) norm(H_s) <= SETTLE_MARGIN * min |K_s|``.
-        The minima are entrywise and the norms Frobenius, except that
-        ``chand-minv``, which holds N = M^{-1}, takes norm(M) as
-        1 / (smallest singular value of N).  The left sides bound every
-        entry of ``H'Y M Y'H`` and ``F Y M Y'H``, so an exact zero entry
-        of K or Omega requires a zero increment.
+    (b) the terms a step with the current (Y, M) would add to each ring
+        entry are below its last bit by a margin: for every season s,
+        with ``U_s = Y'H_s`` and ``T_s = M U_s``, entrywise
+        ``|U_s' T_s| <= SETTLE_MARGIN |Omega_s|`` and
+        ``|F_s Y T_s| <= SETTLE_MARGIN |K_s|``.  ``chand-minv``, which
+        holds N = M^{-1}, solves ``N T_s = U_s``, and is not settled
+        while N fails the ``M_SINGULAR_RTOL`` test (its next step then
+        raises ``MSingular``).  An exact zero entry of K or Omega thus
+        requires an exact zero term.
 
     (b) is the sufficient condition this engine enforces for the steps
     after those S, not a proof: Y and M keep moving, and (b) only leaves
     a margin of ``2**-20`` against the increment regrowing (an
-    oscillating or non-normal closed loop).  With a sigma trace the
-    engine never settles, because its accumulator keeps adding Y M Y'
-    every step.
+    oscillating or non-normal closed loop).  It is checked only once
+    (a) holds, on all seasons at once (``U`` and ``T`` for
+    ``[H_1 .. H_S]`` side by side), and charges no flops.  With a sigma
+    trace the engine never settles, because its accumulator keeps adding
+    Y M Y' every step.
     """
 
     def __init__(self, model, Sigma1, W, variant: str, trace: bool):
@@ -246,11 +251,7 @@ class _ChandEngine:
         self.state = state
         self.alpha = state.alpha
         self.acc = [s.copy() for s in prelude.Sigma] if trace else None
-        # per season: the factors bounding the entries an increment adds
-        # to Omega and to K, in units of norm(Y)^2 norm(M)
-        self.reach = [(np.linalg.norm(H) ** 2,
-                       np.linalg.norm(F) * np.linalg.norm(H))
-                      for F, H in zip(model.F, model.H)]
+        self.H_all = np.hstack(model.H)     # [H_1 .. H_S], for (b)
         self.quiet = 0              # consecutive quiet steps
         self.settled = False
 
@@ -274,22 +275,25 @@ class _ChandEngine:
 
     def _absorbed(self) -> bool:
         """Condition (b) on the current state."""
-        Y, M = self.state.Y, self.state.M
-        beta = float(np.linalg.norm(Y)) ** 2
-        if beta == 0.0:
+        state = self.state
+        if state.alpha == 0:
             return True
-        if self.state.m_is_inverse:     # M holds N: norm(M) = 1 / min sv(N)
-            # the same values the next step's invertibility gate reads
-            smallest = float(self.state._m_singular_values[-1])
-            if smallest == 0.0:
+        if state.m_is_inverse and not _m_invertible(state):
+            return False
+        U = state.Y.T.dot(self.H_all)       # [U_1 .. U_S]
+        # [T_1 .. T_S]; an N that passed the singular-value test is too
+        # well conditioned for the solve to warn
+        T = _sym_solve(state.M, U) if state.m_is_inverse else state.M.dot(U)
+        YT = state.Y.dot(T)
+        m = self.model.m
+        for s, ((K, Omega), F) in enumerate(zip(state.ring, self.model.F)):
+            cols = slice(s * m, (s + 1) * m)
+            if not ((np.abs(U[:, cols].T.dot(T[:, cols]))
+                     <= SETTLE_MARGIN * np.abs(Omega)).all()
+                    and (np.abs(F.dot(YT[:, cols]))
+                         <= SETTLE_MARGIN * np.abs(K)).all()):
                 return False
-            beta /= smallest
-        else:
-            beta *= float(np.linalg.norm(M))
-        return all(beta * to_omega <= SETTLE_MARGIN * np.min(np.abs(Omega))
-                   and beta * to_k <= SETTLE_MARGIN * np.min(np.abs(K))
-                   for (K, Omega), (to_omega, to_k)
-                   in zip(self.state.ring, self.reach))
+        return True
 
 
 def _make_engine(model, engine: str, Sigma1, W, trace: bool):
@@ -338,7 +342,9 @@ def filter_series(model, y, engine: str = "kalman",
         Y_{jS+s}'`` over j = 0..k-1.
 
     The stationary covariances are solved for at most once per call:
-    a low-rank engine reuses the solution the start computed.
+    a low-rank engine reuses the solution the start computed, and the
+    monodromy's eigenvalues are taken once per call (the closed-form
+    starts' stationarity check reads the radius the solve took).
 
     Once the engine reports that its gains are exactly S-periodic (see
     the module docstring), later steps repeat ``(K, Omega, factor,
@@ -365,8 +371,9 @@ def filter_series(model, y, engine: str = "kalman",
     """
     y2 = _coerce_observations(y, model.m)
     n = y2.shape[0]
-    x, Sigma1v, W = _initial_conditions(model, init, xhat1, Sigma1)
-    eng = _make_engine(model, engine, Sigma1v, W, sigma_trace)
+    with _radius_per_call():
+        x, Sigma1v, W = _initial_conditions(model, init, xhat1, Sigma1)
+        eng = _make_engine(model, engine, Sigma1v, W, sigma_trace)
 
     innovations = np.empty((n, model.m))
     Omegas = np.empty((n, model.m, model.m))

@@ -27,6 +27,11 @@ covariances solve the periodic Lyapunov equation
 solved here by Smith's doubling on the monodromy, O(r^3) per doubling,
 followed by the one-season propagation
 W_{s+1} = F_s W_s F_s' + G_s Q_s G_s'.
+
+Within one ``filter_series`` call the monodromy radius is computed once
+(``linalg.spectral_radius`` remembers it for the call), so
+:func:`solve_dple` and a later :func:`is_periodically_stationary` share
+one eigenvalue solve.
 """
 
 from __future__ import annotations

@@ -31,7 +31,9 @@ are made here:
 
 * a non-finite matrix or right-hand side raises ``ValueError``;
 * ``potrf`` reporting a non-positive leading minor (``info > 0``)
-  raises :class:`OmegaNotPD`, after the eigenvalue gate ``_pd_gate``;
+  raises :class:`OmegaNotPD`, after the eigenvalue gate ``_pd_gate``
+  (whose eigenvalues come from ``syevd`` called directly, bitwise
+  ``numpy.linalg.eigvalsh``);
 * LAPACK reporting an illegal argument (``info < 0``) raises
   ``ValueError``, as does a right-hand side of the wrong height.
 
@@ -85,10 +87,10 @@ PD_RTOL = 1e-12
 # The float64 LAPACK routines behind ``scipy.linalg.cho_factor`` and
 # ``cho_solve`` and behind ``scipy.linalg.solve(assume_a="sym")``,
 # called without their wrappers.
-(_potrf, _potrs, _sytrf, _sytrf_lwork, _sytrs, _sycon,
- _lange) = scipy.linalg.get_lapack_funcs(
-    ("potrf", "potrs", "sytrf", "sytrf_lwork", "sytrs", "sycon", "lange"),
-    dtype=np.float64)
+(_potrf, _potrs, _sytrf, _sytrf_lwork, _sytrs, _sycon, _lange, _syevd,
+ _syevd_lwork) = scipy.linalg.get_lapack_funcs(
+    ("potrf", "potrs", "sytrf", "sytrf_lwork", "sytrs", "sycon", "lange",
+     "syevd", "syevd_lwork"), dtype=np.float64)
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -98,6 +100,16 @@ def _sytrf_optimal_lwork(n: int) -> int:
     depends on n alone, so each order is queried once; the cache holds
     one integer per order used."""
     return int(_sytrf_lwork(n, lower=0)[0])
+
+
+@cache
+def _syevd_optimal_lwork(n: int) -> tuple[int, int]:
+    """``syevd``'s optimal workspaces (real, integer) for the eigenvalues
+    alone of order n, from the lower triangle; queried once per order,
+    as ``numpy.linalg.eigvalsh`` queries them on every call.  Above the
+    block size the default workspace changes the rounding."""
+    work, iwork, _ = _syevd_lwork(n, compute_v=0, lower=1)
+    return int(work), int(iwork)
 
 
 @dataclass
@@ -154,9 +166,20 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """The eigenvalues of symmetric ``a``, read from its lower triangle,
+    ascending: bitwise ``np.linalg.eigvalsh(a)``, which calls the same
+    ``syevd`` with the same workspace.  Where ``syevd`` reports a
+    failure (``info != 0``) numpy is called instead, so that its result
+    or its error is what the caller sees."""
+    lwork, liwork = _syevd_optimal_lwork(a.shape[0])
+    w, _, info = _syevd(a, compute_v=0, lower=1, lwork=lwork, liwork=liwork)
+    return np.linalg.eigvalsh(a) if info else w
+
+
 def _pd_gate(a: np.ndarray) -> None:
     # the eigenvalue LAPACK returns for a 1 x 1 matrix is its entry
-    w = a[0] if a.shape == (1, 1) else np.linalg.eigvalsh(a)
+    w = a[0] if a.shape == (1, 1) else _eigvalsh(a)
     if w[-1] <= 0.0 or w[0] <= PD_RTOL * w[-1]:
         raise OmegaNotPD(
             f"innovation covariance: eigenvalues in [{w[0]:.6e}, "
@@ -234,32 +257,36 @@ def sym_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     assume_a="sym")``, with its checks (see the module docstring)."""
     _require_finite(a, "matrix")
     _require_finite(b, "right-hand side")
+    x = _sym_solve(a, b)
+    n = a.shape[0]
+    _charge(n ** 3 // 3 + 2 * n * n * _ncols(np.asarray(b)))
+    return x
+
+
+def _sym_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`sym_solve` without its charge and its finiteness checks."""
     n = a.shape[0]
     if n == 1:
         if a[0, 0] == 0:
             raise LinAlgError("A singular matrix detected.")
-        x = b / a[0, 0]
-    else:
-        # with the optimal workspace, as scipy: above the block size a
-        # smaller one changes the factorization's rounding
-        lu, ipiv, info = _sytrf(a, lower=0, lwork=_sytrf_optimal_lwork(n))
-        if info > 0:
-            raise LinAlgError("A singular matrix detected: sytrf found "
-                              f"D({info},{info}) exactly zero.")
-        if info < 0:
-            raise ValueError(f"sytrf: illegal value in argument {-info}")
-        x, info = _sytrs(lu, ipiv, b[:, None] if b.ndim == 1 else b,
-                         lower=0)
-        if info < 0:
-            raise ValueError(f"sytrs: illegal value in argument {-info}")
-        rcond, _ = _sycon(lu, ipiv, _lange("1", a), lower=0)
-        if rcond < _EPS:
-            warnings.warn(f"An ill-conditioned matrix detected: rcond = "
-                          f"{rcond}.", LinAlgWarning, stacklevel=2)
-        # scipy returns the solution in C order
-        x = x[:, 0] if b.ndim == 1 else np.ascontiguousarray(x)
-    _charge(n ** 3 // 3 + 2 * n * n * _ncols(np.asarray(b)))
-    return x
+        return b / a[0, 0]
+    # with the optimal workspace, as scipy: above the block size a
+    # smaller one changes the factorization's rounding
+    lu, ipiv, info = _sytrf(a, lower=0, lwork=_sytrf_optimal_lwork(n))
+    if info > 0:
+        raise LinAlgError("A singular matrix detected: sytrf found "
+                          f"D({info},{info}) exactly zero.")
+    if info < 0:
+        raise ValueError(f"sytrf: illegal value in argument {-info}")
+    x, info = _sytrs(lu, ipiv, b[:, None] if b.ndim == 1 else b, lower=0)
+    if info < 0:
+        raise ValueError(f"sytrs: illegal value in argument {-info}")
+    rcond, _ = _sycon(lu, ipiv, _lange("1", a), lower=0)
+    if rcond < _EPS:
+        warnings.warn(f"An ill-conditioned matrix detected: rcond = "
+                      f"{rcond}.", LinAlgWarning, stacklevel=3)
+    # scipy returns the solution in C order
+    return x[:, 0] if b.ndim == 1 else np.ascontiguousarray(x)
 
 
 # --- uncounted utilities ---------------------------------------------------
@@ -287,6 +314,34 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
 
 
 def spectral_radius(a: np.ndarray) -> float:
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(a))))
+    """The largest eigenvalue modulus of ``a``; inside
+    ``_radius_per_call``, taken once per matrix."""
+    memo = _RADII.get()
+    if memo is None:
+        memo = {}
+    key = (a.dtype.str, a.shape, a.tobytes())
+    if key not in memo:
+        memo[key] = (0.0 if a.size == 0 else
+                     float(np.max(np.abs(np.linalg.eigvals(a)))))
+    return memo[key]
+
+
+# The radii ``spectral_radius`` has taken inside the active
+# ``_radius_per_call`` block, by matrix; None outside one.
+_RADII: ContextVar[dict | None] = ContextVar("periodickf_radii",
+                                             default=None)
+
+
+@contextmanager
+def _radius_per_call():
+    """Within the block, ``spectral_radius`` takes the eigenvalues of a
+    matrix once: a later call with a matrix of the same dtype, shape and
+    bytes returns the radius already taken.  ``filter_series`` opens one
+    block around building its start and its engine, so the monodromy
+    radius of the Lyapunov solve serves the closed-form start's
+    stationarity check; nothing is kept once the block ends."""
+    token = _RADII.set({})
+    try:
+        yield
+    finally:
+        _RADII.reset(token)

@@ -14,8 +14,10 @@ from periodickf import (
     simulate,
     solve_dple,
 )
-from periodickf.cli import main
+from periodickf.cli import _read_observations, main
 from conftest import ROOT, pinned_state_model, random_stationary_model
+
+PAR2_5 = ROOT / "demos" / "models" / "par2_5.json"
 
 
 @pytest.fixture
@@ -225,6 +227,20 @@ class TestFilter:
         assert main(["filter", path, str(data)]) == 2
         err = capsys.readouterr().err
         assert "row 2, column 1" in err and "'2.x'" in err
+
+    def test_mistyped_first_observation_is_located(self, tmp_path, capsys):
+        # a first row with a cell that starts like a number is data, not
+        # a header
+        data = tmp_path / "y.csv"
+        data.write_text("1.x\n2.0\n")
+        assert main(["filter", str(PAR2_5), str(data)]) == 2
+        err = capsys.readouterr().err
+        assert "row 1, column 1" in err and "'1.x'" in err
+
+    def test_header_row_is_skipped(self, tmp_path):
+        data = tmp_path / "y.csv"
+        data.write_text("y\n1.0\n")
+        assert _read_observations(data, 1).tolist() == [[1.0]]
 
     def test_nonstationary_model_exits_one(self, tmp_path, capsys):
         model = random_stationary_model(112, r=2, S=2, m=1)

@@ -610,12 +610,12 @@ class TestMeteredFlopPins:
     except ``kalman`` on the m = 2 model."""
 
     PINNED = {
-        "stationary_s2": {"kalman": 8060, "chand31": 8560, "chand32": 8560,
-                          "chand-minv": 8534},
-        "par4-r48": {"kalman": 50803864, "chand31": 4472682,
-                     "chand32": 4472682, "chand-minv": 4473819},
-        "m2-r12": {"kalman": 2488800, "chand31": 555624, "chand32": 540642,
-                   "chand-minv": 565934},
+        "stationary_s2": {"kalman": 8060, "chand31": 8376, "chand32": 8376,
+                          "chand-minv": 8354},
+        "par4-r48": {"kalman": 50803864, "chand31": 3883386,
+                     "chand32": 3883386, "chand-minv": 3884211},
+        "m2-r12": {"kalman": 2488800, "chand31": 480714, "chand32": 480714,
+                   "chand-minv": 489434},
     }
 
     @pytest.mark.parametrize("case", list(PINNED))

@@ -16,9 +16,10 @@ import pytest
 import scipy.linalg
 
 import periodickf.linalg as linalg_module
-from periodickf import OmegaNotPD, count_flops
+from periodickf import OmegaNotPD, count_flops, filter_series
 from periodickf.linalg import (_solve, factor_logdet, factor_solve,
                                spd_factor, sym_solve)
+from conftest import benchmark_round
 
 
 def random_spd(rng, m: int) -> np.ndarray:
@@ -136,6 +137,54 @@ def eigvalsh_gate(a):
             f"innovation covariance: eigenvalues in [{w[0]:.6e}, "
             f"{w[-1]:.6e}] fail the positive-definiteness threshold "
             f"(min > {linalg_module.PD_RTOL:g} * max)")
+
+
+def gate_inputs():
+    """Symmetric matrices of the kinds the gate sees: the innovation
+    covariances of an m = 2 workload, random SPD matrices of sizes
+    2-8 (some nearly singular, some indefinite), two sizes above
+    ``syevd``'s block size, and non-finite ones."""
+    rd = benchmark_round("estimate-m2", 1, 0)
+    yield from filter_series(rd.model, rd.y).Omega
+    rng = np.random.default_rng(31)
+    for m in range(2, 9):
+        for k in range(40):
+            a = random_spd(rng, m)
+            if k % 4 == 1:
+                a[0, 0] = a[0, 0] - 1e16 * np.finfo(float).eps * a[0, 0]
+            elif k % 4 == 2:
+                a = random_symmetric(rng, m)
+            yield a * 10.0 ** rng.integers(-100, 100)
+    yield from (random_spd(rng, 40), random_spd(rng, 96))
+    for bad in (np.nan, np.inf, -np.inf):
+        a = np.eye(3)
+        a[1, 0] = a[0, 1] = bad
+        yield a
+        yield np.full((2, 2), bad)
+
+
+def test_gate_eigenvalues_bitwise_equal_to_eigvalsh():
+    for a in gate_inputs():
+        assert (linalg_module._eigvalsh(a).tobytes()
+                == np.linalg.eigvalsh(a).tobytes()), a
+
+
+def test_gate_decisions_and_messages_unchanged(monkeypatch):
+    inputs = list(gate_inputs())
+    got = [factor_outcome(a) for a in inputs]
+    monkeypatch.setattr(linalg_module, "_pd_gate", eigvalsh_gate)
+    assert got == [factor_outcome(a) for a in inputs]
+    # factored, rejected by the gate and rejected as non-finite
+    assert {g[0] if isinstance(g[0], type) else bytes for g in got} == \
+        {bytes, OmegaNotPD, ValueError}
+
+
+def test_gate_falls_back_to_numpy_when_syevd_fails(monkeypatch):
+    monkeypatch.setattr(linalg_module, "_syevd",
+                        lambda a, **kwargs: (np.zeros(len(a)), None, 1))
+    a = random_spd(np.random.default_rng(5), 4)
+    assert linalg_module._eigvalsh(a).tobytes() == \
+        np.linalg.eigvalsh(a).tobytes()
 
 
 def factor_outcome(a):

@@ -81,3 +81,54 @@ def test_every_class_member_is_read():
                   ast.parse(path.read_text(encoding="utf-8")))
               if name not in read]
     assert unread == []
+
+
+# The per-step path: no function here may call a ``numpy.linalg``
+# wrapper, whose dispatch and checks would be paid on every filter step.
+# (``ChandrasekharState._m_singular_values`` takes its SVD once per state
+# and is not listed.)
+PER_STEP = {
+    "linalg.py": ["_pd_gate", "spd_factor", "_solve"],
+    "kalman.py": ["_covariance_update"],
+    "chandrasekhar.py": ["_step"],
+    "filtering.py": ["_KalmanEngine.step", "_ChandEngine.step",
+                     "_ChandEngine._absorbed"],
+}
+
+
+def _functions(tree: ast.Module):
+    """(qualified name, node) for each module-level function and each
+    method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _numpy_linalg_calls(node: ast.AST):
+    """The ``X`` of every ``np.linalg.X(...)`` or ``numpy.linalg.X(...)``
+    call inside ``node``."""
+    for call in ast.walk(node):
+        if not (isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)):
+            continue
+        owner = call.func.value
+        if (isinstance(owner, ast.Attribute) and owner.attr == "linalg"
+                and isinstance(owner.value, ast.Name)
+                and owner.value.id in ("np", "numpy")):
+            yield call.func.attr
+
+
+def test_per_step_path_calls_no_numpy_linalg():
+    found = []
+    for module, names in PER_STEP.items():
+        functions = dict(_functions(
+            ast.parse((PACKAGE / module).read_text(encoding="utf-8"))))
+        for name in names:
+            assert name in functions, f"{module}: {name} not found"
+            found += [f"{module}: {name} calls np.linalg.{attr}"
+                      for attr in _numpy_linalg_calls(functions[name])]
+    assert found == []

@@ -11,10 +11,14 @@ import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from periodickf import (ENGINES, PeriodicFilterError, filter_series,
-                        load_model, par_to_state_space,
-                        random_stationary_par, simulate)
+                        is_periodically_stationary, load_model, monodromy,
+                        par_to_state_space, random_stationary_par, simulate)
+from periodickf.filtering import (SETTLE_MARGIN, _initial_conditions,
+                                  _make_engine)
 from conftest import (ROOT, assert_bitwise_equal, benchmark_round,
-                      random_stationary_model, unfrozen_filter)
+                      pinned_state_model, random_stationary_model,
+                      unfrozen_filter)
+from test_filtering import _flop_case
 
 LOWRANK = ENGINES[1:]
 STATIONARY_S2 = ROOT / "demos" / "models" / "stationary_s2.json"
@@ -176,3 +180,149 @@ class TestSettleProperty:
                 assert out == ref, engine
             else:
                 assert_bitwise_equal(out, ref)
+
+
+class TestOneEigensolvePerCall:
+    """The monodromy's eigenvalues are taken once per ``filter_series``
+    call: the closed-form start's stationarity check reads the radius
+    the Lyapunov solve took, and nothing is kept between calls."""
+
+    @pytest.fixture
+    def eigvals_log(self, monkeypatch):
+        log = []
+        eigvals = np.linalg.eigvals
+
+        def counting_eigvals(a):
+            log.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        return log
+
+    # steady-form and gain-form starts, no stored W1
+    @pytest.mark.parametrize("case", ["stationary_s2", "m2-r12"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_once_per_call(self, case, engine, eigvals_log):
+        model, y = _flop_case(case)
+        assert model.W1 is None
+        del eigvals_log[:]
+        filter_series(model, y[:30], engine=engine)
+        assert len(eigvals_log) == 1
+        filter_series(model, y[:30], engine=engine)
+        assert len(eigvals_log) == 2
+
+    def test_radius_outside_a_call_is_taken_afresh(self, eigvals_log):
+        model, y = _flop_case("m2-r12")
+        rho = float(np.max(np.abs(np.linalg.eigvals(monodromy(model)))))
+        del eigvals_log[:]
+        assert is_periodically_stationary(model) == (True, rho)
+        filter_series(model, y[:30], engine="chand31")
+        assert is_periodically_stationary(model) == (True, rho)
+        assert len(eigvals_log) == 3
+
+
+def norm_bound_absorbed(engine) -> bool:
+    """The settle condition (b) the low-rank engines used before it read
+    the exact terms: with ``beta = norm(Y)^2 norm(M)`` (Frobenius norms;
+    for N = M^{-1}, norm(M) read as 1 / smallest singular value of N),
+    every season needs ``beta norm(H_s)^2 <= SETTLE_MARGIN min |Omega_s|``
+    and ``beta norm(F_s) norm(H_s) <= SETTLE_MARGIN min |K_s|``."""
+    state, model = engine.state, engine.model
+    beta = float(np.linalg.norm(state.Y)) ** 2
+    if beta == 0.0:
+        return True
+    if state.m_is_inverse:
+        smallest = float(state._m_singular_values[-1])
+        if smallest == 0.0:
+            return False
+        beta /= smallest
+    else:
+        beta *= float(np.linalg.norm(state.M))
+    return all(
+        beta * np.linalg.norm(H) ** 2 <= SETTLE_MARGIN * np.min(np.abs(Omega))
+        and beta * np.linalg.norm(F) * np.linalg.norm(H)
+        <= SETTLE_MARGIN * np.min(np.abs(K))
+        for (K, Omega), F, H in zip(state.ring, model.F, model.H))
+
+
+def settle_case(name: str):
+    if name in ("long-s2", "wide-par48", "estimate-m2"):
+        rd = benchmark_round(name, 1, 0)
+        return rd.model, rd.y
+    return _flop_case(name)
+
+
+class TestSettleNoLaterThanNormBound:
+    """Each exact term of the next increment is bounded by the old norm
+    bound, so wherever that bound would settle an engine, the engine
+    settles: stepped to the end, its ``settled`` flag holds on every
+    step on which the quiet ring and the norm bound hold."""
+
+    @pytest.mark.parametrize("engine", LOWRANK)
+    @pytest.mark.parametrize("case", ["long-s2", "wide-par48", "estimate-m2",
+                                      "stationary_s2", "par4-r48", "m2-r12"])
+    def test_settles_whenever_the_bound_does(self, case, engine):
+        model, y = settle_case(case)
+        _, Sigma1, W = _initial_conditions(model, "zero-state", None, None)
+        eng = _make_engine(model, engine, Sigma1, W, False)
+        first = bound_first = None
+        for t in range(1, len(y) + 1):
+            eng.step(t)
+            bound = eng.quiet >= model.S and norm_bound_absorbed(eng)
+            assert eng.settled or not bound, t
+            if eng.settled and first is None:
+                first = t
+            if bound and bound_first is None:
+                bound_first = t
+        assert first is not None and first <= (bound_first or len(y))
+
+
+class TestErrorsUnchanged:
+    """Settling earlier skips no error: every run raises what it raised
+    under the norm-bound settle rule, at the same step, as the run that
+    steps the engine to the end does; the other runs complete."""
+
+    RAISED = {
+        ("pinned", "kalman"): ("OmegaNotPD", 4),
+        ("pinned", "chand31"): ("OmegaNotPD", 2),
+        ("pinned", "chand32"): ("OmegaNotPD", 2),
+        ("pinned", "chand-minv"): ("OmegaNotPD", 2),
+        ("minv-step2", "chand-minv"): ("MSingular", 2),
+        ("minv-step3", "chand-minv"): ("MSingular", 3),
+        ("minv-step9", "chand-minv"): ("MSingular", 9),
+    }
+
+    @staticmethod
+    def case(name: str):
+        if name == "pinned":
+            return pinned_state_model(), np.zeros((6, 2)), {}
+        if name.startswith("minv-step"):
+            draw = {"minv-step2": dict(seed=1, r=7, S=2, m=1, radius=1.0,
+                                       noise="full", init="zero-state"),
+                    "minv-step3": dict(seed=8050, r=8, S=3, m=3,
+                                       radius=0.7878444572008623,
+                                       noise="zero", init="explicit"),
+                    "minv-step9": dict(seed=3838, r=7, S=2, m=2,
+                                       radius=0.47427968972947787,
+                                       noise="zero", init="zero-state")}
+            return drawn_case(nonnormal=True, **draw[name])
+        if name in ("stationary_s2", "par4-r48", "m2-r12"):
+            return (*_flop_case(name), {})
+        workload, k = name.rsplit("-", 1)
+        rd = benchmark_round(workload, 1, int(k))
+        return rd.model, rd.y, {}
+
+    @pytest.mark.parametrize("name", [
+        "pinned", "minv-step2", "minv-step3", "minv-step9",
+        "stationary_s2", "par4-r48", "m2-r12",
+        *(f"{w}-{k}" for w in ("long-s2", "wide-par48", "estimate-m2")
+          for k in range(3))])
+    def test_same_error_at_same_step(self, name):
+        model, y, kwargs = self.case(name)
+        for engine in ENGINES:
+            out = outcome(filter_series, model, y, engine, kwargs)
+            got = out[:2] if isinstance(out, tuple) else None
+            assert got == self.RAISED.get((name, engine)), engine
+            if got is not None:
+                assert out == outcome(unfrozen_filter, model, y, engine,
+                                      kwargs)

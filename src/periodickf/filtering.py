@@ -86,6 +86,7 @@ from .exceptions import (EngineInitFailed, MSingular, OmegaNotPD,
 from .kalman import _covariance_update, solve_dple
 from .linalg import (_charge, _potrs, _radius_per_call, _sym_solve,
                      factor_logdet, factor_solve, spd_factor)
+from .model import EIG_FLOOR_RTOL, SYM_RTOL
 
 # Engine registry: each low-rank engine name maps to its step function.
 LOWRANK_STEPS = {"chand31": step_alg31, "chand32": step_alg32,
@@ -93,8 +94,9 @@ LOWRANK_STEPS = {"chand31": step_alg31, "chand32": step_alg32,
 ENGINES = ("kalman", *LOWRANK_STEPS)
 INITS = ("zero-state", "stationary", "explicit")
 
-# Invariants an initial covariance must meet (looser than the model-level
-# checks: a propagated covariance accumulates roundoff).
+# Invariants an explicit initial covariance must meet (looser than the
+# model-level checks a stored W1 meets: a propagated covariance
+# accumulates roundoff).
 SIGMA_SYM_RTOL = 1e-10
 SIGMA_EIG_FLOOR_RTOL = 1e-8
 
@@ -133,7 +135,9 @@ class FilterOutput:
     settled_at: int | None = None
 
 
-def _check_sigma1(Sigma1: np.ndarray, r: int, name: str) -> np.ndarray:
+def _check_sigma1(Sigma1: np.ndarray, r: int, name: str,
+                  sym_rtol: float = SIGMA_SYM_RTOL,
+                  eig_floor_rtol: float = SIGMA_EIG_FLOOR_RTOL) -> np.ndarray:
     """``Sigma1`` checked and symmetrized; messages call it ``name``."""
     Sigma1 = np.asarray(Sigma1, dtype=float)
     if Sigma1.shape != (r, r):
@@ -141,11 +145,11 @@ def _check_sigma1(Sigma1: np.ndarray, r: int, name: str) -> np.ndarray:
     if not np.all(np.isfinite(Sigma1)):
         raise ValueError(f"{name} is not finite")
     norm = float(np.linalg.norm(Sigma1))
-    if float(np.linalg.norm(Sigma1 - Sigma1.T)) > SIGMA_SYM_RTOL * max(norm, 1e-300):
+    if float(np.linalg.norm(Sigma1 - Sigma1.T)) > sym_rtol * max(norm, 1e-300):
         raise ValueError(f"{name} is not symmetric")
     sym = 0.5 * (Sigma1 + Sigma1.T)
     w = np.linalg.eigvalsh(sym)
-    if w.size and w[0] < -SIGMA_EIG_FLOOR_RTOL * max(float(np.max(np.abs(w))), 1e-300):
+    if w.size and w[0] < -eig_floor_rtol * max(float(np.max(np.abs(w))), 1e-300):
         raise ValueError(f"{name} is not positive semidefinite")
     return sym
 
@@ -164,18 +168,25 @@ def _initial_conditions(model, init: str, xhat1, Sigma1):
         return (x.reshape(model.r), _check_sigma1(Sigma1, model.r, "Sigma1"),
                 None)
     x = np.zeros(model.r)
-    # zero-state takes the model's W1, falling back to the stationary
-    # covariance when none is stored.
+    # zero-state takes the model's W1, judged by the rule ``validate``
+    # applies, falling back to the stationary covariance when none is
+    # stored.
     if init == "zero-state" and model.W1 is not None:
-        return x, _check_sigma1(model.W1, model.r, "W1"), None
+        return x, _check_sigma1(model.W1, model.r, "W1", SYM_RTOL,
+                                EIG_FLOOR_RTOL), None
     W = solve_dple(model)
     return x, W[0], W
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two arrays of one shape hold the same bits: bitwise
+    """Whether two matrices of one shape hold the same bits: bitwise
     equality, stricter than ``np.array_equal`` (-0.0 differs from 0.0)
-    and a tenth of its cost on small arrays."""
+    and a tenth of its cost on small arrays. Above 1024 entries the
+    first rows are compared before both whole matrices are copied, so a
+    pair that differs there costs one row's copy (below that size the
+    extra comparison costs more than it saves)."""
+    if a.size > 1024 and a[0].tobytes() != b[0].tobytes():
+        return False
     return a.tobytes() == b.tobytes()
 
 
@@ -335,7 +346,11 @@ def filter_series(model, y, engine: str = "kalman",
     init : one of ``INITS``; ``zero-state`` uses xhat = 0 with the
         model's W1 (or the stationary covariance when none is stored),
         ``stationary`` forces the stationary covariance, ``explicit``
-        takes ``xhat1``/``Sigma1``.
+        takes ``xhat1``/``Sigma1``. A stored W1 must pass the
+        tolerances of :func:`~periodickf.model.validate`; an explicit
+        Sigma1 gets looser ones (``SIGMA_SYM_RTOL``,
+        ``SIGMA_EIG_FLOOR_RTOL``), as it may be a propagated
+        covariance.
     sigma_trace : also record the per-step covariance Sigma_t; the
         low-rank engines rebuild it from the prelude and their
         increments, ``Sigma_{kS+s} = Sigma_s + sum_j Y_{jS+s} M_{jS+s}

@@ -18,6 +18,7 @@ from periodickf import (
     save_model,
     simulate,
     solve_dple,
+    validate,
 )
 from periodickf.cli import main
 from conftest import (ROOT, assert_bitwise_equal, pinned_state_model,
@@ -233,6 +234,23 @@ class TestInits:
         with pytest.raises(ValueError, match=f"^Sigma1 {problem}$"):
             filter_series(model, y, init="explicit", xhat1=np.zeros(2),
                           Sigma1=bad)
+
+    @pytest.mark.parametrize("W1, problem", [
+        pytest.param(np.array([[1.0, 1e-10], [0.0, 1.0]]), "is not symmetric",
+                     id="asymmetry"),
+        pytest.param(np.diag([1.0, -1e-9]), "is not positive semidefinite",
+                     id="indefiniteness")])
+    def test_stored_w1_held_to_the_validate_rule(self, W1, problem):
+        # within the looser rule an explicit Sigma1 meets, outside the
+        # model-level one: validate and the zero-state start both reject
+        model, y = simulated(88, n=5, r=2)
+        model.W1 = W1
+        assert [v for v in validate(model) if v.startswith(f"W1 {problem}")]
+        with pytest.raises(ValueError, match=f"^W1 {problem}$"):
+            filter_series(model, y, init="zero-state")
+        out = filter_series(model, y, init="explicit", xhat1=np.zeros(2),
+                            Sigma1=W1)
+        assert np.isfinite(out.loglik)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_explicit_rejects_bad_start_before_any_engine(

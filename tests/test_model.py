@@ -19,7 +19,31 @@ from periodickf import (
     validate,
     validate_par,
 )
+from periodickf.kalman import solve_dple
+from periodickf.linalg import psd_sqrt
 from conftest import random_stationary_model
+
+
+def step_by_step_simulate(model, n, seed, start="zero-state"):
+    """``simulate`` as a per-step loop: step t draws its m measurement
+    normals, then its d state normals, after the r normals of a
+    stationary start. The reference for the stream contract."""
+    rng = np.random.default_rng(seed)
+    sqQ = [psd_sqrt(np.asarray(q, dtype=float)) for q in model.Q]
+    sqR = [psd_sqrt(np.asarray(rr, dtype=float)) for rr in model.R]
+    if start == "stationary":
+        x = psd_sqrt(solve_dple(model)[0]) @ rng.standard_normal(model.r)
+    else:
+        x = np.zeros(model.r)
+    xs = np.empty((n, model.r))
+    ys = np.empty((n, model.m))
+    for t in range(1, n + 1):
+        F, G, H, _, _ = model.at(t)
+        i = model.season(t) - 1
+        xs[t - 1] = x
+        ys[t - 1] = H.T @ x + sqR[i] @ rng.standard_normal(model.m)
+        x = F @ x + G @ (sqQ[i] @ rng.standard_normal(model.d))
+    return xs, ys
 
 
 class TestSeasonArithmetic:
@@ -191,6 +215,22 @@ class TestSimulate:
             simulate(model, 5, seed=0, start="midair")
         with pytest.raises(ValueError):
             simulate(model, -1, seed=0)
+
+    @pytest.mark.parametrize("n", [0, 1, "S+1", 300])
+    @pytest.mark.parametrize("start", ["zero-state", "stationary"])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("r", [1, 4])
+    @pytest.mark.parametrize("S", [1, 3])
+    def test_matches_step_by_step_reference(self, S, r, m, start, n):
+        n = S + 1 if n == "S+1" else n
+        model = random_stationary_model(100 * S + 10 * r + m, r=r, S=S,
+                                        m=m, d=r + 1)
+        x, y = simulate(model, n, seed=5, start=start)
+        x_ref, y_ref = step_by_step_simulate(model, n, 5, start)
+        assert x.shape == x_ref.shape and y.shape == y_ref.shape
+        for got, ref in ((x, x_ref), (y, y_ref)):
+            scale = np.max(np.abs(ref), initial=0.0)
+            assert np.max(np.abs(got - ref), initial=0.0) <= 1e-13 * scale
 
     def test_stationary_start_matches_marginal_variance(self):
         # scalar AR(1) with phi = 0.5, sigma2 = 1: Var(y) = 1/(1-0.25) = 4/3

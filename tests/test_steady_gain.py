@@ -14,7 +14,7 @@ from periodickf import (ENGINES, PeriodicFilterError, filter_series,
                         is_periodically_stationary, load_model, monodromy,
                         par_to_state_space, random_stationary_par, simulate)
 from periodickf.filtering import (SETTLE_MARGIN, _initial_conditions,
-                                  _make_engine)
+                                  _make_engine, _same_bits)
 from conftest import (ROOT, assert_bitwise_equal, benchmark_round,
                       pinned_state_model, random_stationary_model,
                       unfrozen_filter)
@@ -142,6 +142,54 @@ def outcome(run, model, y, engine, kwargs):
         return run(model, y, engine=engine, **kwargs)
     except PeriodicFilterError as exc:
         return type(exc).__name__, getattr(exc, "t", None), str(exc)
+
+
+class TestSameBits:
+    """``_same_bits`` is bitwise equality whichever entry differs, on
+    either side of the size above which it compares first rows first."""
+
+    SHAPES = [(1, 1), (4, 1), (1, 4), (5, 5), (40, 40), (1100, 1)]
+
+    @staticmethod
+    def nan(payload: int) -> float:
+        return np.array([0x7FF8000000000000 | payload],
+                        dtype=np.uint64).view(np.float64)[0]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_signed_zeros_differ(self, shape):
+        a = np.zeros(shape)
+        for index in [(0, 0), (-1, -1)]:
+            b = a.copy()
+            b[index] = -0.0
+            assert np.array_equal(a, b) and not _same_bits(a, b)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_equal_nan_payloads_are_the_same(self, shape):
+        for index in [(0, 0), (-1, -1)]:
+            a = np.ones(shape)
+            a[index] = self.nan(7)
+            b = a.copy()
+            assert _same_bits(a, b) and not np.array_equal(a, b)
+            b[index] = self.nan(8)
+            assert not _same_bits(a, b)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_difference_in_last_entry_only(self, shape):
+        a = np.random.default_rng(0).normal(size=shape)
+        b = a.copy()
+        assert _same_bits(a, b)
+        b[-1, -1] = np.nextafter(b[-1, -1], np.inf)
+        assert not _same_bits(a, b) and not _same_bits(b, a)
+
+    def test_agrees_with_whole_matrix_bytes(self):
+        rng = np.random.default_rng(1)
+        for shape in [(3, 2), (40, 40)]:
+            for _ in range(100):
+                a = rng.integers(-1, 2, size=shape).astype(float)
+                b = a.copy()
+                i, j = rng.integers(shape[0]), rng.integers(shape[1])
+                b[i, j] *= rng.choice([1.0, -1.0])
+                assert _same_bits(a, b) == (a.tobytes() == b.tobytes())
 
 
 class TestSettleProperty:

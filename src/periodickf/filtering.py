@@ -86,7 +86,7 @@ from .exceptions import (EngineInitFailed, MSingular, OmegaNotPD,
 from .kalman import _covariance_update, solve_dple
 from .linalg import (_charge, _potrs, _radius_per_call, _sym_solve,
                      factor_logdet, factor_solve, spd_factor)
-from .model import EIG_FLOOR_RTOL, SYM_RTOL
+from .model import EIG_FLOOR_RTOL, SYM_RTOL, _sym_psd_violations
 
 # Engine registry: each low-rank engine name maps to its step function.
 LOWRANK_STEPS = {"chand31": step_alg31, "chand32": step_alg32,
@@ -138,20 +138,17 @@ class FilterOutput:
 def _check_sigma1(Sigma1: np.ndarray, r: int, name: str,
                   sym_rtol: float = SIGMA_SYM_RTOL,
                   eig_floor_rtol: float = SIGMA_EIG_FLOOR_RTOL) -> np.ndarray:
-    """``Sigma1`` checked and symmetrized; messages call it ``name``."""
+    """``Sigma1`` checked and symmetrized; messages call it ``name``.
+    The covariance rule is ``validate``'s, at the given tolerances."""
     Sigma1 = np.asarray(Sigma1, dtype=float)
     if Sigma1.shape != (r, r):
         raise ValueError(f"{name} must be {r}x{r}")
     if not np.all(np.isfinite(Sigma1)):
         raise ValueError(f"{name} is not finite")
-    norm = float(np.linalg.norm(Sigma1))
-    if float(np.linalg.norm(Sigma1 - Sigma1.T)) > sym_rtol * max(norm, 1e-300):
-        raise ValueError(f"{name} is not symmetric")
-    sym = 0.5 * (Sigma1 + Sigma1.T)
-    w = np.linalg.eigvalsh(sym)
-    if w.size and w[0] < -eig_floor_rtol * max(float(np.max(np.abs(w))), 1e-300):
-        raise ValueError(f"{name} is not positive semidefinite")
-    return sym
+    problems = _sym_psd_violations(Sigma1, name, sym_rtol, eig_floor_rtol)
+    if problems:
+        raise ValueError(problems[0].partition(" (")[0])
+    return 0.5 * (Sigma1 + Sigma1.T)
 
 
 def _initial_conditions(model, init: str, xhat1, Sigma1):
@@ -180,14 +177,11 @@ def _initial_conditions(model, init: str, xhat1, Sigma1):
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether two matrices of one shape hold the same bits: bitwise
-    equality, stricter than ``np.array_equal`` (-0.0 differs from 0.0)
-    and a tenth of its cost on small arrays. Above 1024 entries the
-    first rows are compared before both whole matrices are copied, so a
-    pair that differs there costs one row's copy (below that size the
-    extra comparison costs more than it saves)."""
-    if a.size > 1024 and a[0].tobytes() != b[0].tobytes():
-        return False
-    return a.tobytes() == b.tobytes()
+    equality, stricter than ``np.array_equal`` (-0.0 differs from 0.0).
+    The first rows are compared before both whole matrices are copied,
+    so a pair that differs there costs one row's copy."""
+    return (a[0].tobytes() == b[0].tobytes()
+            and a.tobytes() == b.tobytes())
 
 
 class _KalmanEngine:

@@ -102,16 +102,21 @@ def _dim_violations(**dims) -> list[str]:
             or val < 1]
 
 
-def _sym_psd_violations(arr: np.ndarray, label: str) -> list[str]:
+def _sym_psd_violations(arr: np.ndarray, label: str,
+                        sym_rtol: float = SYM_RTOL,
+                        eig_floor_rtol: float = EIG_FLOOR_RTOL) -> list[str]:
+    """One message per failed covariance condition: asymmetry above
+    ``sym_rtol`` of the Frobenius norm, or an eigenvalue below
+    ``-eig_floor_rtol`` times the spectral radius."""
     out = []
     asym = float(np.linalg.norm(arr - arr.T))
     norm = float(np.linalg.norm(arr))
-    if asym > SYM_RTOL * norm:
+    if asym > sym_rtol * norm:
         out.append(f"{label} is not symmetric "
                    f"(relative asymmetry {asym / max(norm, 1e-300):.3e})")
     w = np.linalg.eigvalsh(0.5 * (arr + arr.T))
     spectral = float(np.max(np.abs(w))) if w.size else 0.0
-    if w.size and w[0] < -EIG_FLOOR_RTOL * spectral:
+    if w.size and w[0] < -eig_floor_rtol * spectral:
         out.append(f"{label} is not positive semidefinite "
                    f"(smallest eigenvalue {w[0]:.6e})")
     return out
@@ -271,13 +276,10 @@ def simulate(model: PeriodicModel, n: int, seed: int,
     The noise terms ``G_s sqrt(Q_s) eps`` and ``sqrt(R_s) e`` and the
     outputs ``H_s' x`` are formed with one matrix product per season;
     only ``x[t+1] += F_s x[t]`` runs per step, one r x r matrix-vector
-    product added in place. At r = 2 a call costs about 2 µs per step
-    (4 ms for n = 2000 on a 2-core host with OpenBLAS at one thread),
-    against about 13 µs per step for a loop that draws and multiplies
-    at every step. The per-season products round differently from
-    per-step ones, so values agree with such a loop over the same draws
-    to rounding (up to 7e-16 of the largest entry on the benchmark's
-    series), not bitwise.
+    product added in place. The per-season products round differently
+    from per-step ones, so values agree with a loop that draws and
+    multiplies at every step over the same draws to rounding, not
+    bitwise.
     """
     if n < 0:
         raise ValueError("n must be non-negative")

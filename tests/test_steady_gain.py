@@ -145,8 +145,8 @@ def outcome(run, model, y, engine, kwargs):
 
 
 class TestSameBits:
-    """``_same_bits`` is bitwise equality whichever entry differs, on
-    either side of the size above which it compares first rows first."""
+    """``_same_bits`` is bitwise equality whichever entry differs, in
+    the first row or after it."""
 
     SHAPES = [(1, 1), (4, 1), (1, 4), (5, 5), (40, 40), (1100, 1)]
 

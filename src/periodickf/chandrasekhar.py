@@ -168,7 +168,7 @@ def build_prelude(model, Sigma1) -> Prelude:
     for s in range(1, model.S + 1):
         Sigmas.append(Sigma)
         try:
-            Omega, K, factor, Sigma = _covariance_update(model, Sigma, s)
+            Omega, K, factor, Sigma, _ = _covariance_update(model, Sigma, s)
         except OmegaNotPD as exc:
             exc.locate(s, s)
             raise
@@ -469,9 +469,9 @@ def verify_theorem31(model, prelude: Prelude, steps: int) -> TheoremReport:
     Sigmas, factors, Ktils = [], [], []
     for t in range(1, n_total + 1):
         Sigmas.append(Sigma)
-        _, K, factor, Sigma = _covariance_update(model, Sigma, t)
+        _, K, factor, Sigma, KtilT = _covariance_update(model, Sigma, t)
         factors.append(factor)
-        Ktils.append(factor_solve(factor, K.T).T)
+        Ktils.append(KtilT.T)
 
     r3 = r4 = r7 = r8 = 0.0
     for t0 in range(steps):  # 0-based; time t = t0 + 1

@@ -1,9 +1,9 @@
 """Data filtering with interchangeable covariance engines.
 
-All engines share the same state update
+All engines share the same state update, in innovations form with the
+normalized gain ``B_t = K_t Omega_t^{-1}``,
 
-    e_t = y[t] - H_s' xhat[t],   w_t = Omega_t^{-1} e_t,
-    xhat[t+1] = F_s xhat[t] + K_t w_t
+    e_t = y[t] - H_s' xhat[t],   xhat[t+1] = F_s xhat[t] + B_t e_t,
 
 and differ only in how the pair (K_t, Omega_t) is produced:
 
@@ -21,6 +21,8 @@ Sigma_t)`` and advancing to time t + 1.  ``factor_t`` is the Cholesky
 factor of Omega_t, made by ``linalg.spd_factor`` (after the
 positive-definiteness gate) in the code that formed Omega_t, so each
 Omega is gated and factored once and the filter loop factors nothing.
+After a step, ``KtilT`` holds ``Omega_t^{-1} K_t'`` when the engine
+solved for it (``kalman`` does, to update its covariance), else None.
 The low-rank engines never form the r x r covariance unless a sigma
 trace is requested (``Sigma_t`` is None otherwise), in which case each
 season's covariance is accumulated from the prelude and the increments,
@@ -30,6 +32,21 @@ season's covariance is accumulated from the prelude and the increments,
 This trace is the package's one covariance rebuild, and
 :func:`filter_series` its one filter loop.
 
+The loop takes ``B_t' = Omega_t^{-1} K_t'`` from the engine's
+``KtilT``, or solves for it with one ``potrs`` on the factor, once per
+step that calls the engine, and keeps ``B.dot`` per season.  Every
+step then makes two products: ``[F_s; H_s'] xhat[t]``, whose rows give
+``F_s xhat[t]`` and ``H_s' xhat[t]`` at once (into the row of a work
+array that becomes the next prediction), and ``B_t e_t``, which is
+added in place.  This is the innovations form, with its numerics: an
+error in the gain enters the state as that error times e_t, not times
+xhat or y, so engines whose gains agree closely still agree on a
+series whose level runs far above its innovations.  The closed-loop
+form ``(F - B H') xhat + B y`` saves the subtraction but loses that
+agreement: on the non-stationary 5000-step series of the long-horizon
+test (monodromy radius 1.05, observations up to 1e53) its engines'
+log-likelihoods differ by about 20%.
+
 Steady-gain switch.  Every engine also carries a flag ``settled``: set
 after a step once its ``(K_t, Omega_t, factor_t, Sigma_t)`` sequence
 has become exactly S-periodic.  ``kalman`` settles when the covariance
@@ -38,37 +55,32 @@ PRDE map is deterministic); a low-rank engine when its ring has not
 changed bitwise for S steps and the terms the current (Y, M) would add
 to each season's ring entry lie far below the last bit of every entry
 (a sufficient condition it enforces, stated in ``_ChandEngine``; never
-with a sigma trace).  From
-the next step on the loop stops calling ``step`` and runs the state
-update alone, with each season's gain and factor from the last period
-of steps; after the loop it copies that period's Omega, K, Sigma and
-``m log 2 pi + log det Omega`` into the settled steps, season by
-season.  The switch lives in
-the loop, not in the engines, so ``count_costs`` keeps metering the
-recursion itself; ``FilterOutput.settled_at`` is the last step that
-called the engine.
+with a sigma trace).  From the next step on the loop stops calling
+``step``, and each step is the two products and the add above, with
+each season's ``B.dot`` from the last period of steps.  After the loop
+it copies that period's Omega, K, factor and Sigma into the settled
+steps, season by season.  The switch lives in the loop, not in the
+engines, so ``count_costs`` keeps metering the recursion itself;
+``FilterOutput.settled_at`` is the last step that called the engine.
 
 The innovations-form Gaussian log-likelihood is the sum of the terms
 
-    -1/2 [ m log 2 pi + log det Omega_t + e_t' w_t ],
+    -1/2 [ m log 2 pi + log det Omega_t + e_t' Omega_t^{-1} e_t ],
 
-which the loop forms from the same w_t as the state update: one solve
-with the factor of Omega_t per step serves both.
+which are formed after the loop for all steps at once from the stack
+of factors: the log-determinants from their diagonals
+(``_logdets``), the quadratic forms as ``|L_t^{-1} e_t|^2`` by one
+forward substitution vectorized over the steps (``_quadratic_forms``).
+No step's term depends on another row, so a settled step's term is
+what the engine's own step would have given.
 
-The state update and the term are evaluated with one LAPACK ``potrs``
-call on the cached factor and products through bound ``ndarray.dot``
-methods (``F.dot``, ``H'.dot`` and ``K.dot`` are kept per season with
-the factor, and ``e.dot(w)``), in the expression order of the metered
-helpers in :mod:`periodickf.linalg` (so bitwise their results, up to
-the sign of a zero product of one-element operands, see there), and
-the loop charges the active flop counter once per call with what those
-helpers would charge, n times the per-step
-``2mr + m + 2m^2 + 2r^2 + 2rm + r``.  The loop keeps each step's
-``e_t' w_t`` and forms the terms from them in one vectorized expression
-after it.  The solve's checks run only when
-its status or ``e_t' w_t`` flags a problem (``_check_solve``): a
-non-finite innovation still raises ``ValueError`` at its step, naming
-the step and season.
+A non-finite innovation raises ``ValueError`` naming its step and
+season: on a step that called the engine, in the loop, before the
+engine is stepped again (tested through ``e_t' e_t``); from
+``settled_at`` on, after the loop, at the first such step.  The loop
+charges the active flop counter once per call with the arithmetic it
+does, at the rates of the metered helpers in :mod:`periodickf.linalg`
+(see ``filter_series``).
 """
 
 from __future__ import annotations
@@ -190,7 +202,8 @@ class _KalmanEngine:
     Settled once the covariance a step produces, Sigma_{t+1}, equals
     bitwise (``_same_bits``) the one from S steps back,
     Sigma_{t+1-S}.  The PRDE map is deterministic, so from then on every
-    step repeats the step one period before it exactly.
+    step repeats the step one period before it exactly.  ``KtilT`` is
+    the ``Omega_t^{-1} K_t'`` the last step solved for.
     """
 
     alpha = None
@@ -200,10 +213,12 @@ class _KalmanEngine:
         self.Sigma = Sigma1
         self.recent = [None] * model.S      # recent[(u-1) % S] = Sigma_u
         self.settled = False
+        self.KtilT = None
 
     def step(self, t: int):
         Sigma = self.Sigma
-        Omega, K, factor, self.Sigma = _covariance_update(self.model, Sigma, t)
+        Omega, K, factor, self.Sigma, self.KtilT = _covariance_update(
+            self.model, Sigma, t)
         S = self.model.S
         self.recent[(t - 1) % S] = Sigma
         before = self.recent[t % S]         # Sigma_{t+1-S}; None while t < S
@@ -212,7 +227,8 @@ class _KalmanEngine:
 
 
 class _ChandEngine:
-    """A low-rank increment recursion.
+    """A low-rank increment recursion.  Its step solves for no
+    ``Omega^{-1} K'``, so ``KtilT`` is None.
 
     A step t is quiet when the ring entry it wrote, (K_{t+S},
     Omega_{t+S}), equals bitwise the entry (K_t, Omega_t) it replaced.
@@ -240,6 +256,8 @@ class _ChandEngine:
     trace the engine never settles, because its accumulator keeps adding
     Y M Y' every step.
     """
+
+    KtilT = None
 
     def __init__(self, model, Sigma1, W, variant: str, trace: bool):
         self.model = model
@@ -357,9 +375,9 @@ def filter_series(model, y, engine: str = "kalman",
 
     Once the engine reports that its gains are exactly S-periodic (see
     the module docstring), later steps repeat ``(K, Omega, factor,
-    Sigma)`` and the log-likelihood constant of the step one period
-    before them, and the engine is no longer stepped;
-    ``settled_at`` in the output names the last step that called it.
+    Sigma)`` and the normalized gain of the step one period before
+    them, and the engine is no longer stepped; ``settled_at`` in the
+    output names the last step that called it.
     Every output equals the run that steps the engine to the end, as
     long as the settle condition holds.  A consequence: the gates of
     the steps no longer run cannot raise, so a ``chand-minv`` run whose
@@ -367,9 +385,18 @@ def filter_series(model, y, engine: str = "kalman",
     The settle-condition property test searches for such runs and for
     any other frozen/unfrozen difference; it has found none.
 
-    Raises ``ValueError`` naming the first non-finite observation or,
-    during the loop, the first non-finite innovation (say from a huge
-    explicit ``xhat1``) with its step and season,
+    The active flop counter is charged once per call, at the metered
+    helpers' rates: per step ``2(r+m)r`` for ``[F; H'] x``, ``m`` for
+    the innovation, ``2rm + r`` for ``B e`` and the add, and ``m^2 +
+    2m`` for the quadratic form (one triangular sweep and ``z'z``); per
+    step that called the engine ``2m`` for the check's ``e'e`` and,
+    unless the engine handed over ``Omega^{-1} K'``, ``2m^2 r`` for
+    that solve.  The engines charge their own steps.
+
+    Raises ``ValueError`` naming the first non-finite observation or
+    the first non-finite innovation (say from a huge explicit
+    ``xhat1``) with its step and season, the latter before the engine
+    is stepped past it,
     ``NotStationary`` when a stationary start is requested from a
     model without one, ``EngineInitFailed`` when a low-rank engine's
     start factorization fails, and ``OmegaNotPD`` (or ``MSingular``
@@ -381,27 +408,26 @@ def filter_series(model, y, engine: str = "kalman",
     y2 = _coerce_observations(y, model.m)
     n = y2.shape[0]
     with _radius_per_call():
-        x, Sigma1v, W = _initial_conditions(model, init, xhat1, Sigma1)
+        x1, Sigma1v, W = _initial_conditions(model, init, xhat1, Sigma1)
         eng = _make_engine(model, engine, Sigma1v, W, sigma_trace)
 
-    innovations = np.empty((n, model.m))
-    Omegas = np.empty((n, model.m, model.m))
-    Ks = np.empty((n, model.r, model.m))
-    xhats = np.empty((n + 1, model.r))
-    sigmas = np.empty((n, model.r, model.r)) if sigma_trace else None
-    ews = np.empty(n)           # e_t' w_t
-    consts = np.empty(n)        # m log 2 pi + log det Omega_t
-
-    # the metered cost of one step's state update: H'x, e = y - H'x,
-    # w = Omega^{-1} e, F x, K w and their sum
     m, r, S = model.m, model.r, model.S
-    step_flops = 2*m*r + m + 2*m*m + 2*r*r + 2*r*m + r
-    # season -> (F.dot, H'.dot, K.dot, Cholesky factor of Omega, its
-    # lower flag) of the last step that called the engine
-    update = [None] * S
+    Omegas = np.empty((n, m, m))
+    Ks = np.empty((n, r, m))
+    sigmas = np.empty((n, r, r)) if sigma_trace else None
+    Ls = np.empty((n, m, m))    # the Cholesky factors of the Omegas
+    # season -> [F; H'].dot, one product for F x and H'x
+    FH_dot = [np.vstack((F, H.T)).dot for F, H in zip(model.F, model.H)]
+    # season -> B.dot of the last step that called the engine
+    B_dot = [None] * S
     settled_at = None
     isfinite = math.isfinite
-    for t, yt in enumerate(y2, 1):          # yt = y2[t - 1]
+    # row t: the prediction xhat[t] entering step t + 1, then (t >= 1)
+    # the H'x of step t
+    xz = np.empty((n + 1, r + m))
+    x = xz[0, :r]
+    x[:] = x1
+    for t, (yt, row) in enumerate(zip(y2, xz[1:]), 1):
         i = (t - 1) % S
         if settled_at is None:
             try:
@@ -409,34 +435,51 @@ def filter_series(model, y, engine: str = "kalman",
             except (OmegaNotPD, MSingular) as exc:
                 exc.locate(t, model.season(t))
                 raise
-            update[i] = (model.F[i].dot, model.H[i].T.dot, K.dot, *factor)
-            consts[t - 1] = _loglik_const(factor, m)
+            KtilT = eng.KtilT                   # Omega_t^{-1} K_t'
+            if KtilT is None:
+                KtilT, info = _potrs(factor[0], K.T, factor[1])
+                if info:
+                    raise ValueError(f"potrs: illegal value in argument "
+                                     f"{-info} at t={t} (season {i + 1})")
+            B_dot[i] = KtilT.T.dot
+            Ls[t - 1] = factor[0]
             Omegas[t - 1] = Omega
             Ks[t - 1] = K
             if sigma_trace:
                 sigmas[t - 1] = Sigma
             if eng.settled:
                 settled_at = t
-        F_dot, HT_dot, K_dot, c, lower = update[i]
-        xhats[t - 1] = x
-        e = yt - HT_dot(x)
-        innovations[t - 1] = e
-        w, info = _potrs(c, e, lower)                   # Omega_t^{-1} e_t
-        ew = e.dot(w)
-        if info or not isfinite(ew):
-            _check_solve(info, e, t, model.season(t))
-        x = F_dot(x) + K_dot(w)
-        ews[t - 1] = ew
-    xhats[n] = x
+        FH_dot[i](x, row)                       # row = (F x, H'x)
+        e = yt - row[r:]
+        # checked before the engine is stepped again; from settled_at
+        # on, after the loop
+        if settled_at is None and not isfinite(e.dot(e)):
+            _check_innovation(e, t, i + 1)
+        x = row[:r]
+        x += B_dot[i](e)                        # F x + B e
+    xhats = np.ascontiguousarray(xz[:, :r])
+    innovations = y2 - xz[1:, r:]
+    engine_steps = n
     if settled_at is not None:
+        engine_steps = settled_at
+        bad = np.argwhere(~np.isfinite(innovations[settled_at - 1:]))
+        if bad.size:
+            t = settled_at + int(bad[0, 0])
+            _check_innovation(innovations[t - 1], t, model.season(t))
         # each settled step repeats the step one period before it
         # (settled_at >= S: an engine settles after S steps at the soonest)
         for j in range(settled_at, min(settled_at + S, n)):
-            for out in (Omegas, Ks, consts, sigmas):
+            for out in (Omegas, Ks, Ls, sigmas):
                 if out is not None:
                     out[j::S] = out[j - S]
-    terms = -0.5 * (consts + ews)
-    _charge(step_flops * n)
+    terms = -0.5 * (m * _LOG_2PI + _logdets(Ls)
+                    + _quadratic_forms(Ls, innovations))
+    # every step: F x and H'x, e, B e and the sum, and the quadratic
+    # form (a triangular sweep and z'z); every engine step: the check's
+    # e'e, and B = K Omega^{-1} unless the engine handed over
+    # Omega^{-1} K'
+    _charge(n * (2*r*r + 2*m*r + m + 2*r*m + r + m*m + 2*m)
+            + engine_steps * (2*m + (0 if engine == "kalman" else 2*m*m*r)))
 
     return FilterOutput(engine=engine, n=n, innovations=innovations,
                         Omega=Omegas, K=Ks, xhat=xhats,
@@ -444,34 +487,47 @@ def filter_series(model, y, engine: str = "kalman",
                         terms=terms, settled_at=settled_at)
 
 
-def _loglik_const(factor, m: int) -> float:
-    """``m log 2 pi + log det Omega``, given Omega's factor."""
-    return m * _LOG_2PI + factor_logdet(factor)
+def _logdets(L: np.ndarray) -> np.ndarray:
+    """``log det Omega_t`` for each t, from the stack of lower Cholesky
+    factors ``L[t]`` of Omega_t, as ``factor_logdet`` forms it."""
+    return 2.0 * np.log(L.diagonal(axis1=1, axis2=2)).sum(axis=1)
 
 
-def _check_solve(info: int, e: np.ndarray, t: int, season: int) -> None:
-    """The checks of step t's solve ``w = Omega^{-1} e``, run when its
-    ``info`` is nonzero or ``e' w`` is not finite (which a non-finite e
-    always makes it): a non-finite innovation raises ``ValueError``
-    naming the step and season, as does an illegal LAPACK argument.  A
-    finite innovation whose ``e' w`` overflows passes, and its term is
-    -inf.  The factor needs no check here: ``spd_factor`` formed it from
-    a matrix it checked finite."""
+def _quadratic_forms(L: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``e[t]' Omega_t^{-1} e[t]`` for each t, as ``|z_t|^2`` with
+    ``L[t] z_t = e[t]`` solved by forward substitution for all t at
+    once (``L[t]`` is the lower Cholesky factor of Omega_t; its upper
+    triangle is not read).  Every operation is elementwise across t, so
+    each row's result depends on that row alone."""
+    z = np.empty_like(e)
+    for k in range(e.shape[1]):
+        acc = e[:, k]
+        for j in range(k):
+            acc = acc - L[:, k, j] * z[:, j]
+        z[:, k] = acc / L[:, k, k]
+    return (z * z).sum(axis=1)
+
+
+def _check_innovation(e: np.ndarray, t: int, season: int) -> None:
+    """Raise ``ValueError`` naming step t and its season when the
+    innovation ``e`` is not finite; run when ``e' e`` is not finite,
+    which a finite but huge innovation also makes it."""
     if not np.isfinite(e).all():
         raise ValueError(f"innovation at t={t} (season {season}) is not "
                          f"finite ({e!r})")
-    if info:
-        raise ValueError(f"potrs: illegal value in argument {-info} at "
-                         f"t={t} (season {season})")
 
 
 def gaussian_loglik(output: FilterOutput) -> float:
     """Innovations-form Gaussian log-likelihood, recomputed from the
-    stored innovations and Omegas (each factored again); an empty series
-    has log-likelihood 0."""
+    stored innovations and Omegas; an empty series has log-likelihood 0.
+
+    An independent check of ``FilterOutput.loglik``: it gates and
+    factors every Omega again and solves step by step, sharing no code
+    with the loop's batched terms beyond ``spd_factor``.  It costs a
+    factorization per step, so the loop does not use it."""
     terms = []
     for e, Omega in zip(output.innovations, output.Omega):
         factor = spd_factor(Omega)
-        terms.append(-0.5 * (_loglik_const(factor, e.size)
+        terms.append(-0.5 * (e.size * _LOG_2PI + factor_logdet(factor)
                              + float(e @ factor_solve(factor, e))))
     return float(np.sum(terms))

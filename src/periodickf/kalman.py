@@ -58,8 +58,10 @@ MAX_DOUBLINGS = 64
 
 
 def _covariance_update(model: PeriodicModel, Sigma: np.ndarray, t: int):
-    """One PRDE step. Returns (Omega, K, factor, Sigma_next), where
-    ``factor`` is the gated Cholesky factor of Omega (``spd_factor``).
+    """One PRDE step. Returns (Omega, K, factor, Sigma_next, KtilT),
+    where ``factor`` is the gated Cholesky factor of Omega
+    (``spd_factor``) and ``KtilT = Omega^{-1} K'`` the solve the step
+    makes (the filter loop takes its normalized gain from it).
 
     The arithmetic is numpy's elementwise operators, products through
     the operands' bound ``ndarray.dot`` and one ``potrs`` solve
@@ -84,7 +86,7 @@ def _covariance_update(model: PeriodicModel, Sigma: np.ndarray, t: int):
     # and symmetrize
     _charge(4*r*r*m + 2*m*r*m + 2*m*m + 2*m*m*r + 4*r**3 + 2*r*d*d
             + 2*r*m*r + 2*r*d*r + 3*r*r)
-    return Omega, K, factor, Sigma_next
+    return Omega, K, factor, Sigma_next, KtilT
 
 
 def prde_step(model: PeriodicModel, Sigma: np.ndarray, t: int) -> np.ndarray:

@@ -3,24 +3,27 @@
 The arithmetic helpers below (``matmul``, ``add``, ``sub``,
 ``symmetrize``, the solves) charge their documented cost to the active
 counter on every call; they remain for the benchmark replay and the
-one-off solves.  The per-step code (the covariance steps in
-:mod:`periodickf.kalman` and :mod:`periodickf.chandrasekhar`, and the
-filter loop) evaluates the same expressions with numpy's elementwise
-operators and makes every matrix product through the operand's bound
-``ndarray.dot``, which skips the ufunc dispatch of ``@`` (about half
-the cost of a product of these small operands).  It charges what the
-helpers would charge in one sum, once per step (the filter loop once
-per call); ``spd_factor`` and ``sym_solve``, which it still calls,
-charge their own share.  So its results and counts are bitwise those of
-the helper-by-helper code, with one exception: ``dot`` multiplies two
-one-element operands directly where ``@`` accumulates from +0.0, so
-such a product that is exactly zero may come out as -0.0 where ``@``
-gives 0.0.  Such a product reaches an output only when the state
-dimension r is 1: a season with F = 0, say, then gives gains of -0.0
-where ``@`` gave 0.0; the values compare equal.  ``tests/test_linalg.py``
-checks ``dot`` against ``@`` on every operand layout the per-step code
-uses.  Activating a counter only increments a tally, so numerical
-results are bitwise identical with metering on or off.
+one-off solves.  The covariance steps in :mod:`periodickf.kalman` and
+:mod:`periodickf.chandrasekhar` evaluate the same expressions with
+numpy's elementwise operators and make every matrix product through
+the operand's bound ``ndarray.dot``, which skips the ufunc dispatch of
+``@`` (about half the cost of a product of these small operands).
+They charge what the helpers would charge in one sum, once per step;
+``spd_factor`` and ``sym_solve``, which they still call, charge their
+own share.  So their results and counts are bitwise those of the
+helper-by-helper code.  The filter loop in :mod:`periodickf.filtering`
+makes its products through ``ndarray.dot`` too, and charges its
+arithmetic once per call at the rates below.  The one exception to
+``dot`` matching ``@``: ``dot`` multiplies two one-element operands
+directly where ``@`` accumulates from +0.0, so such a product that is
+exactly zero may come out as -0.0 where ``@`` gives 0.0.  Such a
+product reaches an output only when the state dimension r is 1: a
+season with F = 0, say, then gives gains of -0.0 where ``@`` gave 0.0,
+and the filter loop's ``F x`` and ``B e`` are such products too; the
+values compare equal.  ``tests/test_linalg.py`` checks ``dot`` against
+``@`` on every operand layout the per-step code uses.  Activating a
+counter only increments a tally, so numerical results are bitwise
+identical with metering on or off.
 
 The Cholesky helpers call LAPACK ``potrf``/``potrs`` directly (the
 double-precision routines ``scipy.linalg.cho_factor``/``cho_solve``
@@ -58,6 +61,8 @@ Accounting rules (exact integers):
   sweeps); a factorization alone charges ``n**3 // 3``;
 * symmetric indefinite solve: same rate as the SPD solve (Bunch-Kaufman
   factorization has the same leading cost);
+* one triangular sweep (forward or back substitution) of size n with k
+  right-hand sides: ``n*n*k``;
 * elementwise add/subtract, including the addition inside
   ``symmetrize``: one flop per element.
 

@@ -11,7 +11,7 @@ import pytest
 from periodickf import (FilterOutput, MSingular, OmegaNotPD, PeriodicModel,
                         filter_series)
 from periodickf.filtering import (_coerce_observations, _initial_conditions,
-                                  _make_engine)
+                                  _logdets, _make_engine, _quadratic_forms)
 from periodickf.linalg import add, factor_logdet, factor_solve, matmul, sub
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -93,8 +93,63 @@ def unfrozen_filter(model, y, engine: str = "kalman",
                     sigma_trace: bool = False) -> FilterOutput:
     """``filter_series`` without the steady-gain switch: the engine built
     by ``_make_engine`` is stepped at every t, whatever its ``settled``
-    flag says, and the loop's own state-update and log-likelihood
-    expressions are applied to what it returns."""
+    flag says, and the loop's own expressions are applied to what it
+    returns: the normalized gain ``B = K Omega^{-1}`` (from the engine's
+    ``KtilT`` when it made that solve), ``(F x, H'x)`` in one product
+    with ``[F; H']``, ``e = y - H'x`` and ``x = F x + B e`` per step;
+    after the loop the log-determinants and quadratic forms
+    ``e' Omega^{-1} e`` from the stack of Omega factors."""
+    y2 = _coerce_observations(y, model.m)
+    n = y2.shape[0]
+    x, Sigma1v, W = _initial_conditions(model, init, xhat1, Sigma1)
+    eng = _make_engine(model, engine, Sigma1v, W, sigma_trace)
+    innovations = np.empty((n, model.m))
+    Omegas = np.empty((n, model.m, model.m))
+    Ks = np.empty((n, model.r, model.m))
+    xhats = np.empty((n + 1, model.r))
+    sigmas = np.empty((n, model.r, model.r)) if sigma_trace else None
+    Ls = np.empty((n, model.m, model.m))
+    xhats[0] = x
+    for t in range(1, n + 1):
+        try:
+            K, Omega, factor, Sigma = eng.step(t)
+        except (OmegaNotPD, MSingular) as exc:
+            exc.locate(t, model.season(t))
+            raise
+        F, _, H, _, _ = model.at(t)
+        KtilT = eng.KtilT
+        if KtilT is None:
+            KtilT = factor_solve(factor, K.T)
+        Fx_HTx = np.vstack((F, H.T)).dot(x)
+        e = y2[t - 1] - Fx_HTx[model.r:]
+        if not np.isfinite(e).all():
+            raise ValueError(f"innovation at t={t} (season "
+                             f"{model.season(t)}) is not finite ({e!r})")
+        x = Fx_HTx[:model.r] + KtilT.T.dot(e)
+        innovations[t - 1] = e
+        xhats[t] = x
+        Ls[t - 1] = factor[0]
+        Omegas[t - 1] = Omega
+        Ks[t - 1] = K
+        if sigma_trace:
+            sigmas[t - 1] = Sigma
+    terms = -0.5 * (model.m * float(np.log(2.0 * np.pi)) + _logdets(Ls)
+                    + _quadratic_forms(Ls, innovations))
+    return FilterOutput(engine=engine, n=n, innovations=innovations,
+                        Omega=Omegas, K=Ks, xhat=xhats,
+                        loglik=float(np.sum(terms)), sigma_trace=sigmas,
+                        terms=terms)
+
+
+def innovation_form_filter(model, y, engine: str = "kalman",
+                    init: str = "zero-state", xhat1=None, Sigma1=None,
+                    sigma_trace: bool = False) -> FilterOutput:
+    """The filter in innovation form, without the steady-gain switch:
+    the engine built by ``_make_engine`` is stepped at every t, and each
+    step forms ``e = y - H'x``, ``w = Omega^{-1} e``, ``x = F x + K w``
+    and its term ``-1/2 (m log 2 pi + log det Omega + e'w)`` through the
+    metered helpers.  ``filter_series`` evaluates the closed-loop form
+    of the same filter; this is the reference it is checked against."""
     y2 = _coerce_observations(y, model.m)
     n = y2.shape[0]
     x, Sigma1v, W = _initial_conditions(model, init, xhat1, Sigma1)

@@ -232,7 +232,7 @@ def metered_covariance_update(model, Sigma, t):
     GQ = matmul(G, Q)
     Sigma_next = symmetrize(
         add(sub(matmul(FS, F.T), matmul(K, KtilT)), matmul(GQ, G.T)))
-    return Omega, K, factor, Sigma_next
+    return Omega, K, factor, Sigma_next, KtilT
 
 
 def same_bits(got, want):
@@ -319,11 +319,12 @@ class TestStepKernelsMatchMeteredReference:
         ref = Sigma
         for t in range(1, 3 * model.S + 1):
             with count_flops() as counted:
-                *got, Sigma = _covariance_update(model, Sigma, t)
+                *got, Sigma, KtilT = _covariance_update(model, Sigma, t)
             with count_flops() as metered:
-                *want, ref = metered_covariance_update(model, ref, t)
+                *want, ref, KtilT0 = metered_covariance_update(model, ref, t)
             (Omega, K, (c, lower)), (Omega0, K0, (c0, lower0)) = got, want
             assert same_bits(Omega, Omega0) and same_bits(K, K0)
+            assert same_bits(KtilT, KtilT0)
             assert same_bits(c, c0) and lower == lower0
             assert same_bits(Sigma, ref)
             assert counted.flops == metered.flops == prde_flops(4, m, d)

@@ -54,7 +54,7 @@ def run_lockstep(model, stepper, n_steps, inverse=False):
 
 def _exact_quadruple(model, Sigma, t):
     from periodickf.kalman import _covariance_update
-    return _covariance_update(model, Sigma, t)
+    return _covariance_update(model, Sigma, t)[:4]
 
 
 class TestBuildPrelude:

@@ -310,20 +310,22 @@ def kernel_products(rng, r: int, m: int, a: int, draw):
     makes through ``ndarray.dot``, by site, laid out as that code lays
     them out: C-contiguous model matrices and results, transposed views
     (``H.T``, ``Y.T``, ``U.T``, ``F.T``, ``G.T``), a (1, r) row for
-    ``H.T`` at m = 1, single-column ``K`` and ``U`` at m = 1, and the
-    ``potrs`` solutions ``B`` and ``Omega^{-1} K'``.  ``draw(shape)``
-    makes the entries."""
+    ``H.T`` at m = 1, single-column ``K`` and ``U`` at m = 1, the
+    stacked ``[F; H']``, and the ``potrs`` solutions ``B``,
+    ``Omega^{-1} K'`` and its transpose.  ``draw(shape)`` makes the
+    entries."""
     F, H, Sigma, Y, M = (draw((r, r)), draw((r, m)), draw((r, r)),
                          draw((r, a)), draw((a, a)))
-    G, Q, K, x, w, e = (draw((r, 3)), draw((3, 3)), draw((r, m)), draw(r),
-                        draw(m), draw(m))
+    G, Q, K, x, e = (draw((r, 3)), draw((3, 3)), draw((r, m)), draw(r),
+                     draw(m))
     factor = spd_factor(random_spd(rng, m))
     U = Y.T.dot(H)
     T = M.dot(U)
     B = _solve(factor, U.T)
     return {
-        # filtering.filter_series: the state update and e' w
-        "H.T x": (H.T, x), "F x": (F, x), "K w": (K, w), "e w": (e, w),
+        # filtering.filter_series: the state update and the check's e'e
+        "[F; H'] x": (np.vstack((F, H.T)), x),
+        "(Omega^-1 K.T).T e": (_solve(factor, K.T).T, e), "e e": (e, e),
         # chandrasekhar._step
         "Y.T H": (Y.T, H), "M U": (M, U), "Y T": (Y, T),
         "U.T T": (U.T, T), "F (Y T)": (F, Y.dot(T)), "F Y": (F, Y),

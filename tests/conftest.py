@@ -142,14 +142,16 @@ def unfrozen_filter(model, y, engine: str = "kalman",
 
 
 def innovation_form_filter(model, y, engine: str = "kalman",
-                    init: str = "zero-state", xhat1=None, Sigma1=None,
-                    sigma_trace: bool = False) -> FilterOutput:
+                           init: str = "zero-state", xhat1=None,
+                           Sigma1=None,
+                           sigma_trace: bool = False) -> FilterOutput:
     """The filter in innovation form, without the steady-gain switch:
     the engine built by ``_make_engine`` is stepped at every t, and each
     step forms ``e = y - H'x``, ``w = Omega^{-1} e``, ``x = F x + K w``
     and its term ``-1/2 (m log 2 pi + log det Omega + e'w)`` through the
-    metered helpers.  ``filter_series`` evaluates the closed-loop form
-    of the same filter; this is the reference it is checked against."""
+    metered helpers.  ``filter_series`` evaluates the same filter with a
+    cached normalized gain ``K Omega^{-1}`` and forms the terms after
+    its loop; this is the reference it is checked against."""
     y2 = _coerce_observations(y, model.m)
     n = y2.shape[0]
     x, Sigma1v, W = _initial_conditions(model, init, xhat1, Sigma1)

@@ -7,8 +7,12 @@ and forms the terms after the loop from the stack of Omega factors.
 step ``w = Omega^{-1} e`` and ``x = F x + K w`` through the metered
 helpers, and each term from that ``w``.  The gains are the engines' and
 must not move at all; the predictions, innovations and log-likelihood
-are the same filter evaluated in another order, so they are held to
-bounds set from float64 roundoff.
+are the same filter evaluated in another order, held to fixed bounds.
+On the randomized draws the loop must also be no less accurate than
+the reference, both measured against the reference's recursion run in
+extended precision.  (The draw space holds models on which float64
+misses the fixed bounds in either order, such as an ill-conditioned
+non-normal F; the derandomized sample below holds none.)
 """
 
 import numpy as np
@@ -28,6 +32,11 @@ STATIONARY_S2 = ROOT / "demos" / "models" / "stationary_s2.json"
 # of the largest entry of the reference array
 XHAT_INNOVATION_TOL = 1e-9
 LOGLIK_RTOL = 1e-11
+# against extended precision: at most this multiple of the reference's
+# error, plus a floor relative to the largest entry (or |loglik|)
+ACCURACY_FACTOR = 2.0
+ACCURACY_FLOOR = 1e-12
+EXTENDED = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
 
 
 def first_settled_step(model, y, engine, kwargs):
@@ -46,17 +55,58 @@ def first_settled_step(model, y, engine, kwargs):
 
 def deviations(out, ref):
     """(xhat, innovations) deviations relative to the largest entry of
-    the reference, and the relative log-likelihood deviation."""
+    ``ref``'s, and the relative log-likelihood deviation; ``ref`` is a
+    ``FilterOutput`` or a tuple ``(xhat, innovations, loglik)``."""
+    if not isinstance(ref, tuple):
+        ref = ref.xhat, ref.innovations, ref.loglik
+
     def rel(got, want):
         scale = float(np.max(np.abs(want), initial=0.0))
         diff = float(np.max(np.abs(got - want), initial=0.0))
         return diff / scale if scale > 0.0 else diff
-    return (rel(out.xhat, ref.xhat), rel(out.innovations, ref.innovations),
-            abs(out.loglik - ref.loglik) / abs(ref.loglik)
-            if ref.loglik != 0.0 else abs(out.loglik))
+    xhat, innovations, loglik = ref
+    return (rel(out.xhat, xhat), rel(out.innovations, innovations),
+            float(abs(out.loglik - loglik) / abs(loglik))
+            if loglik != 0.0 else abs(out.loglik))
 
 
-def assert_same_filter(model, y, engine, kwargs):
+def extended_innovation_form(model, y, ref):
+    """``innovation_form_filter``'s recursion on ``ref``'s K and Omega
+    and start, in extended precision (numpy's long double): per step
+    ``e = y - H'x``, ``w = Omega^{-1} e`` by Gaussian elimination,
+    ``x = F x + K w`` and the term.  Returns (xhat, innovations,
+    loglik)."""
+    ext = np.longdouble
+    n, m = ref.innovations.shape
+    xhat = np.empty(ref.xhat.shape, dtype=ext)
+    innovations = np.empty((n, m), dtype=ext)
+    x = ref.xhat[0].astype(ext)
+    loglik = ext(0)
+    for t in range(n):
+        s = t % model.S
+        xhat[t] = x
+        e = y[t].astype(ext) - model.H[s].T.astype(ext) @ x
+        innovations[t] = e
+        A, b = ref.Omega[t].astype(ext), e.copy()
+        for k in range(m):
+            for i in range(k + 1, m):
+                f = A[i, k] / A[k, k]
+                A[i, k:] -= f * A[k, k:]
+                b[i] -= f * b[k]
+        w = np.zeros(m, dtype=ext)
+        for k in reversed(range(m)):
+            w[k] = (b[k] - A[k, k + 1:] @ w[k + 1:]) / A[k, k]
+        x = model.F[s].astype(ext) @ x + ref.K[t].astype(ext) @ w
+        loglik -= 0.5 * (m * np.log(2 * ext(np.pi))
+                         + np.log(np.prod(A.diagonal())) + e @ w)
+    xhat[n] = x
+    return xhat, innovations, loglik
+
+
+def assert_same_filter(model, y, engine, kwargs, accuracy=False):
+    """K, Omega and ``settled_at`` exact; xhat, innovations and loglik
+    within the fixed bounds and, with ``accuracy``, no further from the
+    extended-precision recursion than the reference is."""
     out = outcome(filter_series, model, y, engine, kwargs)
     ref = outcome(innovation_form_filter, model, y, engine, kwargs)
     if isinstance(out, tuple) or isinstance(ref, tuple):
@@ -69,13 +119,22 @@ def assert_same_filter(model, y, engine, kwargs):
     assert xhat <= XHAT_INNOVATION_TOL, (engine, xhat)
     assert innovations <= XHAT_INNOVATION_TOL, (engine, innovations)
     assert loglik <= LOGLIK_RTOL, (engine, loglik)
+    if not accuracy:
+        return
+    exact = extended_innovation_form(model, y, ref)
+    for name, got, want in zip(("xhat", "innovations", "loglik"),
+                               deviations(out, exact),
+                               deviations(ref, exact)):
+        assert got <= ACCURACY_FACTOR * want + ACCURACY_FLOOR, \
+            (engine, name, got, want)
 
 
 class TestInnovationFormReference:
     """``filter_series`` against the innovation-form filter it
     replaced: K and Omega bitwise, ``settled_at`` where the engine
-    settles, xhat and innovations within 1e-9 of their largest entry,
-    and the log-likelihood within 1e-11 relative."""
+    settles; xhat and innovations within 1e-9 of their largest entry
+    and the log-likelihood within 1e-11 relative; on the random draws
+    also no less accurate than the reference."""
 
     @pytest.mark.parametrize("k", range(3))
     @pytest.mark.parametrize("workload",
@@ -92,6 +151,7 @@ class TestInnovationFormReference:
             assert_same_filter(model, y, engine, {})
 
     # the settle property's draws, a fixed derandomized sample
+    @pytest.mark.skipif(not EXTENDED, reason="long double is float64 here")
     @settings(max_examples=12, deadline=None, derandomize=True,
               phases=[Phase.explicit, Phase.generate])
     @given(seed=st.integers(0, 10_000), r=st.integers(2, 8),
@@ -104,7 +164,7 @@ class TestInnovationFormReference:
         model, y, kwargs = drawn_case(seed, r, S, m, radius, noise,
                                       nonnormal, init)
         for engine in ENGINES:
-            assert_same_filter(model, y, engine, kwargs)
+            assert_same_filter(model, y, engine, kwargs, accuracy=True)
 
 
 class TestSettledStepsSolveNothing:

@@ -87,7 +87,7 @@ check("full recursion scales like r^3", 2.5 < s_kal < 3.4)
 check("low-rank recursion scales like r^2", 1.5 < s_ch < 2.4)
 
 big = table.rows[-1]
-ratio = big.flops_per_step["kalman"] / big.flops_per_step["chand31"]
+ratio = big.flops_per_step("kalman") / big.flops_per_step("chand31")
 print(f"at r = {big.r}: kalman / chand31 = {ratio:.1f}x")
 check("advantage grows with r", ratio > kal / ch)
 

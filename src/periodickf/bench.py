@@ -1,7 +1,8 @@
 """Arithmetic-cost comparison of the covariance engines.
 
-Drives the filter's own engines (built by the start path
-:func:`periodickf.filter_series` uses) for a whole number of periods
+Drives the filter's own engines, built from the package's one start
+policy (the zero-state start of :func:`periodickf.filter_series`, so
+the factor width alpha is a filter run's), for a whole number of periods
 under the metering layer in :mod:`periodickf.linalg` and reports exact
 integer flop counts next to wall time.  The counted region is the
 steady-state loop only; one-off initialization (stationary solve,
@@ -27,8 +28,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exceptions import NotStationary, SingularLift
-from .filtering import ENGINES, LOWRANK_STEPS, _make_engine
-from .kalman import solve_dple
+from .filtering import (ENGINES, LOWRANK_STEPS, _check_engine,
+                        _initial_conditions, _make_engine)
 from .linalg import count_flops
 from .model import PeriodicModel, par_to_state_space, random_stationary_par
 
@@ -75,37 +76,26 @@ class CostReport:
         return self.cost("kalman").flops / self.cost(engine).flops
 
 
-def _initial_sigma(model: PeriodicModel):
-    """Stationary W list and starting covariance shared by all engines."""
-    try:
-        W = solve_dple(model)
-        return W, W[0]
-    except (NotStationary, SingularLift):
-        pass
-    if model.W1 is not None:
-        return None, np.asarray(model.W1, dtype=float)
-    return None, np.zeros((model.r, model.r))
-
-
 def count_costs(model: PeriodicModel, n_periods: int,
                 engines: Sequence[str] = ENGINES) -> CostReport:
     """Meter ``n_periods * S`` covariance steps of each engine.
 
     Builds and steps the same engine objects :func:`filter_series`
-    does.  All engines start from the same covariance (the stationary
-    W_1 when it exists, else the model's W1, else zero); the low-rank
-    engines take the automatic start factorization.
+    does, from its zero-state start (a stored W1, else the stationary
+    W_1, else zero when neither exists); with a stored W1 each low-rank
+    engine solves its own Lyapunov equation, unmetered, as it does there.
     """
     if n_periods < 1:
         raise ValueError("n_periods must be positive")
     if not engines:
         raise ValueError(f"no engine given; expected some of {ENGINES}")
     for name in engines:
-        if name not in ENGINES:
-            raise ValueError(f"unknown engine {name!r}; "
-                             f"expected one of {ENGINES}")
+        _check_engine(name)
     steps = n_periods * model.S
-    W, Sigma1 = _initial_sigma(model)
+    try:
+        _, Sigma1, W = _initial_conditions(model, "zero-state", None, None)
+    except (NotStationary, SingularLift):
+        Sigma1, W = np.zeros((model.r, model.r)), None
     built = [_make_engine(model, name, Sigma1, W, trace=False)
              for name in engines]
     costs = []
@@ -124,21 +114,14 @@ def count_costs(model: PeriodicModel, n_periods: int,
 
 
 @dataclass
-class ScalingRow:
-    r: int
-    alpha: int | None
-    flops_per_step: dict
-
-
-@dataclass
 class ScalingTable:
-    """Per-step flops against state dimension, with fitted log-log
-    slopes (None when fewer than two sizes were run: a one-point fit is
-    refused)."""
+    """The :class:`CostReport` of each state dimension run, in order,
+    with fitted log-log slopes of flops per step against r (None when
+    fewer than two sizes were run: a one-point fit is refused)."""
 
     engines: tuple
     n_periods: int
-    rows: list[ScalingRow]
+    rows: list[CostReport]
     slopes: dict
 
 
@@ -152,19 +135,15 @@ def scaling_table(model_factory: Callable[[int], PeriodicModel],
     dimension r.  Slopes are least-squares fits of log(flops/step)
     against log(r).
     """
-    rows = []
-    for r in r_values:
-        report = count_costs(model_factory(int(r)), n_periods, engines)
-        rows.append(ScalingRow(
-            r=int(r), alpha=report.alpha,
-            flops_per_step={e: report.flops_per_step(e) for e in engines}))
+    rows = [count_costs(model_factory(int(r)), n_periods, engines)
+            for r in r_values]
     slopes = {}
     for e in engines:
         if len(rows) < 2:
             slopes[e] = None
         else:
             logs_r = np.log([row.r for row in rows])
-            logs_f = np.log([row.flops_per_step[e] for row in rows])
+            logs_f = np.log([row.flops_per_step(e) for row in rows])
             slopes[e] = float(np.polyfit(logs_r, logs_f, 1)[0])
     return ScalingTable(engines=tuple(engines), n_periods=n_periods,
                         rows=rows, slopes=slopes)
@@ -229,7 +208,7 @@ def format_scaling_table(table: ScalingTable) -> str:
     for row in table.rows:
         body.append([str(row.r),
                      "-" if row.alpha is None else str(row.alpha)]
-                    + [f"{row.flops_per_step[e]:.1f}"
+                    + [f"{row.flops_per_step(e):.1f}"
                        for e in table.engines])
     lines = _aligned(cols, body)
     for e in table.engines:
@@ -243,6 +222,6 @@ def format_scaling_table(table: ScalingTable) -> str:
 def scaling_table_rows(table: ScalingTable):
     header = ["r", "alpha"] + [f"flops_per_step_{e}" for e in table.engines]
     rows = [[row.r, "" if row.alpha is None else row.alpha]
-            + [row.flops_per_step[e] for e in table.engines]
+            + [row.flops_per_step(e) for e in table.engines]
             for row in table.rows]
     return header, rows

@@ -190,6 +190,15 @@ def _require_residual(Y1, M1, delta, method: str) -> None:
             residual=residual)
 
 
+def _require_stationary(model, method: str) -> None:
+    """Raise :class:`NotStationary` for ``method`` unless stationary."""
+    stationary, rho = is_periodically_stationary(model)
+    if not stationary:
+        raise NotStationary(
+            f"{method} start needs a stationary model "
+            f"(monodromy radius {rho:.9f})")
+
+
 def factor_gain_form(model, prelude: Prelude) -> Factorization:
     """Closed-form start of width ``alpha = m S`` from the startup gains.
 
@@ -197,11 +206,7 @@ def factor_gain_form(model, prelude: Prelude) -> Factorization:
     case the first increment is exactly the (negative) sum of the
     one-period gain corrections.  Cheapest when ``S m < r``.
     """
-    stationary, rho = is_periodically_stationary(model)
-    if not stationary:
-        raise NotStationary(
-            f"gain-form start needs a stationary model "
-            f"(monodromy radius {rho:.9f})")
+    _require_stationary(model, "gain-form")
     S, r, m = model.S, model.r, model.m
     blocks = []
     M1 = np.zeros((m * S, m * S))
@@ -230,11 +235,7 @@ def factor_steady_form(model, prelude: Prelude, W0) -> Factorization:
     ``Sigma_1`` equals ``F_S W0 F_S' + G_S Q_S G_S'`` (the stationary
     W_1). Cheapest when ``S m >= r``.
     """
-    stationary, rho = is_periodically_stationary(model)
-    if not stationary:
-        raise NotStationary(
-            f"steady-form start needs a stationary model "
-            f"(monodromy radius {rho:.9f})")
+    _require_stationary(model, "steady-form")
     S = model.S
     SigS = prelude.Sigma[S - 1]
     U = SigS @ model.H[S - 1]                       # r x m
@@ -484,12 +485,14 @@ def verify_theorem31(model, prelude: Prelude, steps: int) -> TheoremReport:
         DH = delta @ H
         A_up = F - KtS @ H.T
         A_cur = F - Kt @ H.T
-        inner_up = delta + DH @ factor_solve(L_t, DH.T)
-        inner_cur = delta - DH @ factor_solve(L_tS, DH.T)
+        X_t = factor_solve(L_t, DH.T)       # Omega_t^{-1} H' Delta_t
+        X_tS = factor_solve(L_tS, DH.T)     # Omega_{t+S}^{-1} H' Delta_t
+        inner_up = delta + DH @ X_t
+        inner_cur = delta - DH @ X_tS
         r3 = max(r3, rel_err(A_up @ inner_up @ A_up.T, delta_next))
         r4 = max(r4, rel_err(A_cur @ inner_cur @ A_cur.T, delta_next))
-        r7 = max(r7, rel_err(Kt, KtS - A_up @ factor_solve(L_t, DH.T).T))
-        r8 = max(r8, rel_err(KtS, Kt + A_cur @ factor_solve(L_tS, DH.T).T))
+        r7 = max(r7, rel_err(Kt, KtS - A_up @ X_t.T))
+        r8 = max(r8, rel_err(KtS, Kt + A_cur @ X_tS.T))
     return TheoremReport(steps=steps, incr_updated_gain=r3,
                          incr_current_gain=r4, gain_backward=r7,
                          gain_forward=r8)

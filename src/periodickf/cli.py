@@ -22,24 +22,32 @@ import numpy as np
 from . import bench as bench_mod
 from .exceptions import EngineInitFailed, PeriodicFilterError
 from .filtering import ENGINES, filter_series
-from .kalman import monodromy, period_noise, solve_dple
-from .linalg import rel_err, spectral_radius
+from .kalman import _solve_dple
+from .linalg import rel_err
 from .model import (ModelFormatError, ParModel, load_model,
                     par_to_state_space, simulate, validate, validate_par)
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be non-negative")
-    return value
+def _int_at_least(low: int):
+    """An argparse ``type``: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+    return integer
 
 
-def _pos_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
+def _positive_ints(text: str) -> list[int]:
+    """An argparse ``type``: comma-separated positive integers."""
+    try:
+        values = [_int_at_least(1)(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "takes comma-separated integers") from None
+    if not values:
+        raise argparse.ArgumentTypeError("needs positive integers")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="draw a trajectory")
     p.add_argument("model")
-    p.add_argument("-n", "--steps", type=_nonneg_int, required=True)
+    p.add_argument("-n", "--steps", type=_int_at_least(0), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--start", choices=("zero-state", "stationary"),
                    default="zero-state")
@@ -85,10 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--par", nargs=3, type=int, metavar=("S", "P", "SEED"),
                    help="generate a random stationary PAR_S(P) model "
                         "instead of reading a file")
-    p.add_argument("--periods", type=_pos_int, default=3)
+    p.add_argument("--periods", type=_int_at_least(1), default=3)
     p.add_argument("--engines", default=",".join(ENGINES),
                    help="comma-separated engine list")
-    p.add_argument("--r-sweep", dest="r_sweep",
+    p.add_argument("--r-sweep", dest="r_sweep", type=_positive_ints,
                    help="comma-separated state dimensions; runs the PAR "
                         "family scaling table instead of a single model")
     p.add_argument("--format", choices=("text", "csv"), default="text")
@@ -248,18 +256,15 @@ def cmd_filter(args) -> int:
 
 def cmd_dple(args) -> int:
     model = _load_state_space(args.model)
-    W = solve_dple(model)
-    Phi = monodromy(model)
-
+    W, rho, lift_resid = _solve_dple(model)
     S = model.S
-    lift_resid = rel_err(W[0], Phi @ W[0] @ Phi.T + period_noise(model))
     prop_resid = _dple_propagation_residual(model, W)
 
     if args.format == "json":
         payload = {
             "S": S,
             "r": model.r,
-            "monodromy_spectral_radius": spectral_radius(Phi),
+            "monodromy_spectral_radius": rho,
             "W": [w.tolist() for w in W],
             "residuals": {"lift": lift_resid, "propagation": prop_resid},
         }
@@ -301,15 +306,8 @@ def cmd_bench(args) -> int:
             raise ModelFormatError("--r-sweep runs the PAR family; "
                                    "give --par S P SEED (P is ignored)")
         S, _, seed = args.par
-        try:
-            r_values = [int(v) for v in args.r_sweep.split(",") if v.strip()]
-        except ValueError:
-            raise ModelFormatError("--r-sweep takes comma-separated "
-                                   "integers") from None
-        if not r_values or min(r_values) < 1:
-            raise ModelFormatError("--r-sweep needs positive integers")
         result = bench_mod.scaling_table(bench_mod.par_family(S, seed),
-                                         r_values, engines=engines,
+                                         args.r_sweep, engines=engines,
                                          n_periods=args.periods)
         to_rows = bench_mod.scaling_table_rows
         to_text = bench_mod.format_scaling_table

@@ -14,11 +14,12 @@ and differ only in how the pair (K_t, Omega_t) is produced:
 
 ``LOWRANK_STEPS`` maps each low-rank engine name to its step function
 in :mod:`periodickf.chandrasekhar`; ``ENGINES`` is ``kalman`` followed
-by those names.  An engine is built from the starting covariance by
-``_make_engine`` (which :func:`periodickf.bench.count_costs` uses too)
-and has one method, ``step(t)``, returning ``(K_t, Omega_t, factor_t,
-Sigma_t)`` and advancing to time t + 1.  ``factor_t`` is the Cholesky
-factor of Omega_t, made by ``linalg.spd_factor`` (after the
+by those names.  The start (``_initial_conditions``, the package's one
+start policy), the name check and ``_make_engine``, which builds an
+engine from the starting covariance, serve ``bench.count_costs`` too.
+An engine has one method, ``step(t)``, returning ``(K_t, Omega_t,
+factor_t, Sigma_t)`` and advancing to time t + 1.  ``factor_t`` is the
+Cholesky factor of Omega_t, made by ``linalg.spd_factor`` (after the
 positive-definiteness gate) in the code that formed Omega_t, so each
 Omega is gated and factored once and the filter loop factors nothing.
 After a step, ``KtilT`` holds ``Omega_t^{-1} K_t'`` when the engine
@@ -319,14 +320,18 @@ class _ChandEngine:
         return True
 
 
+def _check_engine(engine: str) -> None:
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; "
+                         f"expected one of {ENGINES}")
+
+
 def _make_engine(model, engine: str, Sigma1, W, trace: bool):
     """``W`` is the stationary covariance list if the caller solved for
     it; with None a low-rank start solves for it itself."""
     if engine == "kalman":
         return _KalmanEngine(model, Sigma1)
-    if engine in LOWRANK_STEPS:
-        return _ChandEngine(model, Sigma1, W, engine, trace)
-    raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    return _ChandEngine(model, Sigma1, W, engine, trace)
 
 
 def _coerce_observations(y, m: int) -> np.ndarray:
@@ -393,10 +398,10 @@ def filter_series(model, y, engine: str = "kalman",
     unless the engine handed over ``Omega^{-1} K'``, ``2m^2 r`` for
     that solve.  The engines charge their own steps.
 
-    Raises ``ValueError`` naming the first non-finite observation or
-    the first non-finite innovation (say from a huge explicit
-    ``xhat1``) with its step and season, the latter before the engine
-    is stepped past it,
+    Raises ``ValueError`` naming an unknown engine (before any other
+    check or solve), the first non-finite observation or the first
+    non-finite innovation (say from a huge explicit ``xhat1``) with its
+    step and season, the latter before the engine is stepped past it,
     ``NotStationary`` when a stationary start is requested from a
     model without one, ``EngineInitFailed`` when a low-rank engine's
     start factorization fails, and ``OmegaNotPD`` (or ``MSingular``
@@ -405,6 +410,7 @@ def filter_series(model, y, engine: str = "kalman",
     engine forms Omega_{t+S} in step t, so it stops one period earlier
     than ``kalman`` on the same singular Omega.
     """
+    _check_engine(engine)
     y2 = _coerce_observations(y, model.m)
     n = y2.shape[0]
     with _radius_per_call():

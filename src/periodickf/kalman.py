@@ -190,6 +190,12 @@ def solve_dple(model: PeriodicModel) -> list[np.ndarray]:
     solution misses the ``DPLE_TOL`` residual gate (radius too close to
     one for the solve to be trusted).
     """
+    return _solve_dple(model)[0]
+
+
+def _solve_dple(model: PeriodicModel):
+    """``(W, rho, residual)``: :func:`solve_dple`'s ``W`` with the
+    monodromy radius and the Lyapunov residual it took on the way."""
     S = model.S
     Phi = monodromy(model)
     rho = spectral_radius(Phi)
@@ -215,4 +221,4 @@ def solve_dple(model: PeriodicModel) -> list[np.ndarray]:
         Ws = model.F[s - 1] @ W[-1] @ model.F[s - 1].T \
             + model.G[s - 1] @ model.Q[s - 1] @ model.G[s - 1].T
         W.append(0.5 * (Ws + Ws.T))
-    return W
+    return W, rho, residual

@@ -7,14 +7,17 @@ import scipy.linalg
 from periodickf import (
     count_costs,
     count_flops,
+    filter_series,
     format_cost_table,
     format_scaling_table,
     par_family,
     prde_step,
+    save_model,
     scaling_table,
     solve_dple,
 )
 from periodickf.bench import cost_report_rows, scaling_table_rows
+from periodickf.cli import main
 from periodickf.chandrasekhar import (ChandrasekharState, auto_factorize,
                                       build_prelude, chand_init,
                                       factor_eigen, step_alg31, step_alg32,
@@ -404,3 +407,39 @@ class TestRendering:
         assert "log-log slope [kalman]:" in text
         header, rows = scaling_table_rows(table)
         assert all(len(row) == len(header) for row in rows)
+
+
+class TestStoredW1Start:
+    """``count_costs`` starts from the covariance ``filter_series``
+    starts from: a stored W1 comes first, so the low-rank engines meter
+    the factor width a filter run uses (eigen start, alpha = r, on this
+    model, where the stationary W_1 would give the gain form's S m)."""
+
+    @pytest.fixture
+    def model(self):
+        model = random_stationary_model(110, r=5, S=2, m=1)
+        model.W1 = np.eye(5)
+        return model
+
+    def test_alpha_is_the_filter_engine_alpha(self, model, monkeypatch):
+        import periodickf.filtering as filtering_module
+
+        make_engine = filtering_module._make_engine
+        built = []
+
+        def recorded_make_engine(*args):
+            built.append(make_engine(*args))
+            return built[-1]
+
+        monkeypatch.setattr(filtering_module, "_make_engine",
+                            recorded_make_engine)
+        filter_series(model, np.zeros((4, 1)), engine="chand31")
+        assert built[0].alpha == 5
+        assert count_costs(model, 2).alpha == built[0].alpha
+
+    def test_bench_command_prints_filter_alpha(self, model, tmp_path,
+                                               capsys):
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert main(["bench", str(path), "--periods", "1"]) == 0
+        assert "alpha=5 " in capsys.readouterr().out

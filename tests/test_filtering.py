@@ -284,6 +284,25 @@ class TestInits:
         with pytest.raises(ValueError):
             filter_series(model, y, init="diffuse")
 
+    def test_unknown_engine_rejected_before_the_start(self, monkeypatch):
+        # a non-stationary model without W1: a Lyapunov solve would
+        # raise NotStationary, so the name must be checked before it
+        import periodickf.filtering as filtering_module
+
+        calls = []
+
+        def counted(model):
+            calls.append(model)
+            return solve_dple(model)
+
+        monkeypatch.setattr(filtering_module, "solve_dple", counted)
+        model = random_stationary_model(113, r=2, S=1, m=1)
+        model.F = [3.0 * f for f in model.F]
+        assert model.W1 is None
+        with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+            filter_series(model, np.zeros((4, 1)), engine="bogus")
+        assert calls == []
+
 
 class TestSigmaTrace:
     @pytest.mark.parametrize("engine", ["chand31", "chand32", "chand-minv"])

@@ -6,13 +6,17 @@ and stops calling the engine.  Every output must stay bitwise equal to
 the run that steps the engine to the end (``conftest.unfrozen_filter``).
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from periodickf import (ENGINES, PeriodicFilterError, filter_series,
                         is_periodically_stationary, load_model, monodromy,
-                        par_to_state_space, random_stationary_par, simulate)
+                        par_to_state_space, random_stationary_par,
+                        save_model, simulate)
+from periodickf.cli import main
 from periodickf.filtering import (SETTLE_MARGIN, _initial_conditions,
                                   _make_engine, _same_bits)
 from conftest import (ROOT, assert_bitwise_equal, benchmark_round,
@@ -267,6 +271,18 @@ class TestOneEigensolvePerCall:
         filter_series(model, y[:30], engine="chand31")
         assert is_periodically_stationary(model) == (True, rho)
         assert len(eigvals_log) == 3
+
+    def test_dple_command_once(self, eigvals_log, tmp_path):
+        # the command prints the radius the Lyapunov solve took
+        model, _ = _flop_case("m2-r12")
+        path, out = tmp_path / "model.json", tmp_path / "w.json"
+        save_model(model, path)
+        del eigvals_log[:]
+        assert main(["dple", str(path), "-o", str(out)]) == 0
+        assert len(eigvals_log) == 1
+        payload = json.loads(out.read_text())
+        assert payload["monodromy_spectral_radius"] == \
+            is_periodically_stationary(model)[1]
 
 
 def norm_bound_absorbed(engine) -> bool:

@@ -30,6 +30,7 @@ import numpy as np
 from .exceptions import NotStationary, SingularLift
 from .filtering import (ENGINES, LOWRANK_STEPS, _check_engine,
                         _initial_conditions, _make_engine)
+from .kalman import _one_start
 from .linalg import count_flops
 from .model import PeriodicModel, par_to_state_space, random_stationary_par
 
@@ -92,12 +93,13 @@ def count_costs(model: PeriodicModel, n_periods: int,
     for name in engines:
         _check_engine(name)
     steps = n_periods * model.S
-    try:
-        _, Sigma1, W = _initial_conditions(model, "zero-state", None, None)
-    except (NotStationary, SingularLift):
-        Sigma1, W = np.zeros((model.r, model.r)), None
-    built = [_make_engine(model, name, Sigma1, W, trace=False)
-             for name in engines]
+    with _one_start(model):
+        try:
+            _, Sigma1, W = _initial_conditions(model, "zero-state", None, None)
+        except (NotStationary, SingularLift):
+            Sigma1, W = np.zeros((model.r, model.r)), None
+        built = [_make_engine(model, name, Sigma1, W, trace=False)
+                 for name in engines]
     costs = []
     for name, eng in zip(engines, built):
         with count_flops() as counter:

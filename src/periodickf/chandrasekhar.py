@@ -51,9 +51,9 @@ state covariance W_1:
     numerically nonzero eigenvalues (works for any start).
 
 The closed forms first check that the model is periodically stationary
-(:func:`periodickf.kalman.is_periodically_stationary`).  Within one
-``filter_series`` call the monodromy radius is computed once: the check
-reads the radius the Lyapunov solve of the same call already took.
+(:func:`periodickf.kalman.is_periodically_stationary`); within one
+``filter_series`` or ``count_costs`` start the check reads the decision
+the Lyapunov solve of that start recorded.
 """
 
 from __future__ import annotations

@@ -96,9 +96,9 @@ from .chandrasekhar import (_m_invertible, auto_factorize, build_prelude,
                             to_inverse_state)
 from .exceptions import (EngineInitFailed, MSingular, OmegaNotPD,
                          ResidualTooLarge)
-from .kalman import _covariance_update, solve_dple
-from .linalg import (_charge, _potrs, _radius_per_call, _sym_solve,
-                     factor_logdet, factor_solve, spd_factor)
+from .kalman import _covariance_update, _one_start, solve_dple
+from .linalg import (_charge, _potrs, _sym_solve, factor_logdet, factor_solve,
+                     spd_factor)
 from .model import EIG_FLOOR_RTOL, SYM_RTOL, _sym_psd_violations
 
 # Engine registry: each low-rank engine name maps to its step function.
@@ -373,10 +373,10 @@ def filter_series(model, y, engine: str = "kalman",
         increments, ``Sigma_{kS+s} = Sigma_s + sum_j Y_{jS+s} M_{jS+s}
         Y_{jS+s}'`` over j = 0..k-1.
 
-    The stationary covariances are solved for at most once per call:
-    a low-rank engine reuses the solution the start computed, and the
-    monodromy's eigenvalues are taken once per call (the closed-form
-    starts' stationarity check reads the radius the solve took).
+    The stationary covariances are solved for at most once per call,
+    and stationarity decided once: a low-rank engine reuses the
+    solution the start computed, and the closed-form starts'
+    stationarity check reads the decision the solve recorded.
 
     Once the engine reports that its gains are exactly S-periodic (see
     the module docstring), later steps repeat ``(K, Omega, factor,
@@ -413,7 +413,7 @@ def filter_series(model, y, engine: str = "kalman",
     _check_engine(engine)
     y2 = _coerce_observations(y, model.m)
     n = y2.shape[0]
-    with _radius_per_call():
+    with _one_start(model):
         x1, Sigma1v, W = _initial_conditions(model, init, xhat1, Sigma1)
         eng = _make_engine(model, engine, Sigma1v, W, sigma_trace)
 

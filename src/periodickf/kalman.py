@@ -28,14 +28,17 @@ solved here by Smith's doubling on the monodromy, O(r^3) per doubling,
 followed by the one-season propagation
 W_{s+1} = F_s W_s F_s' + G_s Q_s G_s'.
 
-Within one ``filter_series`` call the monodromy radius is computed once
-(``linalg.spectral_radius`` remembers it for the call), so
-:func:`solve_dple` and a later :func:`is_periodically_stationary` share
-one eigenvalue solve.
+Stationarity is decided once per start: inside ``_one_start(model)``,
+which ``filter_series`` and ``bench.count_costs`` open around building
+their start and engines, the first decision (by :func:`solve_dple` or
+:func:`is_periodically_stationary`) is recorded and later ones read it;
+outside a block every call builds the monodromy and decides afresh.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -104,10 +107,37 @@ def monodromy(model: PeriodicModel) -> np.ndarray:
 
 def is_periodically_stationary(model: PeriodicModel) -> tuple[bool, float]:
     """Whether the monodromy spectral radius is below
-    ``1 - STATIONARY_MARGIN``.  Returns ``(flag, radius)``.
+    ``1 - STATIONARY_MARGIN``.  Returns ``(flag, radius)``: inside
+    ``_one_start(model)``, the decision recorded there once taken.
     """
-    rho = spectral_radius(monodromy(model))
-    return rho < 1.0 - STATIONARY_MARGIN, rho
+    return _stationarity(model)
+
+
+# The active ``_one_start`` record: [model, (flag, radius) or None].
+_START: ContextVar[list | None] = ContextVar("periodickf_start",
+                                             default=None)
+
+
+@contextmanager
+def _one_start(model: PeriodicModel):
+    """Within the block the stationarity of ``model`` is decided once."""
+    token = _START.set([model, None])
+    try:
+        yield
+    finally:
+        _START.reset(token)
+
+
+def _stationarity(model: PeriodicModel, Phi: np.ndarray | None = None):
+    """:func:`is_periodically_stationary` given the monodromy ``Phi``,
+    which is built here when None and no decision is recorded."""
+    record = _START.get()
+    if record is None or record[0] is not model:
+        record = [model, None]
+    if record[1] is None:
+        rho = spectral_radius(monodromy(model) if Phi is None else Phi)
+        record[1] = rho < 1.0 - STATIONARY_MARGIN, rho
+    return record[1]
 
 
 def dpre_fixed_point(model: PeriodicModel, tol: float = 1e-10,
@@ -198,8 +228,8 @@ def _solve_dple(model: PeriodicModel):
     monodromy radius and the Lyapunov residual it took on the way."""
     S = model.S
     Phi = monodromy(model)
-    rho = spectral_radius(Phi)
-    if not rho < 1.0 - STATIONARY_MARGIN:
+    stationary, rho = _stationarity(model, Phi)
+    if not stationary:
         raise NotStationary(
             f"monodromy spectral radius {rho:.9f} is not below 1")
     Qbar = period_noise(model)

@@ -319,34 +319,6 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
 
 
 def spectral_radius(a: np.ndarray) -> float:
-    """The largest eigenvalue modulus of ``a``; inside
-    ``_radius_per_call``, taken once per matrix."""
-    memo = _RADII.get()
-    if memo is None:
-        memo = {}
-    key = (a.dtype.str, a.shape, a.tobytes())
-    if key not in memo:
-        memo[key] = (0.0 if a.size == 0 else
-                     float(np.max(np.abs(np.linalg.eigvals(a)))))
-    return memo[key]
-
-
-# The radii ``spectral_radius`` has taken inside the active
-# ``_radius_per_call`` block, by matrix; None outside one.
-_RADII: ContextVar[dict | None] = ContextVar("periodickf_radii",
-                                             default=None)
-
-
-@contextmanager
-def _radius_per_call():
-    """Within the block, ``spectral_radius`` takes the eigenvalues of a
-    matrix once: a later call with a matrix of the same dtype, shape and
-    bytes returns the radius already taken.  ``filter_series`` opens one
-    block around building its start and its engine, so the monodromy
-    radius of the Lyapunov solve serves the closed-form start's
-    stationarity check; nothing is kept once the block ends."""
-    token = _RADII.set({})
-    try:
-        yield
-    finally:
-        _RADII.reset(token)
+    """The largest eigenvalue modulus of ``a`` (0 for an empty matrix)."""
+    return (0.0 if a.size == 0 else
+            float(np.max(np.abs(np.linalg.eigvals(a)))))

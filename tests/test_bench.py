@@ -5,6 +5,8 @@ import pytest
 import scipy.linalg
 
 from periodickf import (
+    ENGINES,
+    NotStationary,
     count_costs,
     count_flops,
     filter_series,
@@ -365,6 +367,18 @@ class TestCountCosts:
             count_costs(model, 1, engines=("sorcery",))
         with pytest.raises(ValueError, match="no engine given"):
             count_costs(model, 1, engines=())
+
+    def test_nonstationary_model_starts_from_zero(self):
+        # no stored W1 and no stationary covariance: count_costs starts
+        # its engines from a zero covariance, a start filter_series
+        # refuses
+        model = random_stationary_model(7000, r=2, S=2, m=1)
+        model.F = [2.0 * f for f in model.F]
+        report = count_costs(model, 2)
+        assert [c.engine for c in report.costs] == list(ENGINES)
+        assert report.alpha == 2
+        with pytest.raises(NotStationary):
+            filter_series(model, np.zeros((4, 1)))
 
     def test_kalman_only_reports_no_alpha(self):
         model = random_stationary_model(106, r=3, S=1, m=1)

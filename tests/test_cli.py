@@ -15,6 +15,7 @@ from periodickf import (
     solve_dple,
 )
 from periodickf.cli import _read_observations, main
+from periodickf.linalg import rel_err
 from conftest import ROOT, pinned_state_model, random_stationary_model
 
 PAR2_5 = ROOT / "demos" / "models" / "par2_5.json"
@@ -253,6 +254,29 @@ class TestFilter:
         assert code == 1
         assert "NotStationary" in capsys.readouterr().err
 
+    def test_singular_start_names_the_cause(self, tmp_path, capsys):
+        # the Q = 0 model of TestEngineInitFailure: chand-minv cannot
+        # invert its zero middle factor, and the cause is what is named
+        model = random_stationary_model(95, r=2, S=2, m=1)
+        model.Q = [np.zeros_like(q) for q in model.Q]
+        path = tmp_path / "noiseless.json"
+        save_model(model, path)
+        data = write_obs(tmp_path, np.zeros((6, 1)))
+        assert main(["filter", str(path), data, "--engine", "chand-minv",
+                     "--init", "stationary"]) == 1
+        assert capsys.readouterr().err.startswith("MSingular: ")
+
+    def test_invalid_state_space_model_is_usage_error(self, tmp_path,
+                                                      capsys):
+        model = random_stationary_model(114, r=2, S=2, m=1)
+        model.Q[0] = np.eye(1)
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        data = write_obs(tmp_path, np.zeros((3, 1)))
+        assert main(["filter", str(path), data]) == 2
+        assert capsys.readouterr().err == \
+            "error: invalid model: Q[1] must be a 2x2 matrix\n"
+
     def test_singular_step_is_located(self, tmp_path, capsys):
         path = tmp_path / "pinned.json"
         save_model(pinned_state_model(), path)
@@ -291,6 +315,18 @@ class TestDple:
         W = [np.array(w) for w in payload["W"]]
         lib = solve_dple(model)
         assert all(np.allclose(a, b, atol=1e-12) for a, b in zip(W, lib))
+
+    def test_propagation_residual_is_the_wrap_around(self, model_file,
+                                                     tmp_path):
+        # the solve propagates W_1 to W_2 .. W_S; the one propagation it
+        # does not form is the wrap-around W_S -> W_1
+        model, path = model_file
+        out = tmp_path / "w.json"
+        assert main(["dple", path, "-o", str(out)]) == 0
+        W = solve_dple(model)
+        F, G, _, Q, _ = model.at(model.S)
+        assert json.loads(out.read_text())["residuals"]["propagation"] == \
+            rel_err(W[0], F @ W[-1] @ F.T + G @ Q @ G.T)
 
     def test_csv_long_format(self, model_file, tmp_path):
         _, path = model_file
@@ -355,6 +391,10 @@ class TestBench:
                      "--r-sweep", "4,eight"]) == 2
         assert main(["bench", "--par", "2", "1", "7",
                      "--r-sweep", "0"]) == 2
+
+    def test_empty_sweep_is_usage_error(self, capsys):
+        assert main(["bench", "--par", "2", "3", "1", "--r-sweep", ","]) == 2
+        assert "needs positive integers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args, named", [
         (["--par", "0", "2", "7"], "S must be a positive integer, got 0"),

@@ -409,6 +409,27 @@ class TestEngineInitFailure:
         assert rel_err(out.Omega, ref.Omega) < 1e-12
 
 
+class TestZeroWidthStart:
+    def test_zero_increment_settles_after_one_period(self, start_log):
+        # Q = 0 from Sigma1 = 0 keeps every covariance at zero, so the
+        # first increment is exactly zero; with F doubled the model has
+        # no stationary covariance, the closed forms do not apply and
+        # the eigendecomposition start has width alpha = 0
+        model = random_stationary_model(95, r=2, S=2, m=1)
+        model.Q = [np.zeros_like(q) for q in model.Q]
+        model.F = [2.0 * f for f in model.F]
+        y = np.random.default_rng(96).standard_normal((20, 1))
+        start = dict(init="explicit", xhat1=np.zeros(2),
+                     Sigma1=np.zeros((2, 2)))
+        ref = filter_series(model, y, **start)
+        assert ref.settled_at == model.S
+        for engine in ENGINES[1:]:
+            out = filter_series(model, y, engine=engine, **start)
+            assert out.loglik == ref.loglik
+            assert out.settled_at == model.S
+        assert start_log == [("eigen", 0)] * 3
+
+
 class TestErrorLocation:
     def test_kalman_names_the_singular_step(self):
         with pytest.raises(OmegaNotPD,

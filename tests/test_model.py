@@ -10,6 +10,7 @@ from periodickf import (
     PeriodicModel,
     load_model,
     model_from_dict,
+    model_to_dict,
     par_from_dict,
     par_to_dict,
     par_to_state_space,
@@ -279,6 +280,61 @@ class TestSerialization:
         back = par_from_dict(par_to_dict(par))
         assert np.array_equal(np.asarray(par.phi, dtype=float),
                               np.asarray(back.phi, dtype=float))
+
+
+def _par(**fields):
+    return ParModel(**{"S": 2, "p": 1, "phi": np.array([[0.5], [0.3]]),
+                       "sigma2": np.array([1.0, 2.0]), **fields})
+
+
+def _state_space(name, value):
+    model = random_stationary_model(17, r=2, S=2, m=1)
+    setattr(model, name, value)
+    return model
+
+
+_GOOD_DICT = model_to_dict(random_stationary_model(18, r=1, S=1, m=1))
+_GOOD_PAR_DICT = {"S": 2, "p": 1, "phi": [[0.5], [0.3]], "sigma2": [1, 2]}
+
+
+class TestRejections:
+    """Each message of the validators and the loaders: ``validate`` and
+    ``validate_par`` list it, ``load_model`` raises it."""
+
+    @pytest.mark.parametrize("subject, message", [
+        (_state_space("F", [np.eye(2), "x"]), "F[2] must be a 2x2 matrix"),
+        (_state_space("G", 3), "G is not a sequence of 2 matrices"),
+        (_par(S=0), "S must be a positive integer, got 0"),
+        (_par(phi="x"), "phi must be an 2x1 array"),
+        (_par(phi=np.array([[0.5], [np.nan]])), "phi has non-finite entries"),
+        (_par(sigma2=[[1.0], [1.0, 2.0]]), "sigma2 must be a length-2 array"),
+        (_par(sigma2=np.ones(3)), "sigma2 must be a length-2 array"),
+        ([], "model file must hold a JSON object"),
+        ({**_GOOD_DICT, "S": "one"}, "field 'S' must be an integer"),
+        ({**_GOOD_DICT, "r": 1.5}, "field 'r' must be an integer"),
+        ({k: v for k, v in _GOOD_DICT.items() if k != "d"},
+         "missing field 'd'"),
+        ({k: v for k, v in _GOOD_DICT.items() if k != "H"},
+         "missing field 'H'"),
+        ({**_GOOD_DICT, "F": 0.5}, "field 'F' must be a list of matrices"),
+        ({**_GOOD_DICT, "Q": [[["a"]]]}, "Q[1] is not a numeric array"),
+        ({**_GOOD_DICT, "W1": [[1.0], [1.0, 2.0]]},
+         "W1 is not a numeric array"),
+        ({"S": 2, "p": 1, "phi": [[0.5], [0.3]]}, "missing field 'sigma2'"),
+        ({**_GOOD_PAR_DICT, "phi": [[0.5], [0.3, 0.1]]},
+         "phi/sigma2 are not numeric arrays"),
+    ])
+    def test_message(self, subject, message, tmp_path):
+        if isinstance(subject, ParModel):
+            assert message in validate_par(subject)
+        elif isinstance(subject, PeriodicModel):
+            assert message in validate(subject)
+        else:
+            path = tmp_path / "m.json"
+            path.write_text(json.dumps(subject))
+            with pytest.raises(ModelFormatError) as info:
+                load_model(path)
+            assert str(info.value) == message
 
 
 class TestRandomStationaryPar:

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from periodickf import (ENGINES, PeriodicFilterError, filter_series,
-                        is_periodically_stationary, load_model, monodromy,
-                        par_to_state_space, random_stationary_par,
-                        save_model, simulate)
+from periodickf import (ENGINES, PeriodicFilterError, count_costs,
+                        filter_series, is_periodically_stationary,
+                        load_model, monodromy, par_to_state_space,
+                        random_stationary_par, save_model, simulate)
 from periodickf.cli import main
 from periodickf.filtering import (SETTLE_MARGIN, _initial_conditions,
                                   _make_engine, _same_bits)
@@ -283,6 +283,52 @@ class TestOneEigensolvePerCall:
         payload = json.loads(out.read_text())
         assert payload["monodromy_spectral_radius"] == \
             is_periodically_stationary(model)[1]
+
+
+class TestOneStartDecision:
+    """Stationarity is decided once per start: the closed-form start's
+    check reads the decision the Lyapunov solve recorded, without
+    building the monodromy again, in ``filter_series`` and in
+    ``count_costs`` alike."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        import periodickf.kalman as kalman_module
+        log = []
+
+        def counted(model):
+            log.append(model)
+            return monodromy(model)
+
+        monkeypatch.setattr(kalman_module, "monodromy", counted)
+        return log
+
+    @pytest.mark.parametrize("case", ["stationary_s2", "m2-r12"])
+    @pytest.mark.parametrize("engine", LOWRANK)
+    def test_filter_builds_monodromy_once(self, case, engine, builds):
+        model, y = _flop_case(case)
+        assert model.W1 is None
+        filter_series(model, y[:30], engine=engine)
+        assert len(builds) == 1
+
+    # with a stored W1 each low-rank engine solves its own Lyapunov
+    # equation, building the monodromy, but none decides again
+    @pytest.mark.parametrize("stored_w1, built", [(False, 1), (True, 3)])
+    def test_count_costs_takes_one_eigensolve(self, stored_w1, built,
+                                              builds, monkeypatch):
+        model = random_stationary_model(21, r=12, S=4, m=2)
+        if stored_w1:
+            model.W1 = np.eye(12)
+        solves = []
+        eigvals = np.linalg.eigvals
+
+        def counting_eigvals(a):
+            solves.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        count_costs(model, 2)
+        assert len(solves) == 1 and len(builds) == built
 
 
 def norm_bound_absorbed(engine) -> bool:

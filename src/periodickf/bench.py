@@ -30,7 +30,7 @@ import numpy as np
 from .exceptions import NotStationary, SingularLift
 from .filtering import (ENGINES, LOWRANK_STEPS, _check_engine,
                         _initial_conditions, _make_engine)
-from .kalman import _one_start
+from .kalman import _one_start, solve_dple
 from .linalg import count_flops
 from .model import PeriodicModel, par_to_state_space, random_stationary_par
 
@@ -83,8 +83,9 @@ def count_costs(model: PeriodicModel, n_periods: int,
 
     Builds and steps the same engine objects :func:`filter_series`
     does, from its zero-state start (a stored W1, else the stationary
-    W_1, else zero when neither exists); with a stored W1 each low-rank
-    engine solves its own Lyapunov equation, unmetered, as it does there.
+    W_1, else zero when neither exists).  With a stored W1 one Lyapunov
+    solve, unmetered, serves every low-rank engine's start factorization
+    (in a filter run the one engine solves it itself).
     """
     if n_periods < 1:
         raise ValueError("n_periods must be positive")
@@ -98,6 +99,12 @@ def count_costs(model: PeriodicModel, n_periods: int,
             _, Sigma1, W = _initial_conditions(model, "zero-state", None, None)
         except (NotStationary, SingularLift):
             Sigma1, W = np.zeros((model.r, model.r)), None
+        else:
+            if W is None:   # a stored W1: one solve for every engine
+                try:
+                    W = solve_dple(model)
+                except (NotStationary, SingularLift):
+                    pass
         built = [_make_engine(model, name, Sigma1, W, trace=False)
                  for name in engines]
     costs = []

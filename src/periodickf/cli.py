@@ -22,8 +22,8 @@ import numpy as np
 from . import bench as bench_mod
 from .exceptions import EngineInitFailed, PeriodicFilterError
 from .filtering import ENGINES, filter_series
-from .kalman import _solve_dple
-from .linalg import rel_err
+from .kalman import _solve_dple, monodromy
+from .linalg import rel_err, spectral_radius
 from .model import (ModelFormatError, ParModel, load_model,
                     par_to_state_space, simulate, validate, validate_par)
 
@@ -256,7 +256,7 @@ def cmd_filter(args) -> int:
 
 def cmd_dple(args) -> int:
     model = _load_state_space(args.model)
-    W, rho, lift_resid = _solve_dple(model)
+    W, lift_resid = _solve_dple(model)
     S = model.S
     # W_2 .. W_S are propagated from W_1; the wrap-around W_S -> W_1
     # is the one propagation the solve does not form
@@ -267,7 +267,7 @@ def cmd_dple(args) -> int:
         payload = {
             "S": S,
             "r": model.r,
-            "monodromy_spectral_radius": rho,
+            "monodromy_spectral_radius": spectral_radius(monodromy(model)),
             "W": [w.tolist() for w in W],
             "residuals": {"lift": lift_resid, "propagation": prop_resid},
         }

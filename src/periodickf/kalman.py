@@ -28,15 +28,33 @@ solved here by Smith's doubling on the monodromy, O(r^3) per doubling,
 followed by the one-season propagation
 W_{s+1} = F_s W_s F_s' + G_s Q_s G_s'.
 
+The doubling squares the monodromy, ``A_k = Phi^(2^k)``, and those
+powers decide stationarity on the way: ``rho(Phi)^(2^k) <= ||A_k||``
+(Gelfand), so with ``a_k`` a bound on the Frobenius norm of the computed
+power and ``e_k`` a bound on its rounding error,
+
+    e_0 = 0,  e_{k+1} = e_k (2 a_k + e_k) + gamma_r a_k^2 + r^2 2^-1074,
+    gamma_r = r eps / (1 - r eps)   (the last term covers underflow),
+
+the model is certified stationary at the first k with
+``2^-k log(a_k + e_k) < log1p(-STATIONARY_MARGIN)``.  Only when no
+power certifies does :func:`solve_dple` take the monodromy eigenvalues
+(``linalg.spectral_radius``) to decide: as soon as no later power can
+(``e_k >= 1``) or a trace proves a radius above one (``|tr A_k| > r``
+beyond the error bound), where a non-stationary verdict stops the
+doubling.
+
 Stationarity is decided once per start: inside ``_one_start(model)``,
 which ``filter_series`` and ``bench.count_costs`` open around building
 their start and engines, the first decision (by :func:`solve_dple` or
 :func:`is_periodically_stationary`) is recorded and later ones read it;
-outside a block every call builds the monodromy and decides afresh.
+a decision the doubling certified carries no radius.  Outside a block
+every call builds the monodromy and decides afresh.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import TYPE_CHECKING
@@ -105,12 +123,18 @@ def monodromy(model: PeriodicModel) -> np.ndarray:
     return Phi
 
 
-def is_periodically_stationary(model: PeriodicModel) -> tuple[bool, float]:
+def is_periodically_stationary(
+        model: PeriodicModel) -> tuple[bool, float | None]:
     """Whether the monodromy spectral radius is below
     ``1 - STATIONARY_MARGIN``.  Returns ``(flag, radius)``: inside
-    ``_one_start(model)``, the decision recorded there once taken.
+    ``_one_start(model)``, the decision recorded there once taken, whose
+    radius is None when the Lyapunov doubling certified it (see the
+    module docstring); outside a block, always the eigenvalue radius.
     """
-    return _stationarity(model)
+    record = _record(model)
+    if record[1] is None:
+        record[1] = _decision(monodromy(model))
+    return record[1]
 
 
 # The active ``_one_start`` record: [model, (flag, radius) or None].
@@ -128,16 +152,18 @@ def _one_start(model: PeriodicModel):
         _START.reset(token)
 
 
-def _stationarity(model: PeriodicModel, Phi: np.ndarray | None = None):
-    """:func:`is_periodically_stationary` given the monodromy ``Phi``,
-    which is built here when None and no decision is recorded."""
+def _record(model: PeriodicModel) -> list:
+    """The active ``_one_start`` record of ``model``, else a fresh one
+    that outlives no call."""
     record = _START.get()
-    if record is None or record[0] is not model:
-        record = [model, None]
-    if record[1] is None:
-        rho = spectral_radius(monodromy(model) if Phi is None else Phi)
-        record[1] = rho < 1.0 - STATIONARY_MARGIN, rho
-    return record[1]
+    return (record if record is not None and record[0] is model
+            else [model, None])
+
+
+def _decision(Phi: np.ndarray) -> tuple[bool, float]:
+    """``(flag, radius)`` from the eigenvalues of the monodromy."""
+    rho = spectral_radius(Phi)
+    return rho < 1.0 - STATIONARY_MARGIN, rho
 
 
 def dpre_fixed_point(model: PeriodicModel, tol: float = 1e-10,
@@ -192,29 +218,61 @@ def period_noise(model: PeriodicModel) -> np.ndarray:
     return 0.5 * (Qbar + Qbar.T)
 
 
-def _smith_doubling(Phi: np.ndarray, Qbar: np.ndarray) -> np.ndarray | None:
+def _smith_doubling(Phi: np.ndarray, Qbar: np.ndarray,
+                    decision: tuple | None = None):
     """``sum_j Phi^j Qbar Phi'^j`` by doubling: ``W <- W + A W A'``, then
-    ``A <- A A``, from ``A = Phi, W = Qbar``.  Returns None when the added
-    term is still above roundoff (or not finite) after ``MAX_DOUBLINGS``."""
-    A, W = Phi, Qbar
+    ``A <- A A``, from ``A = Phi, W = Qbar``.  Returns ``(W, decision)``
+    with the stationarity decision ``(flag, radius)``: the one given;
+    else ``(True, None)`` when a power ``A = A_k`` certifies it (the
+    bound of the module docstring: ``a`` bounds ``||A||_F``, the factor
+    ``1 + r^2 eps`` covering the norm's rounding and ``r 2^-537`` the
+    underflow of its squared entries; ``e`` bounds
+    ``||A - Phi^(2^k)||_F``); else :func:`_decision`'s, taken as soon
+    as no later power can certify (``e >= 1``, so every later ``e`` is
+    too) or a trace proves the radius above one, or once the loop ends.
+    W is None when that decision is False, which stops the doubling, or
+    when the added term is still above roundoff (or not finite) after
+    ``MAX_DOUBLINGS``."""
+    r = Phi.shape[0]
+    eps = float(np.finfo(float).eps)
+    gamma = r * eps / (1.0 - r * eps)
+    limit = math.log1p(-STATIONARY_MARGIN)
+    A, W, e = Phi, Qbar, 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(MAX_DOUBLINGS):
+        for k in range(MAX_DOUBLINGS):
+            if decision is None:
+                a = (float(np.linalg.norm(A)) * (1.0 + r * r * eps)
+                     + math.ldexp(r, -537))
+                bound = a + e   # 0 only for an empty monodromy
+                if bound == 0.0 or math.ldexp(math.log(bound), -k) < limit:
+                    decision = True, None
+                # |tr A_k| <= r rho^(2^k), and the computed trace is
+                # within sqrt(r) (e + gamma a) of tr A_k
+                elif (e >= 1.0 or abs(float(np.trace(A)))
+                      - math.sqrt(r) * (e + gamma * a) > r):
+                    decision = _decision(Phi)
+                    if not decision[0]:
+                        return None, decision
+                e = (e * (2.0 * a + e) + gamma * a * a
+                     + math.ldexp(r * r, -1074))
             term = A @ W @ A.T
             W = W + term
             size = float(np.linalg.norm(term))
             if not np.isfinite(size):
-                return None
-            if size <= np.finfo(float).eps * float(np.linalg.norm(W)):
-                return W
+                break
+            if size <= eps * float(np.linalg.norm(W)):
+                return W, decision or _decision(Phi)
             A = A @ A
-    return None
+    return None, decision or _decision(Phi)
 
 
 def solve_dple(model: PeriodicModel) -> list[np.ndarray]:
     """Stationary state covariances ``[W_1, .., W_S]``.
 
     Solves the period-1 Lyapunov equation for W_1 by Smith's doubling on
-    the monodromy, then propagates one season at a time.  Raises
+    the monodromy, then propagates one season at a time.  The doubling's
+    powers certify stationarity (the bound of the module docstring); the
+    monodromy eigenvalues are taken only when none does.  Raises
     :class:`NotStationary` when the monodromy radius is not below one
     and :class:`SingularLift` when the doubling does not settle or the
     solution misses the ``DPLE_TOL`` residual gate (radius too close to
@@ -224,31 +282,36 @@ def solve_dple(model: PeriodicModel) -> list[np.ndarray]:
 
 
 def _solve_dple(model: PeriodicModel):
-    """``(W, rho, residual)``: :func:`solve_dple`'s ``W`` with the
-    monodromy radius and the Lyapunov residual it took on the way."""
+    """``(W, residual)``: :func:`solve_dple`'s ``W`` with the Lyapunov
+    residual it took on the way.  A non-stationary decision recorded in
+    the active ``_one_start`` block raises before anything is built; the
+    doubling records its decision there, and a ``SingularLift`` message
+    takes the radius it prints from the monodromy eigenvalues."""
     S = model.S
-    Phi = monodromy(model)
-    stationary, rho = _stationarity(model, Phi)
+    record = _record(model)
+    if record[1] is None or record[1][0]:
+        Phi = monodromy(model)
+        Qbar = period_noise(model)
+        W1, record[1] = _smith_doubling(Phi, Qbar, record[1])
+    stationary, rho = record[1]
     if not stationary:
         raise NotStationary(
             f"monodromy spectral radius {rho:.9f} is not below 1")
-    Qbar = period_noise(model)
 
-    W1 = _smith_doubling(Phi, Qbar)
     if W1 is None:
         raise SingularLift(
             f"the Lyapunov doubling did not settle within {MAX_DOUBLINGS} "
-            f"doublings (monodromy radius {rho:.12f})")
+            f"doublings (monodromy radius {spectral_radius(Phi):.12f})")
     W1 = 0.5 * (W1 + W1.T)
     residual = rel_err(W1, Phi @ W1 @ Phi.T + Qbar)
     if residual > DPLE_TOL:
         raise SingularLift(
             f"Lyapunov solve residual {residual:.3e} exceeds {DPLE_TOL:g} "
-            f"(monodromy radius {rho:.12f})")
+            f"(monodromy radius {spectral_radius(Phi):.12f})")
 
     W = [W1]
     for s in range(1, S):
         Ws = model.F[s - 1] @ W[-1] @ model.F[s - 1].T \
             + model.G[s - 1] @ model.Q[s - 1] @ model.G[s - 1].T
         W.append(0.5 * (Ws + Ws.T))
-    return W, rho, residual
+    return W, residual

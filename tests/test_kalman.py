@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from periodickf import (
     NonConvergence,
@@ -9,6 +9,7 @@ from periodickf import (
     PeriodicModel,
     SingularLift,
     dpre_fixed_point,
+    filter_series,
     is_periodically_stationary,
     monodromy,
     par_family,
@@ -17,8 +18,9 @@ from periodickf import (
     solve_dple,
 )
 import periodickf.kalman as kalman_module
-from periodickf.kalman import DPLE_TOL
-from conftest import random_stationary_model, traced_run
+from periodickf.kalman import DPLE_TOL, _one_start
+from conftest import benchmark_round, random_stationary_model, traced_run
+from test_steady_gain import drawn_case
 
 # Scalar fixed point of P = 0.25 P / (P + 1) + 1, i.e. the positive root
 # of P^2 - 0.25 P - 1 = 0, for the model F=0.5, G=H=Q=R=1.
@@ -301,3 +303,145 @@ class TestSolveDple:
         W = solve_dple(model)
         G, Q = model.G[1], model.Q[1]  # W1 = G_S Q_S G_S' when F = 0
         assert np.allclose(W[0], G @ Q @ G.T, atol=1e-12)
+
+
+def certificate_case(seed, r, S, m, radius, noise, nonnormal):
+    """A drawn model of ``TestSettleProperty``'s space, or with
+    ``noise="par_family"`` the PAR_S family member ``par_family(S,
+    seed)(r)`` as it stands."""
+    if noise == "par_family":
+        return par_family(S, seed)(r)
+    return drawn_case(seed, r, S, m, radius, noise, nonnormal,
+                      "explicit")[0]
+
+
+class TestStationarityCertificate:
+    """The Lyapunov doubling's powers certify stationarity only where the
+    eigenvalues of the monodromy agree; elsewhere the decision is
+    theirs, taken once, and the messages are unchanged."""
+
+    MARGIN = 1.0 - kalman_module.STATIONARY_MARGIN
+
+    @pytest.fixture
+    def eigvals_log(self, monkeypatch):
+        log = []
+        eigvals = np.linalg.eigvals
+
+        def counting_eigvals(a):
+            log.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        return log
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              phases=[Phase.explicit, Phase.generate])
+    @given(seed=st.integers(0, 10_000), r=st.integers(2, 8),
+           S=st.integers(1, 6), m=st.integers(1, 3),
+           radius=st.floats(0.3, 1.05),
+           noise=st.sampled_from(["full", "ill", "zero"]),
+           nonnormal=st.booleans())
+    # cond(F_s) about 1e11 from the conjugation
+    @example(seed=5806, r=8, S=3, m=2, radius=0.388, noise="full",
+             nonnormal=True)
+    @example(seed=7, r=512, S=4, m=1, radius=0.0, noise="par_family",
+             nonnormal=False)
+    def test_accepts_only_what_eigvals_accepts(self, seed, r, S, m, radius,
+                                               noise, nonnormal):
+        model = certificate_case(seed, r, S, m, radius, noise, nonnormal)
+        Phi = monodromy(model)
+        _, decision = kalman_module._smith_doubling(
+            Phi, kalman_module.period_noise(model))
+        rho = float(np.max(np.abs(np.linalg.eigvals(Phi))))
+        if decision == (True, None):
+            assert rho < self.MARGIN
+        else:
+            assert decision == (rho < self.MARGIN, rho)
+        if noise == "par_family":
+            assert decision == (True, None)
+
+    @staticmethod
+    def model(name: str):
+        if name.startswith("near-unit"):
+            return near_unit_model(float(name[len("near-unit"):]))
+        if name.startswith("q-zero"):
+            # W = 0: the doubling adds a zero term and stops at k = 0
+            model = random_stationary_model(95, r=2, S=2, m=1)
+            model.Q = [np.zeros_like(q) for q in model.Q]
+            if name == "q-zero-doubled":
+                model.F = [2.0 * f for f in model.F]
+            return model
+        workload, k = name.rsplit("-", 1)
+        return benchmark_round(workload, 1, int(k)).model
+
+    @pytest.mark.parametrize("name", [
+        *(f"{w}-{k}" for w in ("long-s2", "wide-par48", "estimate-m2")
+          for k in range(3)),
+        "near-unit0.999999", "near-unit-0.999999", "q-zero",
+        "q-zero-doubled"])
+    def test_recorded_decision_is_eigvals(self, name, eigvals_log):
+        model = self.model(name)
+        del eigvals_log[:]
+        with _one_start(model):
+            try:
+                solve_dple(model)
+            except NotStationary:
+                pass
+            flag, rho = is_periodically_stationary(model)
+        taken = len(eigvals_log)
+        want = float(np.max(np.abs(np.linalg.eigvals(monodromy(model)))))
+        assert flag == (want < self.MARGIN)
+        if name.startswith(("near-unit", "q-zero")):
+            # these take the fallback: one eigensolve decides
+            assert (taken, rho) == (1, want)
+        else:
+            assert (taken, rho) == (0, None)
+
+    def test_zero_dynamics_certified_at_once(self, eigvals_log):
+        model = random_stationary_model(39, r=3, S=2, m=1)
+        model.F = [np.zeros((3, 3)) for _ in range(2)]
+        Phi = monodromy(model)
+        assert not Phi.any()
+        del eigvals_log[:]
+        assert kalman_module._smith_doubling(
+            Phi, kalman_module.period_noise(model))[1] == (True, None)
+        assert eigvals_log == []
+
+    def test_empty_state_certified_without_a_log(self, eigvals_log):
+        # a 0 x 0 monodromy bounds its powers by exactly 0
+        empty = np.zeros((0, 0))
+        model = PeriodicModel(S=1, r=0, m=1, d=0, F=[empty], G=[empty],
+                              H=[np.zeros((0, 1))], Q=[empty],
+                              R=[np.eye(1)])
+        with _one_start(model):
+            assert solve_dple(model)[0].shape == (0, 0)
+            assert is_periodically_stationary(model) == (True, None)
+        assert eigvals_log == []
+
+    MESSAGES = {
+        (38, 1.05): "monodromy spectral radius 1.050000000 is not below 1",
+        (38, 1.0 + 1e-6):
+            "monodromy spectral radius 1.000001000 is not below 1",
+    }
+
+    @pytest.mark.parametrize("seed, radius", list(MESSAGES))
+    def test_not_stationary_message(self, seed, radius):
+        model = random_stationary_model(seed, r=4, S=2, radius=radius)
+        with pytest.raises(NotStationary) as info:
+            solve_dple(model)
+        assert str(info.value) == self.MESSAGES[seed, radius]
+        y = np.zeros((4, model.m))
+        with pytest.raises(NotStationary) as info:
+            filter_series(model, y, init="stationary")
+        assert str(info.value) == self.MESSAGES[seed, radius]
+
+    # the first model is certified at k = 0, the second is not
+    @pytest.mark.parametrize("radius", [0.05, 0.9])
+    def test_singular_lift_message(self, radius, monkeypatch):
+        model = random_stationary_model(43, r=3, S=2, radius=radius)
+        monkeypatch.setattr(kalman_module, "MAX_DOUBLINGS", 1)
+        with pytest.raises(SingularLift) as info:
+            solve_dple(model)
+        assert str(info.value) == (
+            "the Lyapunov doubling did not settle within 1 doublings "
+            f"(monodromy radius {radius:.12f})")

@@ -235,9 +235,10 @@ class TestSettleProperty:
 
 
 class TestOneEigensolvePerCall:
-    """The monodromy's eigenvalues are taken once per ``filter_series``
-    call: the closed-form start's stationarity check reads the radius
-    the Lyapunov solve took, and nothing is kept between calls."""
+    """A ``filter_series`` call whose Lyapunov doubling certifies
+    stationarity takes no monodromy eigenvalues: the closed-form start's
+    stationarity check reads the decision the solve recorded, and
+    nothing is kept between calls."""
 
     @pytest.fixture
     def eigvals_log(self, monkeypatch):
@@ -259,9 +260,9 @@ class TestOneEigensolvePerCall:
         assert model.W1 is None
         del eigvals_log[:]
         filter_series(model, y[:30], engine=engine)
-        assert len(eigvals_log) == 1
+        assert len(eigvals_log) == 0
         filter_series(model, y[:30], engine=engine)
-        assert len(eigvals_log) == 2
+        assert len(eigvals_log) == 0
 
     def test_radius_outside_a_call_is_taken_afresh(self, eigvals_log):
         model, y = _flop_case("m2-r12")
@@ -270,10 +271,10 @@ class TestOneEigensolvePerCall:
         assert is_periodically_stationary(model) == (True, rho)
         filter_series(model, y[:30], engine="chand31")
         assert is_periodically_stationary(model) == (True, rho)
-        assert len(eigvals_log) == 3
+        assert len(eigvals_log) == 2
 
     def test_dple_command_once(self, eigvals_log, tmp_path):
-        # the command prints the radius the Lyapunov solve took
+        # the command takes the radius it prints; the solve takes none
         model, _ = _flop_case("m2-r12")
         path, out = tmp_path / "model.json", tmp_path / "w.json"
         save_model(model, path)
@@ -283,6 +284,16 @@ class TestOneEigensolvePerCall:
         payload = json.loads(out.read_text())
         assert payload["monodromy_spectral_radius"] == \
             is_periodically_stationary(model)[1]
+
+    def test_dple_csv_takes_no_eigensolve(self, eigvals_log, tmp_path):
+        # the CSV prints no radius, and the doubling certifies
+        model, _ = _flop_case("m2-r12")
+        path, out = tmp_path / "model.json", tmp_path / "w.csv"
+        save_model(model, path)
+        del eigvals_log[:]
+        assert main(["dple", str(path), "--format", "csv",
+                     "-o", str(out)]) == 0
+        assert len(eigvals_log) == 0
 
 
 class TestOneStartDecision:
@@ -311,9 +322,9 @@ class TestOneStartDecision:
         filter_series(model, y[:30], engine=engine)
         assert len(builds) == 1
 
-    # with a stored W1 each low-rank engine solves its own Lyapunov
-    # equation, building the monodromy, but none decides again
-    @pytest.mark.parametrize("stored_w1, built", [(False, 1), (True, 3)])
+    # with a stored W1 one Lyapunov solve serves every low-rank engine;
+    # its doubling certifies, so no eigenvalues are taken
+    @pytest.mark.parametrize("stored_w1, built", [(False, 1), (True, 1)])
     def test_count_costs_takes_one_eigensolve(self, stored_w1, built,
                                               builds, monkeypatch):
         model = random_stationary_model(21, r=12, S=4, m=2)
@@ -328,7 +339,7 @@ class TestOneStartDecision:
 
         monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
         count_costs(model, 2)
-        assert len(solves) == 1 and len(builds) == built
+        assert len(solves) == 0 and len(builds) == built
 
 
 def norm_bound_absorbed(engine) -> bool:

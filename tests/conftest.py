@@ -57,6 +57,20 @@ def console_scripts(tmp_path_factory):
 
 
 @pytest.fixture
+def eigvals_log(monkeypatch):
+    """The shapes of the matrices passed to ``np.linalg.eigvals``."""
+    log = []
+    eigvals = np.linalg.eigvals
+
+    def counting_eigvals(a):
+        log.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    return log
+
+
+@pytest.fixture
 def step_log(monkeypatch):
     """The times t at which ``filter_series`` called its engine's step."""
     import periodickf.filtering as filtering_module

@@ -322,18 +322,6 @@ class TestStationarityCertificate:
 
     MARGIN = 1.0 - kalman_module.STATIONARY_MARGIN
 
-    @pytest.fixture
-    def eigvals_log(self, monkeypatch):
-        log = []
-        eigvals = np.linalg.eigvals
-
-        def counting_eigvals(a):
-            log.append(a.shape)
-            return eigvals(a)
-
-        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
-        return log
-
     @settings(max_examples=200, deadline=None, derandomize=True,
               phases=[Phase.explicit, Phase.generate])
     @given(seed=st.integers(0, 10_000), r=st.integers(2, 8),

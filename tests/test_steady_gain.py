@@ -240,18 +240,6 @@ class TestOneEigensolvePerCall:
     stationarity check reads the decision the solve recorded, and
     nothing is kept between calls."""
 
-    @pytest.fixture
-    def eigvals_log(self, monkeypatch):
-        log = []
-        eigvals = np.linalg.eigvals
-
-        def counting_eigvals(a):
-            log.append(a.shape)
-            return eigvals(a)
-
-        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
-        return log
-
     # steady-form and gain-form starts, no stored W1
     @pytest.mark.parametrize("case", ["stationary_s2", "m2-r12"])
     @pytest.mark.parametrize("engine", ENGINES)
@@ -326,20 +314,26 @@ class TestOneStartDecision:
     # its doubling certifies, so no eigenvalues are taken
     @pytest.mark.parametrize("stored_w1, built", [(False, 1), (True, 1)])
     def test_count_costs_takes_one_eigensolve(self, stored_w1, built,
-                                              builds, monkeypatch):
+                                              builds, eigvals_log):
         model = random_stationary_model(21, r=12, S=4, m=2)
         if stored_w1:
             model.W1 = np.eye(12)
-        solves = []
-        eigvals = np.linalg.eigvals
-
-        def counting_eigvals(a):
-            solves.append(a.shape)
-            return eigvals(a)
-
-        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        del eigvals_log[:]
         count_costs(model, 2)
-        assert len(solves) == 0 and len(builds) == built
+        assert len(eigvals_log) == 0 and len(builds) == built
+
+    # the start records the non-stationary decision; the engines' own
+    # solves raise it without building the monodromy again
+    @pytest.mark.parametrize("stored_w1", [False, True])
+    def test_count_costs_non_stationary_builds_once(self, stored_w1, builds,
+                                                    eigvals_log):
+        model = random_stationary_model(7000, r=2, S=2, m=1)
+        model.F = [2.0 * f for f in model.F]
+        if stored_w1:
+            model.W1 = np.eye(2)
+        del eigvals_log[:]
+        count_costs(model, 2)
+        assert len(eigvals_log) == 1 and len(builds) == 1
 
 
 def norm_bound_absorbed(engine) -> bool:

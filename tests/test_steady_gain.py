@@ -241,10 +241,11 @@ class TestOneEigensolvePerCall:
     nothing is kept between calls."""
 
     # steady-form and gain-form starts, no stored W1
-    @pytest.mark.parametrize("case", ["stationary_s2", "m2-r12"])
+    @pytest.mark.parametrize("case", ["stationary_s2", "m2-r12",
+                                      "wide-par48"])
     @pytest.mark.parametrize("engine", ENGINES)
     def test_once_per_call(self, case, engine, eigvals_log):
-        model, y = _flop_case(case)
+        model, y = settle_case(case)
         assert model.W1 is None
         del eigvals_log[:]
         filter_series(model, y[:30], engine=engine)

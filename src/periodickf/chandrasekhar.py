@@ -59,15 +59,15 @@ the Lyapunov solve of that start recorded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .exceptions import (MSingular, NotStationary, OmegaNotPD,
                          ResidualTooLarge, SingularLift)
 from .kalman import _covariance_update, is_periodically_stationary, solve_dple
-from .linalg import (_charge, _solve, factor_solve, rel_err, spd_factor, sub,
-                     sym_solve, symmetrize)
+from .linalg import (_charge, _solve, _symmetrized, factor_solve, rel_err,
+                     spd_factor, sub, sym_solve, symmetrize)
 
 # A factorization must reproduce its increment to this relative tolerance.
 FACTOR_RESIDUAL_TOL = 1e-8
@@ -335,6 +335,19 @@ def _require_invertible(state: ChandrasekharState) -> None:
             f"{sv[0]:.3e}]; the inverse-form recursion cannot proceed")
 
 
+@cache
+def _step_flops(r: int, a: int, m: int, inverse: bool) -> int:
+    """What the metered helpers would charge for one step of width a at
+    state dimension r and m outputs, besides ``spd_factor`` and
+    ``sym_solve``: U, Y T, Omega (product, add, symmetrize), K
+    (product, add), B, Y (two products, subtract), M (product, add or
+    subtract, symmetrize); M U unless inverse; the second solve unless
+    inverse."""
+    return (4*a*r*m + 2*m*a*m + 2*m*m + 2*r*r*m + r*m + 2*m*m*a
+            + 2*r*r*a + 2*r*m*a + r*a + 2*a*m*a + 2*a*a
+            + (0 if inverse else 2*a*a*m + 2*m*m*a))
+
+
 def _step(model, state: ChandrasekharState, form: str) -> ChandrasekharState:
     """The step all three recursions share.
 
@@ -349,8 +362,10 @@ def _step(model, state: ChandrasekharState, form: str) -> ChandrasekharState:
     (``linalg._solve``), in the expression order of the metered helpers
     in :mod:`periodickf.linalg`, so bitwise their results (see that
     module for the one exception, a zero product of one-element
-    operands); the step charges the active counter once with what those
-    helpers would charge, besides what ``spd_factor`` and ``sym_solve``
+    operands); ``Omega_{t+S}`` is symmetrized by ``linalg._symmetrized``,
+    a scalar operation when m = 1.  The step charges the active counter
+    once with what those helpers would charge (``_step_flops``, taken
+    once per shape), besides what ``spd_factor`` and ``sym_solve``
     charge.  The new state is built with the constructor, all fields
     given.
     """
@@ -359,23 +374,23 @@ def _step(model, state: ChandrasekharState, form: str) -> ChandrasekharState:
         raise ValueError("state carries an inverted M; use step_minv"
                          if state.m_is_inverse else
                          "state carries M itself; use to_inverse_state first")
-    if state.alpha == 0:
+    Y, M = state.Y, state.M
+    r, a = Y.shape
+    if a == 0:
         # the increment is identically zero, (K, Omega) are periodic
         # already, and the step costs no arithmetic
         return replace(state, t=state.t + 1)
     i = (state.t - 1) % model.S
     F, H = model.F[i], model.H[i]
     (K, Omega), factor = state.ring[i], state.factors[i]
-    Y, M = state.Y, state.M
-    (r, a), m = Y.shape, H.shape[1]
+    m = H.shape[1]
     if inverse:
         _require_invertible(state)
 
     U = Y.T.dot(H)                           # alpha x m
     T = sym_solve(M, U) if inverse else M.dot(U)    # alpha x m, M U
     YT = Y.dot(T)                            # r x m
-    Omega_next = Omega + U.T.dot(T)
-    Omega_next = 0.5 * (Omega_next + Omega_next.T)
+    Omega_next = _symmetrized(Omega + U.T.dot(T))
     K_next = K + F.dot(YT)
     factor_next = spd_factor(Omega_next)
 
@@ -389,17 +404,12 @@ def _step(model, state: ChandrasekharState, form: str) -> ChandrasekharState:
     else:
         M_next = M - T.dot(_solve(factor_next, T.T))
     M_next = 0.5 * (M_next + M_next.T)
-    # U, Y T, Omega (product, add, symmetrize), K (product, add), B,
-    # Y (two products, subtract), M (product, add or subtract,
-    # symmetrize); M U unless inverse; the second solve unless inverse
-    _charge(4*a*r*m + 2*m*a*m + 2*m*m + 2*r*r*m + r*m + 2*m*m*a
-            + 2*r*r*a + 2*r*m*a + r*a + 2*a*m*a + 2*a*a
-            + (0 if inverse else 2*a*a*m + 2*m*m*a))
+    _charge(_step_flops(r, a, m, inverse))
 
     ring, factors = list(state.ring), list(state.factors)
     ring[i], factors[i] = (K_next, Omega_next), factor_next
     return ChandrasekharState(t=state.t + 1, Y=Y_next, M=M_next, ring=ring,
-                              factors=factors, m_is_inverse=state.m_is_inverse)
+                              factors=factors, m_is_inverse=inverse)
 
 
 def step_alg31(model, state: ChandrasekharState) -> ChandrasekharState:

@@ -48,8 +48,10 @@ Stationarity is decided once per start: inside ``_one_start(model)``,
 which ``filter_series`` and ``bench.count_costs`` open around building
 their start and engines, the first decision (by :func:`solve_dple` or
 :func:`is_periodically_stationary`) is recorded and later ones read it;
-a decision the doubling certified carries no radius.  Outside a block
-every call builds the monodromy and decides afresh.
+a decision the doubling certified carries no radius.  A Lyapunov solve
+that raised ``SingularLift`` in a block is recorded too, and a later
+solve there raises the same message without building anything.
+Outside a block every call builds the monodromy and decides afresh.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .exceptions import NonConvergence, NotStationary, SingularLift
-from .linalg import (_charge, _solve, rel_err, spd_factor, spectral_radius,
-                     symmetrize)
+from .linalg import (_charge, _solve, _symmetrized, rel_err, spd_factor,
+                     spectral_radius, symmetrize)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import PeriodicModel
@@ -89,14 +91,14 @@ def _covariance_update(model: PeriodicModel, Sigma: np.ndarray, t: int):
     (``linalg._solve``), in the expression order of the metered helpers
     in :mod:`periodickf.linalg`, so bitwise their results (see that
     module for the one exception, a zero product of one-element
-    operands); the step charges the active counter once with what those
-    helpers would charge, besides the factorization ``spd_factor``
-    charges."""
+    operands; Omega is symmetrized by ``linalg._symmetrized``, a scalar
+    operation when m = 1); the step charges the active counter once
+    with what those helpers would charge, besides the factorization
+    ``spd_factor`` charges."""
     F, G, H, Q, R = model.at(t)
     (r, m), d = H.shape, Q.shape[0]
     U = Sigma.dot(H)                                      # r x m
-    Omega = H.T.dot(U) + R
-    Omega = 0.5 * (Omega + Omega.T)
+    Omega = _symmetrized(H.T.dot(U) + R)
     K = F.dot(U)
     factor = spd_factor(Omega)
     KtilT = _solve(factor, K.T)                           # m x r
@@ -137,7 +139,8 @@ def is_periodically_stationary(
     return record[1]
 
 
-# The active ``_one_start`` record: [model, (flag, radius) or None].
+# The active ``_one_start`` record: [model, (flag, radius) or None, the
+# message of the ``SingularLift`` its Lyapunov solve raised or None].
 _START: ContextVar[list | None] = ContextVar("periodickf_start",
                                              default=None)
 
@@ -145,7 +148,7 @@ _START: ContextVar[list | None] = ContextVar("periodickf_start",
 @contextmanager
 def _one_start(model: PeriodicModel):
     """Within the block the stationarity of ``model`` is decided once."""
-    token = _START.set([model, None])
+    token = _START.set([model, None, None])
     try:
         yield
     finally:
@@ -157,7 +160,7 @@ def _record(model: PeriodicModel) -> list:
     that outlives no call."""
     record = _START.get()
     return (record if record is not None and record[0] is model
-            else [model, None])
+            else [model, None, None])
 
 
 def _decision(Phi: np.ndarray) -> tuple[bool, float]:
@@ -283,12 +286,15 @@ def solve_dple(model: PeriodicModel) -> list[np.ndarray]:
 
 def _solve_dple(model: PeriodicModel):
     """``(W, residual)``: :func:`solve_dple`'s ``W`` with the Lyapunov
-    residual it took on the way.  A non-stationary decision recorded in
-    the active ``_one_start`` block raises before anything is built; the
-    doubling records its decision there, and a ``SingularLift`` message
-    takes the radius it prints from the monodromy eigenvalues."""
+    residual it took on the way.  A non-stationary decision or a failed
+    solve recorded in the active ``_one_start`` block raises again
+    before anything is built; the doubling records its decision there,
+    and a ``SingularLift`` its message, which takes the radius it
+    prints from the monodromy eigenvalues."""
     S = model.S
     record = _record(model)
+    if record[2] is not None:
+        raise SingularLift(record[2])
     if record[1] is None or record[1][0]:
         Phi = monodromy(model)
         Qbar = period_noise(model)
@@ -299,15 +305,17 @@ def _solve_dple(model: PeriodicModel):
             f"monodromy spectral radius {rho:.9f} is not below 1")
 
     if W1 is None:
-        raise SingularLift(
+        record[2] = (
             f"the Lyapunov doubling did not settle within {MAX_DOUBLINGS} "
             f"doublings (monodromy radius {spectral_radius(Phi):.12f})")
+        raise SingularLift(record[2])
     W1 = 0.5 * (W1 + W1.T)
     residual = rel_err(W1, Phi @ W1 @ Phi.T + Qbar)
     if residual > DPLE_TOL:
-        raise SingularLift(
+        record[2] = (
             f"Lyapunov solve residual {residual:.3e} exceeds {DPLE_TOL:g} "
             f"(monodromy radius {spectral_radius(Phi):.12f})")
+        raise SingularLift(record[2])
 
     W = [W1]
     for s in range(1, S):

@@ -43,6 +43,26 @@ are made here:
 The step code solves through ``_solve``, which runs these checks only
 when ``potrs``'s status or a non-finite solution flags a problem.
 
+Finiteness is tested by counting, ``np.count_nonzero(np.isfinite(a))
+!= a.size``: the predicate of ``np.isfinite(a).all()`` at about half
+its cost on the small operands of a step, since ``ndarray.all``
+dispatches through Python (``tests/test_source_names.py`` keeps
+``.all()`` off the per-step path).  A 1 x 1 matrix, the innovation
+covariance of every one-output model, takes scalar paths:
+
+* ``spd_factor`` gates it by its entry and tests that entry with
+  ``math.isfinite``; its factor is ``np.sqrt`` of the matrix, bitwise
+  ``potrf``'s (both are the correctly rounded square root), and an
+  entry that is not positive (the gate let it by) fails as ``potrf``
+  fails, with its message;
+* ``_symmetrized``, which the steps call on Omega, computes
+  ``0.5 * (o + o)`` on the numpy scalar entry, the operation
+  ``0.5 * (a + a.T)`` makes, with its overflow to inf and its warning.
+
+The solves stay with ``potrs`` at every size: for a 1 x 1 factor
+``b * (1/l) * (1/l)`` is bitwise the same, but numpy warns where it
+overflows, which ``potrs`` does not.
+
 ``sym_solve`` calls ``sytrf``/``sytrs`` on the upper triangle, bitwise
 ``scipy.linalg.solve(a, b, assume_a="sym")`` (with the optimal
 ``sytrf`` workspace, queried once per order), with that function's
@@ -72,6 +92,7 @@ are not charged.
 
 from __future__ import annotations
 
+import math
 import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -171,6 +192,19 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    """``0.5 * (a + a.T)``, bitwise, for a fresh matrix the caller owns.
+    A 1 x 1 ``a`` is updated in place as the scalar ``0.5 * (o + o)``,
+    the same operation on its one entry: the identity, -0.0 included,
+    but for an entry of magnitude 2**1023 or more, which overflows to
+    inf (with numpy's warning, numpy scalars being used)."""
+    if a.shape == (1, 1):
+        o = a[0, 0]
+        a[0, 0] = 0.5 * (o + o)
+        return a
+    return 0.5 * (a + a.T)
+
+
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
     """The eigenvalues of symmetric ``a``, read from its lower triangle,
     ascending: bitwise ``np.linalg.eigvalsh(a)``, which calls the same
@@ -183,17 +217,22 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
 
 
 def _pd_gate(a: np.ndarray) -> None:
-    # the eigenvalue LAPACK returns for a 1 x 1 matrix is its entry
-    w = a[0] if a.shape == (1, 1) else _eigvalsh(a)
-    if w[-1] <= 0.0 or w[0] <= PD_RTOL * w[-1]:
+    if a.shape == (1, 1):
+        # the eigenvalue LAPACK returns for a 1 x 1 matrix is its entry
+        lo = hi = a[0, 0]
+    else:
+        w = _eigvalsh(a)
+        lo, hi = w[0], w[-1]
+    if hi <= 0.0 or lo <= PD_RTOL * hi:
         raise OmegaNotPD(
-            f"innovation covariance: eigenvalues in [{w[0]:.6e}, "
-            f"{w[-1]:.6e}] fail the positive-definiteness threshold "
+            f"innovation covariance: eigenvalues in [{lo:.6e}, "
+            f"{hi:.6e}] fail the positive-definiteness threshold "
             f"(min > {PD_RTOL:g} * max)")
 
 
 def _require_finite(a, what: str) -> None:
-    if not np.isfinite(a).all():
+    finite = np.isfinite(a)
+    if np.count_nonzero(finite) != finite.size:
         raise ValueError(f"{what} must not contain infs or NaNs")
 
 
@@ -205,11 +244,22 @@ def spd_factor(a: np.ndarray):
     Every SPD system in this package is an innovation covariance, hence
     the error type. Returns the factor in ``scipy.linalg.cho_factor``
     form ``(c, lower)``, bitwise ``cho_factor(a, lower=True)``, for
-    :func:`factor_solve` and :func:`factor_logdet`.
+    :func:`factor_solve` and :func:`factor_logdet`.  A 1 x 1 ``a`` is
+    factored as ``potrf`` factors it, by the square root of its entry
+    (failing, as ``potrf`` does, at an entry that is not positive); its
+    factorization charges ``1**3 // 3 = 0`` flops.
     """
     _pd_gate(a)
-    _require_finite(a, "matrix to factor")
-    c, info = _potrf(a, lower=1, clean=0)
+    if a.shape == (1, 1):
+        a00 = a[0, 0]
+        if not math.isfinite(a00):
+            _require_finite(a, "matrix to factor")
+        if a00 > 0.0:
+            return np.sqrt(a), True
+        info = 1
+    else:
+        _require_finite(a, "matrix to factor")
+        c, info = _potrf(a, lower=1, clean=0)
     if info > 0:        # borderline cases the gate let by
         raise OmegaNotPD(
             "innovation covariance: Cholesky factorization failed "
@@ -238,7 +288,7 @@ def _solve(factor, b: np.ndarray) -> np.ndarray:
     ``spd_factor`` makes are finite)."""
     c, lower = factor
     x, info = _potrs(c, b, lower=lower)
-    if info or not np.isfinite(x).all():
+    if info or np.count_nonzero(np.isfinite(x)) != x.size:
         _require_finite(c, "Cholesky factor")
         _require_finite(b, "right-hand side")
         if info:

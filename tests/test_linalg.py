@@ -365,3 +365,131 @@ def test_dot_is_bitwise_matmul_on_kernel_layouts(r, m):
                 # and @ adds to +0.0
                 if draw is nonzero or x.size > 1 or y.size > 1:
                     assert got.tobytes() == want.tobytes(), layout
+
+
+def one_by_one_values():
+    """Positive 1 x 1 entries: a derandomized draw of mantissas with
+    exponents from -300 to 300, the subnormal range (down to the
+    smallest, 5e-324), the largest normal values and powers of two."""
+    rng = np.random.default_rng(2020)
+    yield from rng.uniform(1.0, 10.0, 5000) * 10.0 ** rng.integers(
+        -300, 301, 5000)
+    yield from rng.uniform(0.0, 1.0, 500) * np.finfo(float).tiny
+    tiny = np.finfo(float).smallest_subnormal
+    yield from (tiny, 2 * tiny, 3 * tiny, np.finfo(float).tiny,
+                np.nextafter(np.finfo(float).tiny, 0.0))
+    huge = np.finfo(float).max
+    yield from (huge, np.nextafter(huge, 0.0), 2.0 ** 1023, 1e308, 1.0, 0.5)
+    yield from (2.0 ** k for k in range(-1074, 1024, 7))
+
+
+def test_one_by_one_factor_bitwise_potrf():
+    for value in one_by_one_values():
+        a = np.array([[value]])
+        assert value > 0.0
+        c, lower = spd_factor(a)
+        want, info = linalg_module._potrf(a, lower=1, clean=0)
+        assert info == 0 and lower is True
+        assert c.tobytes() == want.tobytes(), value
+        assert c.shape == (1, 1) and c is not a
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, -2.5, -5e-324, -1e308])
+def test_one_by_one_factor_fails_where_potrf_fails(value, monkeypatch):
+    monkeypatch.setattr(linalg_module, "_pd_gate", lambda a: None)
+    a = np.array([[value]])
+    assert linalg_module._potrf(a, lower=1, clean=0)[1] == 1
+    with pytest.raises(OmegaNotPD) as info:
+        spd_factor(a)
+    assert str(info.value) == ("innovation covariance: Cholesky "
+                               "factorization failed (1-th leading minor "
+                               "not positive definite)")
+
+
+def symmetrize_cases():
+    """1 x 1 entries for the scalar symmetrization: signed zeros,
+    subnormals, ordinary values, and both sides of the overflow of
+    ``o + o`` at magnitude 2**1023."""
+    edge = 2.0 ** 1023
+    huge = np.finfo(float).max
+    return [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -2.5, 1e300,
+            np.nextafter(edge, 0.0), -np.nextafter(edge, 0.0), edge, -edge,
+            huge, -huge, np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("value", symmetrize_cases())
+def test_one_by_one_symmetrize_is_the_array_operation(value):
+    a = np.array([[value]])
+    with np.errstate(over="ignore"):
+        want = 0.5 * (a + a.T)
+        got = linalg_module._symmetrized(a.copy())
+    assert got.tobytes() == want.tobytes()
+    overflows = abs(value) >= 2.0 ** 1023 and np.isfinite(value)
+    assert np.isinf(got[0, 0]) == (overflows or np.isinf(value))
+    if not overflows:       # the identity, -0.0 and NaN included
+        assert got.tobytes() == a.tobytes()
+
+
+def test_one_by_one_symmetrize_overflow_warns_as_before():
+    a = np.array([[2.0 ** 1023]])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        0.5 * (a + a.T)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        linalg_module._symmetrized(a.copy())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        linalg_module._symmetrized(np.array([[np.nextafter(2.0 ** 1023,
+                                                           0.0)]]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_symmetrize_larger_matrices_bitwise(n):
+    a = np.random.default_rng(40 + n).normal(size=(n, n))
+    assert (linalg_module._symmetrized(a.copy()).tobytes()
+            == (0.5 * (a + a.T)).tobytes())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n", [1, 3])
+def test_non_finite_messages_unchanged(bad, n, monkeypatch):
+    monkeypatch.setattr(linalg_module, "_pd_gate", lambda a: None)
+    a = np.diag(np.full(n, bad))
+    with pytest.raises(ValueError) as info:
+        spd_factor(a)
+    assert str(info.value) == "matrix to factor must not contain infs or NaNs"
+    factor = spd_factor(np.eye(n))
+    b = np.ones((n, 2))
+    b[n - 1, 1] = bad
+    for solve in (factor_solve, _solve):
+        with pytest.raises(ValueError) as info:
+            solve(factor, b)
+        assert str(info.value) == \
+            "right-hand side must not contain infs or NaNs"
+    c = factor[0].copy()
+    c[n - 1, n - 1] = bad
+    with pytest.raises(ValueError) as info:
+        factor_solve((c, True), np.ones(n))
+    assert str(info.value) == "Cholesky factor must not contain infs or NaNs"
+    sym = np.eye(n)
+    sym[0, n - 1] = bad     # upper triangle, which sym_solve reads
+    with pytest.raises(ValueError) as info:
+        sym_solve(sym, np.ones(n))
+    assert str(info.value) == "matrix must not contain infs or NaNs"
+    with pytest.raises(ValueError) as info:
+        sym_solve(np.eye(n), b)
+    assert str(info.value) == "right-hand side must not contain infs or NaNs"
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_finite_solve_that_overflows_returns_inf_quietly(n):
+    # potrs's own result: inf at n = 1; at n = 3 the zero off-diagonal
+    # entries times inf make NaN
+    factor = spd_factor(1e-300 * np.eye(n))
+    b = np.full((n, 2), 1e300)
+    want = linalg_module._potrs(factor[0], b, lower=True)[0]
+    assert not np.isfinite(want).any()
+    assert np.isposinf(want).all() == (n == 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (_solve(factor, b), factor_solve(factor, b)):
+            assert x.tobytes() == want.tobytes()

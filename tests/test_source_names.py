@@ -84,11 +84,14 @@ def test_every_class_member_is_read():
 
 
 # The per-step path: no function here may call a ``numpy.linalg``
-# wrapper, whose dispatch and checks would be paid on every filter step.
+# wrapper, whose dispatch and checks would be paid on every filter step,
+# nor test finiteness by ``np.isfinite(...).all()``, whose ``ndarray.all``
+# dispatches through Python (``np.count_nonzero`` counts in C).
 # (``ChandrasekharState._m_singular_values`` takes its SVD once per state
 # and is not listed.)
 PER_STEP = {
-    "linalg.py": ["_pd_gate", "spd_factor", "_solve"],
+    "linalg.py": ["_symmetrized", "_pd_gate", "_require_finite",
+                  "spd_factor", "_solve", "sym_solve", "_sym_solve"],
     "kalman.py": ["_covariance_update"],
     "chandrasekhar.py": ["_step"],
     "filtering.py": ["_KalmanEngine.step", "_ChandEngine.step",
@@ -132,3 +135,40 @@ def test_per_step_path_calls_no_numpy_linalg():
             found += [f"{module}: {name} calls np.linalg.{attr}"
                       for attr in _numpy_linalg_calls(functions[name])]
     assert found == []
+
+
+def _isfinite_all_calls(node: ast.AST):
+    """The line of every ``.all()`` called on an ``np.isfinite(...)``
+    or ``numpy.isfinite(...)`` call inside ``node``."""
+    for call in ast.walk(node):
+        if not (isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "all"):
+            continue
+        inner = call.func.value
+        if (isinstance(inner, ast.Call)
+                and isinstance(inner.func, ast.Attribute)
+                and inner.func.attr == "isfinite"
+                and isinstance(inner.func.value, ast.Name)
+                and inner.func.value.id in ("np", "numpy")):
+            yield call.lineno
+
+
+def test_per_step_path_tests_finiteness_without_ndarray_all():
+    found = []
+    for module, names in PER_STEP.items():
+        functions = dict(_functions(
+            ast.parse((PACKAGE / module).read_text(encoding="utf-8"))))
+        for name in names:
+            found += [f"{module}:{line}: {name} calls np.isfinite(...).all()"
+                      for line in _isfinite_all_calls(functions[name])]
+    assert found == []
+
+
+def test_isfinite_all_guard_sees_the_pattern():
+    tree = ast.parse("def f(a):\n    return np.isfinite(a).all()\n"
+                     "def g(a):\n    return np.count_nonzero("
+                     "np.isfinite(a)) == a.size\n")
+    functions = dict(_functions(tree))
+    assert list(_isfinite_all_calls(functions["f"])) == [2]
+    assert list(_isfinite_all_calls(functions["g"])) == []

@@ -12,13 +12,18 @@ import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from periodickf import (ENGINES, PeriodicFilterError, count_costs,
-                        filter_series, is_periodically_stationary,
-                        load_model, monodromy, par_to_state_space,
-                        random_stationary_par, save_model, simulate)
+import periodickf.kalman as kalman_module
+from periodickf import (ENGINES, PeriodicFilterError, SingularLift,
+                        count_costs, filter_series,
+                        is_periodically_stationary, load_model, monodromy,
+                        par_to_state_space, random_stationary_par,
+                        save_model, simulate, solve_dple)
+from periodickf.chandrasekhar import _m_invertible
 from periodickf.cli import main
 from periodickf.filtering import (SETTLE_MARGIN, _initial_conditions,
                                   _make_engine, _same_bits)
+from periodickf.kalman import _one_start
+from periodickf.linalg import _sym_solve
 from conftest import (ROOT, assert_bitwise_equal, benchmark_round,
                       pinned_state_model, random_stationary_model,
                       unfrozen_filter)
@@ -337,6 +342,41 @@ class TestOneStartDecision:
         assert len(eigvals_log) == 1 and len(builds) == 1
 
 
+    # a failed Lyapunov solve is recorded with its message: each low-rank
+    # engine's start raises it again without building anything, and the
+    # report is the one each engine gives metered alone
+    @pytest.mark.parametrize("stored_w1", [False, True])
+    def test_count_costs_failed_solve_builds_once(self, stored_w1, builds,
+                                                  monkeypatch):
+        monkeypatch.setattr(kalman_module, "MAX_DOUBLINGS", 1)
+        model = random_stationary_model(21, r=12, S=4, m=2)
+        if stored_w1:
+            model.W1 = np.eye(12)
+        report = count_costs(model, 2)
+        assert len(builds) == 1
+        alone = [count_costs(model, 2, engines=(name,)) for name in ENGINES]
+        assert [(c.engine, c.flops) for c in report.costs] == \
+            [(one.costs[0].engine, one.costs[0].flops) for one in alone]
+        assert report.alpha == alone[1].alpha == 12    # the eigen start
+
+    def test_failed_solve_raises_again_without_building(self, builds,
+                                                        monkeypatch):
+        monkeypatch.setattr(kalman_module, "MAX_DOUBLINGS", 1)
+        model = random_stationary_model(43, r=3, S=2, radius=0.9)
+        messages = []
+        with _one_start(model):
+            for _ in range(2):
+                with pytest.raises(SingularLift) as info:
+                    solve_dple(model)
+                messages.append(str(info.value))
+        assert len(builds) == 1
+        assert messages == ["the Lyapunov doubling did not settle within 1 "
+                            "doublings (monodromy radius 0.900000000000)"] * 2
+        with pytest.raises(SingularLift):   # outside the block: afresh
+            solve_dple(model)
+        assert len(builds) == 2
+
+
 def norm_bound_absorbed(engine) -> bool:
     """The settle condition (b) the low-rank engines used before it read
     the exact terms: with ``beta = norm(Y)^2 norm(M)`` (Frobenius norms;
@@ -391,6 +431,53 @@ class TestSettleNoLaterThanNormBound:
             if bound and bound_first is None:
                 bound_first = t
         assert first is not None and first <= (bound_first or len(y))
+
+
+def per_season_absorbed(engine) -> bool:
+    """Settle condition (b) as it read with one ``.all()`` per season
+    and part, Omega's before K's, season by season."""
+    state, model = engine.state, engine.model
+    if state.alpha == 0:
+        return True
+    if state.m_is_inverse and not _m_invertible(state):
+        return False
+    U = state.Y.T.dot(engine.H_all)
+    T = _sym_solve(state.M, U) if state.m_is_inverse else state.M.dot(U)
+    YT = state.Y.dot(T)
+    m = model.m
+    for s, ((K, Omega), F) in enumerate(zip(state.ring, model.F)):
+        cols = slice(s * m, (s + 1) * m)
+        if not ((np.abs(U[:, cols].T.dot(T[:, cols]))
+                 <= SETTLE_MARGIN * np.abs(Omega)).all()
+                and (np.abs(F.dot(YT[:, cols]))
+                     <= SETTLE_MARGIN * np.abs(K)).all()):
+            return False
+    return True
+
+
+class TestSettleCheckMatchesPerSeasonReference:
+    """The settle check's one reduction per season decides as the
+    per-part ``.all()`` reference does, on every step of every low-rank
+    engine stepped to the end (so settled or not, quiet or not)."""
+
+    @pytest.mark.parametrize("engine", LOWRANK)
+    @pytest.mark.parametrize("case", ["long-s2", "wide-par48", "estimate-m2",
+                                      "stationary_s2", "m2-r12", "m3-s6"])
+    def test_same_decision_every_step(self, case, engine):
+        if case == "m3-s6":
+            model = random_stationary_model(61, r=5, S=6, m=3)
+            y = simulate(model, 300, seed=62)[1]
+        else:
+            model, y = settle_case(case)
+        _, Sigma1, W = _initial_conditions(model, "zero-state", None, None)
+        eng = _make_engine(model, engine, Sigma1, W, False)
+        decisions = set()
+        for t in range(1, len(y) + 1):
+            eng.step(t)
+            got = eng._absorbed()
+            assert got == per_season_absorbed(eng), t
+            decisions.add(got)
+        assert decisions == {False, True}
 
 
 class TestErrorsUnchanged:

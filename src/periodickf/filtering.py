@@ -88,6 +88,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import cycle, islice
 
 import numpy as np
 
@@ -444,34 +445,44 @@ def filter_series(model, y, engine: str = "kalman",
     x[:] = x1
     for t, (yt, row) in enumerate(zip(y2, xz[1:]), 1):
         i = (t - 1) % S
-        if settled_at is None:
-            try:
-                K, Omega, factor, Sigma = eng.step(t)
-            except (OmegaNotPD, MSingular) as exc:
-                exc.locate(t, model.season(t))
-                raise
-            KtilT = eng.KtilT                   # Omega_t^{-1} K_t'
-            if KtilT is None:
-                KtilT, info = _potrs(factor[0], K.T, factor[1])
-                if info:
-                    raise ValueError(f"potrs: illegal value in argument "
-                                     f"{-info} at t={t} (season {i + 1})")
-            B_dot[i] = KtilT.T.dot
-            Ls[t - 1] = factor[0]
-            Omegas[t - 1] = Omega
-            Ks[t - 1] = K
-            if sigma_trace:
-                sigmas[t - 1] = Sigma
-            if eng.settled:
-                settled_at = t
+        try:
+            K, Omega, factor, Sigma = eng.step(t)
+        except (OmegaNotPD, MSingular) as exc:
+            exc.locate(t, model.season(t))
+            raise
+        KtilT = eng.KtilT                       # Omega_t^{-1} K_t'
+        if KtilT is None:
+            KtilT, info = _potrs(factor[0], K.T, factor[1])
+            if info:
+                raise ValueError(f"potrs: illegal value in argument "
+                                 f"{-info} at t={t} (season {i + 1})")
+        B_dot[i] = KtilT.T.dot
+        Ls[t - 1] = factor[0]
+        Omegas[t - 1] = Omega
+        Ks[t - 1] = K
+        if sigma_trace:
+            sigmas[t - 1] = Sigma
+        if eng.settled:
+            settled_at = t
+            break
         FH_dot[i](x, row)                       # row = (F x, H'x)
         e = yt - row[r:]
         # checked before the engine is stepped again; from settled_at
         # on, after the loop
-        if settled_at is None and not isfinite(e.dot(e)):
+        if not isfinite(e.dot(e)):
             _check_innovation(e, t, i + 1)
         x = row[:r]
         x += B_dot[i](e)                        # F x + B e
+    if settled_at is not None:
+        # steps settled_at..n, each season with the B.dot of its last
+        # engine step; the same products as above, without the check
+        k = settled_at - 1
+        for (FH, B), yt, row, x_next, z in zip(
+                islice(cycle(zip(FH_dot, B_dot)), k % S, None), y2[k:],
+                xz[k + 1:], xz[k + 1:, :r], xz[k + 1:, r:]):
+            FH(x, row)                          # row = (F x, H'x)
+            x = x_next
+            x += B(yt - z)                      # F x + B e
     xhats = np.ascontiguousarray(xz[:, :r])
     innovations = y2 - xz[1:, r:]
     engine_steps = n

@@ -66,8 +66,9 @@ import numpy as np
 from .exceptions import (MSingular, NotStationary, OmegaNotPD,
                          ResidualTooLarge, SingularLift)
 from .kalman import _covariance_update, is_periodically_stationary, solve_dple
-from .linalg import (_charge, _solve, _symmetrized, factor_solve, rel_err,
-                     spd_factor, sub, sym_solve, symmetrize)
+from .linalg import (_charge, _singular_values, _solve, _symmetrized,
+                     factor_solve, rel_err, spd_factor, sub, sym_solve,
+                     symmetrize)
 
 # A factorization must reproduce its increment to this relative tolerance.
 FACTOR_RESIDUAL_TOL = 1e-8
@@ -136,8 +137,9 @@ class ChandrasekharState:
         """The singular values of the ``M`` field, largest first, taken
         once per state: for ``chand-minv`` the filter's settle test
         reads them after the step that made N, and the inverse-form
-        gate at the start of the next step."""
-        return np.linalg.svd(self.M, compute_uv=False)
+        gate at the start of the next step (``linalg._singular_values``,
+        bitwise ``np.linalg.svd(M, compute_uv=False)``)."""
+        return _singular_values(self.M)
 
     def current_gain(self) -> tuple[np.ndarray, np.ndarray]:
         """(K_t, Omega_t) at the state's own time."""

@@ -64,6 +64,30 @@ steps, season by season.  The switch lives in the loop, not in the
 engines, so ``count_costs`` keeps metering the recursion itself;
 ``FilterOutput.settled_at`` is the last step that called the engine.
 
+Start memo.  The start is a function of the model alone, so the module
+keeps the last one computed in one slot (``_START_MEMO``), keyed by the
+start kind and the model's content (``_content_key``: the dimensions
+and every system matrix's dtype, shape, strides and bytes, W1
+included).  A call whose key matches, a "warm" call, takes from it the
+starting covariance, the stationary covariances and the stationarity
+decision their solve recorded, and a low-rank engine its initial
+``ChandrasekharState`` and the prelude's covariances (states are not
+changed once built, so sharing them is safe); it runs no Lyapunov
+solve, prelude, start factorization or monodromy eigensolve.  The key
+is built and compared on every call (microseconds), so a model mutated
+in place, given a new list, or flipping an entry between 0.0 and -0.0
+misses.  A start that raises is not stored, and an ``explicit`` start
+is never memoized.  ``_make_engine`` reuses an engine's start only when
+the covariances it is handed are the memo's own objects, so an engine
+built on covariances from elsewhere (``count_costs``' own solve next to
+a stored W1) starts afresh.  Outputs of a warm call are bitwise those
+of a cold one.  What differs: the active flop counter is not charged
+for the prelude (nor for ``to_inverse_state``'s solve) on a warm call,
+and the start's warnings (say ``to_inverse_state``'s
+``LinAlgWarning``) come only from the call that computed it.  The
+public start functions (``solve_dple``, ``build_prelude``,
+``auto_factorize``, ``chand_init``) are not memoized.
+
 The innovations-form Gaussian log-likelihood is the sum of the terms
 
     -1/2 [ m log 2 pi + log det Omega_t + e_t' Omega_t^{-1} e_t ],
@@ -97,7 +121,7 @@ from .chandrasekhar import (_m_invertible, auto_factorize, build_prelude,
                             to_inverse_state)
 from .exceptions import (EngineInitFailed, MSingular, OmegaNotPD,
                          ResidualTooLarge)
-from .kalman import _covariance_update, _one_start, solve_dple
+from .kalman import _covariance_update, _one_start, _record, solve_dple
 from .linalg import (_charge, _potrs, _sym_solve, factor_logdet, factor_solve,
                      spd_factor)
 from .model import EIG_FLOOR_RTOL, SYM_RTOL, _sym_psd_violations
@@ -167,7 +191,11 @@ def _check_sigma1(Sigma1: np.ndarray, r: int, name: str,
 
 def _initial_conditions(model, init: str, xhat1, Sigma1):
     """``(xhat1, Sigma1, W)``; ``W`` is the list of stationary
-    covariances when this start solved for them, else None."""
+    covariances when this start solved for them, else None.  A start
+    other than ``explicit`` is served from the start memo when the
+    model's content matches its key, and otherwise computed and stored
+    there."""
+    global _START_MEMO
     if init not in INITS:
         raise ValueError(f"unknown init {init!r}; expected one of {INITS}")
     if init == "explicit":
@@ -179,14 +207,59 @@ def _initial_conditions(model, init: str, xhat1, Sigma1):
         return (x.reshape(model.r), _check_sigma1(Sigma1, model.r, "Sigma1"),
                 None)
     x = np.zeros(model.r)
+    key = _content_key(model, init)
+    memo = _START_MEMO
+    if memo is not None and memo.key == key:
+        record = _record(model)
+        if record[1] is None:
+            record[1] = memo.decision
+        return x, memo.Sigma1, memo.W
     # zero-state takes the model's W1, judged by the rule ``validate``
     # applies, falling back to the stationary covariance when none is
     # stored.
     if init == "zero-state" and model.W1 is not None:
-        return x, _check_sigma1(model.W1, model.r, "W1", SYM_RTOL,
-                                EIG_FLOOR_RTOL), None
-    W = solve_dple(model)
-    return x, W[0], W
+        Sigma1v, W = _check_sigma1(model.W1, model.r, "W1", SYM_RTOL,
+                                   EIG_FLOOR_RTOL), None
+    else:
+        W = solve_dple(model)
+        Sigma1v = W[0]
+    _START_MEMO = _StartMemo(key, Sigma1v, W, _record(model)[1], {})
+    return x, Sigma1v, W
+
+
+def _content_key(model, init: str) -> list:
+    """The start memo's key: the start kind, the dimensions, and for
+    each of the lists F, G, H, Q, R and [W1] (empty without W1) its
+    length and each entry's dtype, shape, strides and bytes.  The
+    strides are there because a product may round differently on a
+    transposed layout of the same values."""
+    key = [init, model.S, model.r, model.m, model.d]
+    for mats in (model.F, model.G, model.H, model.Q, model.R,
+                 [] if model.W1 is None else [model.W1]):
+        key.append(len(mats))
+        for a in mats:
+            a = np.asarray(a)
+            key += a.dtype, a.shape, a.strides, a.tobytes()
+    return key
+
+
+@dataclass
+class _StartMemo:
+    """The start of one model content: the starting covariance and the
+    stationary covariances (None when not solved for) that
+    ``_initial_conditions`` returns, the stationarity decision the
+    solve recorded (None when none was), and per low-rank engine name
+    the ``(state, Sigma)`` pair of ``_lowrank_start`` built on them."""
+
+    key: list
+    Sigma1: np.ndarray
+    W: list | None
+    decision: tuple | None
+    engines: dict
+
+
+# The start memo's one slot: the last start computed, or None.
+_START_MEMO: _StartMemo | None = None
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -261,21 +334,12 @@ class _ChandEngine:
 
     KtilT = None
 
-    def __init__(self, model, Sigma1, W, variant: str, trace: bool):
+    def __init__(self, model, state, Sigma, variant: str, trace: bool):
         self.model = model
         self.step_fn = LOWRANK_STEPS[variant]
-        prelude = build_prelude(model, Sigma1)
-        try:
-            factorization = auto_factorize(model, prelude, W=W)
-            state = chand_init(model, factorization, prelude)
-            if variant == "chand-minv":
-                state = to_inverse_state(state)
-        except (ResidualTooLarge, MSingular) as exc:
-            raise EngineInitFailed(
-                f"{variant} engine initialization failed: {exc}") from exc
         self.state = state
         self.alpha = state.alpha
-        self.acc = [s.copy() for s in prelude.Sigma] if trace else None
+        self.acc = [s.copy() for s in Sigma] if trace else None
         self.H_all = np.hstack(model.H)     # [H_1 .. H_S], for (b)
         m = model.m                         # season s's columns of H_all
         self.seasons = [slice(s * m, (s + 1) * m) for s in range(model.S)]
@@ -336,12 +400,39 @@ def _check_engine(engine: str) -> None:
                          f"expected one of {ENGINES}")
 
 
+def _lowrank_start(model, Sigma1, W, variant: str):
+    """``(state, Sigma)``: the initial state of a low-rank engine and
+    the prelude's per-season covariances (for the sigma trace).  ``W``
+    is the stationary covariance list if the caller solved for it; with
+    None the start factorization solves for it itself."""
+    prelude = build_prelude(model, Sigma1)
+    try:
+        factorization = auto_factorize(model, prelude, W=W)
+        state = chand_init(model, factorization, prelude)
+        if variant == "chand-minv":
+            state = to_inverse_state(state)
+    except (ResidualTooLarge, MSingular) as exc:
+        raise EngineInitFailed(
+            f"{variant} engine initialization failed: {exc}") from exc
+    return state, prelude.Sigma
+
+
 def _make_engine(model, engine: str, Sigma1, W, trace: bool):
-    """``W`` is the stationary covariance list if the caller solved for
-    it; with None a low-rank start solves for it itself."""
+    """An engine started from ``Sigma1``.  A low-rank engine takes its
+    start from the start memo when ``Sigma1`` and ``W`` are the memo's
+    own objects, and stores the start it computes there; any other
+    ``Sigma1`` or ``W`` takes the start computed afresh."""
     if engine == "kalman":
         return _KalmanEngine(model, Sigma1)
-    return _ChandEngine(model, Sigma1, W, engine, trace)
+    memo = _START_MEMO
+    if memo is not None and (memo.Sigma1 is not Sigma1 or memo.W is not W):
+        memo = None
+    start = memo.engines.get(engine) if memo is not None else None
+    if start is None:
+        start = _lowrank_start(model, Sigma1, W, engine)
+        if memo is not None:
+            memo.engines[engine] = start
+    return _ChandEngine(model, *start, engine, trace)
 
 
 def _coerce_observations(y, m: int) -> np.ndarray:
@@ -387,6 +478,16 @@ def filter_series(model, y, engine: str = "kalman",
     and stationarity decided once: a low-rank engine reuses the
     solution the start computed, and the closed-form starts'
     stationarity check reads the decision the solve recorded.
+
+    The start is memoized in one slot, keyed by ``init`` and the
+    model's content (see the module docstring): a call on the same
+    content as the last start computed (the same model, or one rebuilt
+    with the same bits) skips the Lyapunov solve, and a low-rank engine
+    also its prelude, start factorization and ``chand_init``, and gives
+    bitwise the outputs of the call that computed them.  Such a call's
+    ``count_flops`` total leaves out the prelude's charges, and the
+    start's warnings come only from the call that computed it.  An
+    ``explicit`` start and a start that raises are never stored.
 
     Once the engine reports that its gains are exactly S-periodic (see
     the module docstring), later steps repeat ``(K, Omega, factor,

@@ -64,8 +64,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .exceptions import NonConvergence, NotStationary, SingularLift
-from .linalg import (_charge, _solve, _symmetrized, rel_err, spd_factor,
-                     spectral_radius, symmetrize)
+from .linalg import (_charge, _fro_norm, _solve, _symmetrized, rel_err,
+                     spd_factor, spectral_radius, symmetrize)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import PeriodicModel
@@ -221,6 +221,18 @@ def period_noise(model: PeriodicModel) -> np.ndarray:
     return 0.5 * (Qbar + Qbar.T)
 
 
+def _doubling_update(W: np.ndarray, A: np.ndarray, eps: float):
+    """``(W + A W A', ended)``: whether the doubling ends with this
+    update, because the added term is below roundoff (or not finite, in
+    which case None replaces W)."""
+    term = A @ W @ A.T
+    W = W + term
+    size = _fro_norm(term)
+    if not math.isfinite(size):
+        return None, True
+    return W, size <= eps * _fro_norm(W)
+
+
 def _smith_doubling(Phi: np.ndarray, Qbar: np.ndarray,
                     decision: tuple | None = None):
     """``sum_j Phi^j Qbar Phi'^j`` by doubling: ``W <- W + A W A'``, then
@@ -235,16 +247,25 @@ def _smith_doubling(Phi: np.ndarray, Qbar: np.ndarray,
     too) or a trace proves the radius above one, or once the loop ends.
     W is None when that decision is False, which stops the doubling, or
     when the added term is still above roundoff (or not finite) after
-    ``MAX_DOUBLINGS``."""
+    ``MAX_DOUBLINGS``.
+
+    While the decision is open only ``A`` is squared, and the powers
+    are kept (at most ``MAX_DOUBLINGS`` r x r matrices); once it is
+    stationary their W updates are made in the doubling's order, so W
+    is bitwise the one of updating at every squaring, and a False
+    decision costs no W work.  Where one of those waiting updates ends
+    the doubling, the decision is the eigenvalues', as when the update
+    had been made before anything was decided."""
     r = Phi.shape[0]
     eps = float(np.finfo(float).eps)
     gamma = r * eps / (1.0 - r * eps)
     limit = math.log1p(-STATIONARY_MARGIN)
     A, W, e = Phi, Qbar, 0.0
+    waiting = []        # the powers whose W update waits for the decision
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(MAX_DOUBLINGS):
             if decision is None:
-                a = (float(np.linalg.norm(A)) * (1.0 + r * r * eps)
+                a = (_fro_norm(A) * (1.0 + r * r * eps)
                      + math.ldexp(r, -537))
                 bound = a + e   # 0 only for an empty monodromy
                 if bound == 0.0 or math.ldexp(math.log(bound), -k) < limit:
@@ -258,15 +279,24 @@ def _smith_doubling(Phi: np.ndarray, Qbar: np.ndarray,
                         return None, decision
                 e = (e * (2.0 * a + e) + gamma * a * a
                      + math.ldexp(r * r, -1074))
-            term = A @ W @ A.T
-            W = W + term
-            size = float(np.linalg.norm(term))
-            if not np.isfinite(size):
-                break
-            if size <= eps * float(np.linalg.norm(W)):
-                return W, decision or _decision(Phi)
+            waiting.append(A)
+            if decision is not None:
+                for B in waiting:
+                    W, ended = _doubling_update(W, B, eps)
+                    if ended:
+                        if B is not A and decision[1] is None:
+                            decision = _decision(Phi)
+                        return W, decision
+                waiting = []
             A = A @ A
-    return None, decision or _decision(Phi)
+        if decision is None:
+            decision = _decision(Phi)
+            if decision[0]:
+                for B in waiting:
+                    W, ended = _doubling_update(W, B, eps)
+                    if ended:
+                        return W, decision
+    return None, decision
 
 
 def solve_dple(model: PeriodicModel) -> list[np.ndarray]:

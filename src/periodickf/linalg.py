@@ -114,9 +114,9 @@ PD_RTOL = 1e-12
 # ``cho_solve`` and behind ``scipy.linalg.solve(assume_a="sym")``,
 # called without their wrappers.
 (_potrf, _potrs, _sytrf, _sytrf_lwork, _sytrs, _sycon, _lange, _syevd,
- _syevd_lwork) = scipy.linalg.get_lapack_funcs(
+ _syevd_lwork, _gesdd, _gesdd_lwork) = scipy.linalg.get_lapack_funcs(
     ("potrf", "potrs", "sytrf", "sytrf_lwork", "sytrs", "sycon", "lange",
-     "syevd", "syevd_lwork"), dtype=np.float64)
+     "syevd", "syevd_lwork", "gesdd", "gesdd_lwork"), dtype=np.float64)
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -136,6 +136,14 @@ def _syevd_optimal_lwork(n: int) -> tuple[int, int]:
     block size the default workspace changes the rounding."""
     work, iwork, _ = _syevd_lwork(n, compute_v=0, lower=1)
     return int(work), int(iwork)
+
+
+@cache
+def _gesdd_optimal_lwork(m: int, n: int) -> int:
+    """``gesdd``'s optimal workspace for the singular values alone of an
+    m x n matrix; queried once per shape, as ``numpy.linalg.svd``
+    queries it on every call."""
+    return int(_gesdd_lwork(m, n, compute_uv=0, full_matrices=0)[0])
 
 
 @dataclass
@@ -214,6 +222,21 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
     lwork, liwork = _syevd_optimal_lwork(a.shape[0])
     w, _, info = _syevd(a, compute_v=0, lower=1, lwork=lwork, liwork=liwork)
     return np.linalg.eigvalsh(a) if info else w
+
+
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """The singular values of ``a``, largest first: bitwise
+    ``np.linalg.svd(a, compute_uv=False)``, which calls the same
+    ``gesdd`` (``jobz = "N"``) with the same workspace.  An empty ``a``,
+    or one where ``gesdd`` reports a failure (``info != 0``, as a NaN
+    entry makes it), goes to numpy, so that its result or its error is
+    what the caller sees."""
+    if a.size:
+        _, s, _, info = _gesdd(a, compute_uv=0,
+                               lwork=_gesdd_optimal_lwork(*a.shape))
+        if not info:
+            return s
+    return np.linalg.svd(a, compute_uv=False)
 
 
 def _pd_gate(a: np.ndarray) -> None:
@@ -346,6 +369,14 @@ def _sym_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 # --- uncounted utilities ---------------------------------------------------
 
+def _fro_norm(a: np.ndarray) -> float:
+    """The Frobenius norm of a float array: numpy's own body of
+    ``np.linalg.norm(a)`` (``ravel(order="K")``, ``dot``, ``sqrt``)
+    without the wrapper's dispatch, so bitwise its value."""
+    x = a.ravel(order="K")
+    return float(np.sqrt(x.dot(x)))
+
+
 def rel_err(a: np.ndarray | float, b: np.ndarray | float) -> float:
     """Frobenius-norm difference scaled by ``1 + max(norm a, norm b)``.
 
@@ -354,9 +385,7 @@ def rel_err(a: np.ndarray | float, b: np.ndarray | float) -> float:
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    return float(np.linalg.norm(a - b)) / (1.0 + max(na, nb))
+    return _fro_norm(a - b) / (1.0 + max(_fro_norm(a), _fro_norm(b)))
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:

@@ -56,6 +56,15 @@ def console_scripts(tmp_path_factory):
         yield bindir
 
 
+@pytest.fixture(autouse=True)
+def cold_start_memo():
+    """Every test starts with an empty start memo, so that no test's
+    outcome depends on which test ran before it."""
+    import periodickf.filtering as filtering_module
+
+    filtering_module._START_MEMO = None
+
+
 @pytest.fixture
 def eigvals_log(monkeypatch):
     """The shapes of the matrices passed to ``np.linalg.eigvals``."""

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
@@ -433,3 +435,101 @@ class TestStationarityCertificate:
         assert str(info.value) == (
             "the Lyapunov doubling did not settle within 1 doublings "
             f"(monodromy radius {radius:.12f})")
+
+
+def eager_doubling(Phi, Qbar, decision=None):
+    """The doubling that updates W at every squaring, decided or not:
+    the reference the deferred ``_smith_doubling`` must equal."""
+    r = Phi.shape[0]
+    eps = float(np.finfo(float).eps)
+    gamma = r * eps / (1.0 - r * eps)
+    limit = math.log1p(-kalman_module.STATIONARY_MARGIN)
+    A, W, e = Phi, Qbar, 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(kalman_module.MAX_DOUBLINGS):
+            if decision is None:
+                a = (float(np.linalg.norm(A)) * (1.0 + r * r * eps)
+                     + math.ldexp(r, -537))
+                bound = a + e
+                if bound == 0.0 or math.ldexp(math.log(bound), -k) < limit:
+                    decision = True, None
+                elif (e >= 1.0 or abs(float(np.trace(A)))
+                      - math.sqrt(r) * (e + gamma * a) > r):
+                    decision = kalman_module._decision(Phi)
+                    if not decision[0]:
+                        return None, decision
+                e = (e * (2.0 * a + e) + gamma * a * a
+                     + math.ldexp(r * r, -1074))
+            term = A @ W @ A.T
+            W = W + term
+            size = float(np.linalg.norm(term))
+            if not np.isfinite(size):
+                break
+            if size <= eps * float(np.linalg.norm(W)):
+                return W, decision or kalman_module._decision(Phi)
+            A = A @ A
+    return None, decision or kalman_module._decision(Phi)
+
+
+def doubling_cases():
+    """A fixed numpy-drawn sample of the certificate's space, the
+    near-unit models, the Q = 0 models (whose W settles at once, before
+    any decision) and models past one."""
+    rng = np.random.default_rng(522)
+    for i in range(60):
+        args = (int(rng.integers(0, 10_000)), int(rng.integers(2, 9)),
+                int(rng.integers(1, 7)), int(rng.integers(1, 4)),
+                float(rng.uniform(0.3, 1.05)),
+                ["full", "ill", "zero"][int(rng.integers(3))],
+                bool(rng.integers(2)))
+        yield f"draw{i}", certificate_case(*args)
+    for value in (0.999999, -0.999999, 1.0 - 1e-10, 1.0, 1.0 + 1e-6, 1.05):
+        yield f"near-unit{value!r}", near_unit_model(value)
+    for radius in (0.05, 0.9, 1.0 + 1e-6, 1.05):
+        yield f"radius{radius!r}", random_stationary_model(38, r=4, S=2,
+                                                           radius=radius)
+    model = random_stationary_model(95, r=2, S=2, m=1)
+    model.Q = [np.zeros_like(q) for q in model.Q]
+    yield "q-zero", model
+    model = random_stationary_model(95, r=2, S=2, m=1)
+    model.Q = [np.zeros_like(q) for q in model.Q]
+    model.F = [2.0 * f for f in model.F]
+    yield "q-zero-doubled", model
+
+
+class TestDeferredDoubling:
+    """While undecided the doubling squares only the monodromy; its W,
+    decision and eigensolve count are the eager doubling's."""
+
+    @pytest.mark.parametrize("max_doublings", [64, 3, 1, 0])
+    def test_bitwise_the_eager_doubling(self, max_doublings, monkeypatch,
+                                        eigvals_log):
+        monkeypatch.setattr(kalman_module, "MAX_DOUBLINGS", max_doublings)
+        for name, model in doubling_cases():
+            Phi = monodromy(model)
+            Qbar = kalman_module.period_noise(model)
+            del eigvals_log[:]
+            W, decision = kalman_module._smith_doubling(Phi, Qbar)
+            taken = len(eigvals_log)
+            del eigvals_log[:]
+            W_ref, decision_ref = eager_doubling(Phi, Qbar)
+            assert (decision, taken) == (decision_ref, len(eigvals_log)), name
+            # a non-stationary model's W is never read
+            if decision[0]:
+                assert (W is None) == (W_ref is None), name
+                assert W is None or W.tobytes() == W_ref.tobytes(), name
+
+    @pytest.mark.parametrize("radius", [1.05, 1.0 + 1e-6])
+    def test_non_stationary_start_does_no_w_work(self, radius, monkeypatch):
+        updates = []
+        update = kalman_module._doubling_update
+
+        def counted(*args):
+            updates.append(1)
+            return update(*args)
+
+        monkeypatch.setattr(kalman_module, "_doubling_update", counted)
+        model = random_stationary_model(5, r=12, S=4, radius=radius)
+        with pytest.raises(NotStationary):
+            solve_dple(model)
+        assert updates == []

@@ -493,3 +493,85 @@ def test_finite_solve_that_overflows_returns_inf_quietly(n):
         warnings.simplefilter("error")
         for x in (_solve(factor, b), factor_solve(factor, b)):
             assert x.tobytes() == want.tobytes()
+
+
+# --- the Frobenius norm and the singular values without numpy's wrappers --
+
+def norm_operands():
+    """Operands of every layout and scale ``_fro_norm`` may meet."""
+    rng = np.random.default_rng(520)
+    base = rng.normal(size=(7, 5))
+    out = {"C": base, "F": np.asfortranarray(base), "transposed": base.T,
+           "strided": base[::2, ::3], "1-D": base[2], "1x1": base[:1, :1],
+           "empty": np.zeros((0, 0)), "empty-rows": np.zeros((0, 3)),
+           "signed-zeros": np.array([[0.0, -0.0], [-0.0, 0.0]]),
+           "subnormal": np.full((3, 3), 5e-324)}
+    for scale in (1e-300, 1e-160, 1e150, 1e160, 1e300):
+        out[f"scale{scale:g}"] = scale * base
+        out[f"scale{scale:g}-F"] = np.asfortranarray(scale * base)
+    for bad in (np.nan, np.inf, -np.inf):
+        a = base.copy()
+        a[3, 1] = bad
+        out[f"{bad}"] = a
+        out[f"{bad}-transposed"] = a.T
+    both = base.copy()
+    both[0, 0], both[1, 1] = np.inf, np.nan
+    out["inf-and-nan"] = both
+    return out
+
+
+@pytest.mark.parametrize("name", list(norm_operands()))
+def test_fro_norm_is_bitwise_numpy_norm(name):
+    # with numpy's warnings too (an overflowing x'x warns in both)
+    a = norm_operands()[name]
+    with warnings.catch_warnings(record=True) as got_warnings:
+        warnings.simplefilter("always")
+        got = linalg_module._fro_norm(a)
+    with warnings.catch_warnings(record=True) as want_warnings:
+        warnings.simplefilter("always")
+        want = float(np.linalg.norm(a))
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert ([(w.category, str(w.message)) for w in got_warnings]
+            == [(w.category, str(w.message)) for w in want_warnings])
+
+
+def singular_value_operands():
+    """Symmetric matrices of orders 1-130 (random, and with spectra down
+    to 1e-15) at scales 1e-200 to 1e200, and a few general ones."""
+    rng = np.random.default_rng(521)
+    for n in [*range(1, 21), 31, 32, 33, 63, 64, 65, 100, 127, 128, 129,
+              130]:
+        A = rng.normal(size=(n, n))
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        graded = (q * np.logspace(0, -15, n)) @ q.T
+        for kind, a in (("random", A + A.T), ("graded", graded + graded.T)):
+            for scale in (1e-200, 1.0, 1e200):
+                yield f"{kind}-{n}-{scale:g}", scale * a
+    for shape in ((3, 5), (5, 3), (40, 7)):
+        yield f"general-{shape}", rng.normal(size=shape)
+    yield "F-order", np.asfortranarray(rng.normal(size=(6, 6)))
+    yield "zero", np.zeros((4, 4))
+    yield "inf", np.array([[np.inf, 1.0], [1.0, 2.0]])
+
+
+def test_singular_values_bitwise_numpy_svd():
+    for name, a in singular_value_operands():
+        got = linalg_module._singular_values(a)
+        want = np.linalg.svd(a, compute_uv=False)
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("a", [np.full((3, 3), np.nan), np.zeros((0, 0)),
+                               np.zeros((0, 4))],
+                         ids=["nan", "empty", "empty-rows"])
+def test_singular_values_fall_back_to_numpy(a):
+    # gesdd reports NaN input as an illegal argument (info = -4), and an
+    # empty matrix is not handed to it: numpy's result or error stands
+    try:
+        want = np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        with pytest.raises(np.linalg.LinAlgError, match=str(exc)):
+            linalg_module._singular_values(a)
+    else:
+        assert linalg_module._singular_values(a).tobytes() == want.tobytes()

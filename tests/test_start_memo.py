@@ -1,0 +1,351 @@
+"""The start memo of ``filter_series``: a call whose model content
+matches the last start computed reuses that start, bitwise, and nothing
+else does."""
+
+import copy
+
+import numpy as np
+import pytest
+
+import periodickf.bench as bench_module
+import periodickf.chandrasekhar as chandrasekhar_module
+import periodickf.filtering as filtering_module
+import periodickf.kalman as kalman_module
+from periodickf import (ENGINES, EngineInitFailed, NotStationary, OmegaNotPD,
+                        SingularLift, count_costs, filter_series, simulate,
+                        solve_dple)
+from periodickf.filtering import _initial_conditions, _make_engine
+from periodickf.kalman import _one_start
+from conftest import (assert_bitwise_equal, benchmark_round,
+                      pinned_state_model, random_stationary_model)
+from test_kalman import near_unit_model
+
+INITS = ("zero-state", "stationary")
+
+
+def memo():
+    return filtering_module._START_MEMO
+
+
+def case(stored_w1: bool = False):
+    """S = 3, r = 5, m = 2, observed over 40 steps; with ``stored_w1``
+    the model carries its stationary covariance as W1."""
+    model = random_stationary_model(21, r=5, S=3, m=2)
+    if stored_w1:
+        model.W1 = solve_dple(model)[0].copy()
+    _, y = simulate(model, 40, seed=22, start="stationary")
+    return model, y
+
+
+@pytest.fixture
+def start_calls(monkeypatch):
+    """The names of the start functions called while the test runs:
+    the Lyapunov solve (by the start, by a start factorization or by
+    ``count_costs``), the prelude and the start factorization."""
+    calls = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(filtering_module, "solve_dple")
+    counted(chandrasekhar_module, "solve_dple")
+    counted(bench_module, "solve_dple")
+    counted(filtering_module, "build_prelude")
+    counted(filtering_module, "auto_factorize")
+    return calls
+
+
+class TestWarmCallIsColdCall:
+    @pytest.mark.parametrize("trace", [False, True], ids=["plain", "trace"])
+    @pytest.mark.parametrize("stored_w1", [False, True], ids=["W", "W1"])
+    @pytest.mark.parametrize("init", INITS)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_bitwise(self, engine, init, stored_w1, trace, start_calls):
+        model, y = case(stored_w1)
+        kwargs = dict(engine=engine, init=init, sigma_trace=trace)
+        cold = filter_series(model, y, **kwargs)
+        assert memo() is not None
+        del start_calls[:]
+        # the same content in new objects, as a rebuilt model holds it
+        warm = filter_series(copy.deepcopy(model), y, **kwargs)
+        assert start_calls == []
+        assert_bitwise_equal(warm, cold)
+        assert warm.settled_at == cold.settled_at
+
+    def test_every_engine_on_one_start(self, start_calls):
+        # the four calls of an estimation round share one model: one
+        # Lyapunov solve, then one prelude and factorization per
+        # low-rank engine, and a second round is all warm
+        model, y = case()
+        for engine in ENGINES:
+            filter_series(model, y, engine=engine)
+        assert start_calls == ["solve_dple"] + [
+            "build_prelude", "auto_factorize"] * 3
+        del start_calls[:]
+        for engine in ENGINES:
+            filter_series(model, y, engine=engine)
+        assert start_calls == []
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_warm_call_takes_no_eigensolve(self, engine, eigvals_log,
+                                           start_calls):
+        # near_unit_model(0.999999) is not certified by the doubling:
+        # its cold start takes one eigensolve
+        model = near_unit_model(0.999999)
+        y = np.zeros((12, 1))
+        cold = filter_series(model, y, engine=engine)
+        assert len(eigvals_log) == 1
+        del eigvals_log[:], start_calls[:]
+        warm = filter_series(model, y, engine=engine)
+        assert (eigvals_log, start_calls) == ([], [])
+        assert_bitwise_equal(warm, cold)
+
+    @pytest.mark.parametrize("engine", ENGINES[1:])
+    def test_decision_returns_with_the_stationary_covariances(
+            self, engine, eigvals_log, start_calls):
+        # a low-rank start built on a memoized W reads the decision the
+        # kalman call's solve recorded: its closed form takes no
+        # eigensolve of its own
+        model = near_unit_model(0.999999)
+        y = np.zeros((12, 1))
+        filter_series(model, y, engine="kalman")
+        del eigvals_log[:], start_calls[:]
+        filter_series(model, y, engine=engine)
+        assert eigvals_log == []
+        assert start_calls == ["build_prelude", "auto_factorize"]
+
+    def test_workload_rounds(self):
+        # wide-par48 rebuilds one model content every round
+        cold = {}
+        for engine in ENGINES:
+            filtering_module._START_MEMO = None
+            rd = benchmark_round("wide-par48", 1, 0)
+            cold[engine] = filter_series(rd.model, rd.y, engine=engine)
+        rd = benchmark_round("wide-par48", 1, 1)
+        for engine in ENGINES:
+            filter_series(rd.model, rd.y, engine=engine)
+        rd = benchmark_round("wide-par48", 1, 0)
+        for engine in ENGINES:
+            out = filter_series(rd.model, rd.y, engine=engine)
+            assert_bitwise_equal(out, cold[engine])
+            assert out.settled_at == cold[engine].settled_at
+
+
+class TestContentKey:
+    def cold(self, model, y, engine):
+        filtering_module._START_MEMO = None
+        return filter_series(copy.deepcopy(model), y, engine=engine)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_array_mutated_in_place(self, engine, start_calls):
+        model, y = case()
+        filter_series(model, y, engine=engine)
+        model.F[1][2, 3] *= 0.5
+        del start_calls[:]
+        out = filter_series(model, y, engine=engine)
+        assert "solve_dple" in start_calls
+        assert_bitwise_equal(out, self.cold(model, y, engine))
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_list_replaced(self, engine, start_calls):
+        model, y = case()
+        filter_series(model, y, engine=engine)
+        model.Q = [2.0 * q for q in model.Q]
+        del start_calls[:]
+        out = filter_series(model, y, engine=engine)
+        assert "solve_dple" in start_calls
+        assert_bitwise_equal(out, self.cold(model, y, engine))
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_signed_zero_flip(self, engine, start_calls):
+        model, y = case()
+        model.G[0][0, 0] = 0.0
+        filter_series(model, y, engine=engine)
+        model.G[0][0, 0] = -0.0
+        del start_calls[:]
+        out = filter_series(model, y, engine=engine)
+        assert "solve_dple" in start_calls
+        assert_bitwise_equal(out, self.cold(model, y, engine))
+
+    def test_stored_w1_mutated(self, start_calls):
+        model, y = case(stored_w1=True)
+        filter_series(model, y, engine="chand31")
+        model.W1 = model.W1 * 2.0
+        del start_calls[:]
+        out = filter_series(model, y, engine="chand31")
+        assert "build_prelude" in start_calls
+        assert_bitwise_equal(out, self.cold(model, y, "chand31"))
+
+    def test_layout_is_part_of_the_content(self, start_calls):
+        model, y = case()
+        filter_series(model, y)
+        model.F = [np.asfortranarray(f) for f in model.F]
+        del start_calls[:]
+        filter_series(model, y)
+        assert start_calls == ["solve_dple"]
+
+    def test_start_kind_is_part_of_the_key(self, start_calls):
+        model, y = case()
+        filter_series(model, y, init="zero-state")
+        filter_series(model, y, init="stationary")
+        assert start_calls == ["solve_dple"] * 2
+
+    def test_one_slot(self, start_calls):
+        (a, y), b = case(), random_stationary_model(31, r=5, S=3, m=2)
+        for model in (a, b, a):
+            filter_series(model, y)
+        assert start_calls == ["solve_dple"] * 3
+
+    def test_explicit_start_is_not_memoized(self, start_calls):
+        model, y = case()
+        start = dict(init="explicit", xhat1=np.zeros(model.r),
+                     Sigma1=np.eye(model.r))
+        for _ in range(2):
+            filter_series(model, y, engine="chand31", **start)
+        assert memo() is None
+        # the start factorization solves for W itself
+        assert start_calls == ["build_prelude", "auto_factorize",
+                               "solve_dple"] * 2
+
+
+def _raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return info.value
+
+
+class TestFailedStartsAreNotStored:
+    def assert_raises_alike(self, call, kind):
+        first, second = _raised(call), _raised(call)
+        assert type(first) is type(second) is kind
+        assert str(first) == str(second)
+        return first, second
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_not_stationary(self, engine):
+        model = random_stationary_model(38, r=4, S=2, radius=1.05)
+        y = np.zeros((4, model.m))
+        self.assert_raises_alike(
+            lambda: filter_series(model, y, engine=engine, init="stationary"),
+            NotStationary)
+        assert memo() is None
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_singular_lift(self, engine, monkeypatch):
+        model = random_stationary_model(43, r=3, S=2, radius=0.9)
+        monkeypatch.setattr(kalman_module, "MAX_DOUBLINGS", 1)
+        y = np.zeros((4, model.m))
+        self.assert_raises_alike(
+            lambda: filter_series(model, y, engine=engine), SingularLift)
+        assert memo() is None
+
+    def test_engine_init_failed(self):
+        # Q = 0 with S m >= r: the steady-form middle factor is zero
+        model = random_stationary_model(95, r=2, S=2, m=1)
+        model.Q = [np.zeros_like(q) for q in model.Q]
+        y = np.zeros((6, 1))
+        self.assert_raises_alike(
+            lambda: filter_series(model, y, engine="chand-minv",
+                                  init="stationary"), EngineInitFailed)
+        assert "chand-minv" not in memo().engines
+
+    def test_omega_not_pd_in_the_prelude(self):
+        model = pinned_state_model()
+        model.R = [np.diag([0.0, 1.0])] * 2
+        model.W1 = np.diag([0.0, 1.0])
+        first, second = self.assert_raises_alike(
+            lambda: filter_series(model, np.zeros((4, 2)), engine="chand31"),
+            OmegaNotPD)
+        assert (first.t, first.season) == (second.t, second.season) == (1, 1)
+        assert memo().engines == {}
+
+
+class TestForeignStart:
+    def test_foreign_w_takes_the_cold_path(self, start_calls):
+        model, y = case()
+        filter_series(model, y, engine="chand31")
+        state = memo().engines["chand31"][0]
+        del start_calls[:]
+        with _one_start(model):
+            _, Sigma1, W = _initial_conditions(model, "zero-state", None,
+                                               None)
+            assert W is memo().W
+            foreign = [w.copy() for w in W]
+            eng = _make_engine(model, "chand31", Sigma1, foreign, False)
+        assert eng.state is not state
+        assert start_calls == ["build_prelude", "auto_factorize"]
+        assert memo().engines["chand31"][0] is state
+        warm = _make_engine(model, "chand31", Sigma1, W, False)
+        assert warm.state is state
+
+    def test_foreign_sigma1_takes_the_cold_path(self, start_calls):
+        model, y = case()
+        filter_series(model, y, engine="chand32")
+        del start_calls[:]
+        W = memo().W
+        eng = _make_engine(model, "chand32", W[0].copy(), W, False)
+        assert eng.state is not memo().engines["chand32"][0]
+        assert start_calls == ["build_prelude", "auto_factorize"]
+
+    def test_count_costs_with_a_stored_w1(self, start_calls):
+        # count_costs solves for W itself next to a stored W1: its
+        # engines start from that foreign W, and the report is the
+        # cold one
+        model, _ = case(stored_w1=True)
+        cold = count_costs(model, 2)
+        del start_calls[:]
+        warm = count_costs(model, 2)
+        assert start_calls == ["solve_dple"] + [
+            "build_prelude", "auto_factorize"] * 3
+        assert warm.costs and [(c.engine, c.flops) for c in warm.costs] \
+            == [(c.engine, c.flops) for c in cold.costs]
+        assert warm.alpha == cold.alpha
+
+
+class TestThreads:
+    def test_interleaved_models_get_their_own_start(self):
+        # threads that alternate between two model contents replace the
+        # one slot under each other: every call must still be bitwise
+        # its model's cold call
+        import sys
+        import threading
+
+        cases = [case(), (random_stationary_model(31, r=5, S=3, m=2),
+                          case()[1])]
+        cold = {}
+        for i, (model, y) in enumerate(cases):
+            for engine in ENGINES:
+                filtering_module._START_MEMO = None
+                cold[i, engine] = filter_series(model, y, engine=engine)
+        failures = []
+
+        def work(offset):
+            for k in range(24):
+                i = (k + offset) % 2
+                engine = ENGINES[(k // 2 + offset) % len(ENGINES)]
+                model, y = cases[i]
+                out = filter_series(copy.deepcopy(model), y, engine=engine)
+                try:
+                    assert_bitwise_equal(out, cold[i, engine])
+                except AssertionError as exc:
+                    failures.append(str(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(j,))
+                       for j in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []

@@ -191,10 +191,10 @@ def _check_sigma1(Sigma1: np.ndarray, r: int, name: str,
 
 def _initial_conditions(model, init: str, xhat1, Sigma1):
     """``(xhat1, Sigma1, W)``; ``W`` is the list of stationary
-    covariances when this start solved for them, else None.  A start
-    other than ``explicit`` is served from the start memo when the
-    model's content matches its key, and otherwise computed and stored
-    there."""
+    covariances when this start solved for them, else None.  Only an
+    ``explicit`` start takes ``xhat1``/``Sigma1`` (else ``ValueError``);
+    any other is served from the start memo when the model's content
+    matches its key, and otherwise computed and stored there."""
     global _START_MEMO
     if init not in INITS:
         raise ValueError(f"unknown init {init!r}; expected one of {INITS}")
@@ -206,13 +206,15 @@ def _initial_conditions(model, init: str, xhat1, Sigma1):
             raise ValueError(f"xhat1 must be {model.r} finite values")
         return (x.reshape(model.r), _check_sigma1(Sigma1, model.r, "Sigma1"),
                 None)
+    if xhat1 is not None or Sigma1 is not None:
+        name = "xhat1" if xhat1 is not None else "Sigma1"
+        raise ValueError(f"init={init!r} takes no {name}; only "
+                         "init='explicit' starts from it")
     x = np.zeros(model.r)
     key = _content_key(model, init)
     memo = _START_MEMO
     if memo is not None and memo.key == key:
-        record = _record(model)
-        if record[1] is None:
-            record[1] = memo.decision
+        _record(model)[1] = memo.decision
         return x, memo.Sigma1, memo.W
     # zero-state takes the model's W1, judged by the rule ``validate``
     # applies, falling back to the stationary covariance when none is
@@ -464,11 +466,11 @@ def filter_series(model, y, engine: str = "kalman",
     init : one of ``INITS``; ``zero-state`` uses xhat = 0 with the
         model's W1 (or the stationary covariance when none is stored),
         ``stationary`` forces the stationary covariance, ``explicit``
-        takes ``xhat1``/``Sigma1``. A stored W1 must pass the
-        tolerances of :func:`~periodickf.model.validate`; an explicit
-        Sigma1 gets looser ones (``SIGMA_SYM_RTOL``,
-        ``SIGMA_EIG_FLOOR_RTOL``), as it may be a propagated
-        covariance.
+        takes ``xhat1``/``Sigma1`` (the other inits refuse them). A
+        stored W1 must pass the tolerances of
+        :func:`~periodickf.model.validate`; an explicit Sigma1 gets
+        looser ones (``SIGMA_SYM_RTOL``, ``SIGMA_EIG_FLOOR_RTOL``), as
+        it may be a propagated covariance.
     sigma_trace : also record the per-step covariance Sigma_t; the
         low-rank engines rebuild it from the prelude and their
         increments, ``Sigma_{kS+s} = Sigma_s + sum_j Y_{jS+s} M_{jS+s}
@@ -510,16 +512,17 @@ def filter_series(model, y, engine: str = "kalman",
     that solve.  The engines charge their own steps.
 
     Raises ``ValueError`` naming an unknown engine (before any other
-    check or solve), the first non-finite observation or the first
-    non-finite innovation (say from a huge explicit ``xhat1``) with its
-    step and season, the latter before the engine is stepped past it,
-    ``NotStationary`` when a stationary start is requested from a
-    model without one, ``EngineInitFailed`` when a low-rank engine's
-    start factorization fails, and ``OmegaNotPD`` (or ``MSingular``
-    from ``chand-minv``) from the recursions.  These last two carry the
-    step ``t`` and ``season`` during which they were raised; a low-rank
-    engine forms Omega_{t+S} in step t, so it stops one period earlier
-    than ``kalman`` on the same singular Omega.
+    check or solve), an ``xhat1`` or ``Sigma1`` given to an init other
+    than ``explicit`` (before any solve), the first non-finite
+    observation or the first non-finite innovation (say from a huge
+    explicit ``xhat1``) with its step and season, the latter before the
+    engine is stepped past it, ``NotStationary`` when a stationary start
+    is requested from a model without one, ``EngineInitFailed`` when a
+    low-rank engine's start factorization fails, and ``OmegaNotPD`` (or
+    ``MSingular`` from ``chand-minv``) from the recursions.  These last
+    two carry the step ``t`` and ``season`` during which they were
+    raised; a low-rank engine forms Omega_{t+S} in step t, so it stops
+    one period earlier than ``kalman`` on the same singular Omega.
     """
     _check_engine(engine)
     y2 = _coerce_observations(y, model.m)

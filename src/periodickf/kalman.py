@@ -28,8 +28,8 @@ solved here by Smith's doubling on the monodromy, O(r^3) per doubling,
 followed by the one-season propagation
 W_{s+1} = F_s W_s F_s' + G_s Q_s G_s'.
 
-The doubling squares the monodromy, ``A_k = Phi^(2^k)``, and those
-powers decide stationarity on the way: ``rho(Phi)^(2^k) <= ||A_k||``
+The doubling first squares the monodromy, ``A_k = Phi^(2^k)``, until
+those powers decide stationarity: ``rho(Phi)^(2^k) <= ||A_k||``
 (Gelfand), so with ``a_k`` a bound on the Frobenius norm of the computed
 power and ``e_k`` a bound on its rounding error,
 
@@ -41,8 +41,8 @@ the model is certified stationary at the first k with
 power certifies does :func:`solve_dple` take the monodromy eigenvalues
 (``linalg.spectral_radius``) to decide: as soon as no later power can
 (``e_k >= 1``) or a trace proves a radius above one (``|tr A_k| > r``
-beyond the error bound), where a non-stationary verdict stops the
-doubling.
+beyond the error bound), or after ``MAX_DOUBLINGS`` powers.  Only a
+stationary decision is followed by the sum ``W <- W + A_k W A_k'``.
 
 Stationarity is decided once per start: inside ``_one_start(model)``,
 which ``filter_series`` and ``bench.count_costs`` open around building
@@ -233,69 +233,59 @@ def _doubling_update(W: np.ndarray, A: np.ndarray, eps: float):
     return W, size <= eps * _fro_norm(W)
 
 
-def _smith_doubling(Phi: np.ndarray, Qbar: np.ndarray,
-                    decision: tuple | None = None):
-    """``sum_j Phi^j Qbar Phi'^j`` by doubling: ``W <- W + A W A'``, then
-    ``A <- A A``, from ``A = Phi, W = Qbar``.  Returns ``(W, decision)``
-    with the stationarity decision ``(flag, radius)``: the one given;
-    else ``(True, None)`` when a power ``A = A_k`` certifies it (the
-    bound of the module docstring: ``a`` bounds ``||A||_F``, the factor
-    ``1 + r^2 eps`` covering the norm's rounding and ``r 2^-537`` the
-    underflow of its squared entries; ``e`` bounds
-    ``||A - Phi^(2^k)||_F``); else :func:`_decision`'s, taken as soon
-    as no later power can certify (``e >= 1``, so every later ``e`` is
-    too) or a trace proves the radius above one, or once the loop ends.
-    W is None when that decision is False, which stops the doubling, or
-    when the added term is still above roundoff (or not finite) after
-    ``MAX_DOUBLINGS``.
-
-    While the decision is open only ``A`` is squared, and the powers
-    are kept (at most ``MAX_DOUBLINGS`` r x r matrices); once it is
-    stationary their W updates are made in the doubling's order, so W
-    is bitwise the one of updating at every squaring, and a False
-    decision costs no W work.  Where one of those waiting updates ends
-    the doubling, the decision is the eigenvalues', as when the update
-    had been made before anything was decided."""
+def _certify(Phi: np.ndarray):
+    """``(powers, decision)``: the powers ``A_k = Phi^(2^k)`` from
+    ``A_0 = Phi`` to the one that decides stationarity, and the decision
+    ``(flag, radius)``: ``(True, None)`` when that power certifies (the
+    bound of the module docstring; ``a`` bounds ``||A_k||_F`` with
+    ``1 + r^2 eps`` for the norm's rounding and ``r 2^-537`` for
+    underflow, ``e`` bounds ``||A_k - Phi^(2^k)||_F``), else
+    :func:`_decision`'s (``e >= 1`` means no later power can certify)."""
     r = Phi.shape[0]
     eps = float(np.finfo(float).eps)
     gamma = r * eps / (1.0 - r * eps)
     limit = math.log1p(-STATIONARY_MARGIN)
-    A, W, e = Phi, Qbar, 0.0
-    waiting = []        # the powers whose W update waits for the decision
+    A, e, powers = Phi, 0.0, []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(MAX_DOUBLINGS):
-            if decision is None:
-                a = (_fro_norm(A) * (1.0 + r * r * eps)
-                     + math.ldexp(r, -537))
-                bound = a + e   # 0 only for an empty monodromy
-                if bound == 0.0 or math.ldexp(math.log(bound), -k) < limit:
-                    decision = True, None
-                # |tr A_k| <= r rho^(2^k), and the computed trace is
-                # within sqrt(r) (e + gamma a) of tr A_k
-                elif (e >= 1.0 or abs(float(np.trace(A)))
-                      - math.sqrt(r) * (e + gamma * a) > r):
+            if k:
+                A = A @ A
+            powers.append(A)
+            a = _fro_norm(A) * (1.0 + r * r * eps) + math.ldexp(r, -537)
+            bound = a + e   # 0 only for an empty monodromy
+            if bound == 0.0 or math.ldexp(math.log(bound), -k) < limit:
+                return powers, (True, None)
+            # |tr A_k| <= r rho^(2^k), and the computed trace is
+            # within sqrt(r) (e + gamma a) of tr A_k
+            if (e >= 1.0 or abs(float(np.trace(A)))
+                    - math.sqrt(r) * (e + gamma * a) > r):
+                break
+            e = (e * (2.0 * a + e) + gamma * a * a
+                 + math.ldexp(r * r, -1074))
+        return powers, _decision(Phi)
+
+
+def _smith_doubling(Phi: np.ndarray, Qbar: np.ndarray):
+    """``(W, decision)``, ``W = sum_j Phi^j Qbar Phi'^j`` summed as
+    ``W <- W + A_k W A_k'`` from ``W = Qbar`` over :func:`_certify`'s
+    powers, squaring on where they run out, on a stationary decision
+    only.  W is None when the decision is False or the added term is
+    still above roundoff (or not finite) after ``MAX_DOUBLINGS``
+    updates.  Where W settles before the deciding power, the
+    eigenvalues replace a certified decision."""
+    powers, decision = _certify(Phi)
+    if not decision[0]:
+        return None, decision
+    eps = float(np.finfo(float).eps)
+    W = Qbar
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(MAX_DOUBLINGS):
+            A = powers[k] if k < len(powers) else A @ A
+            W, ended = _doubling_update(W, A, eps)
+            if ended:
+                if k < len(powers) - 1 and decision[1] is None:
                     decision = _decision(Phi)
-                    if not decision[0]:
-                        return None, decision
-                e = (e * (2.0 * a + e) + gamma * a * a
-                     + math.ldexp(r * r, -1074))
-            waiting.append(A)
-            if decision is not None:
-                for B in waiting:
-                    W, ended = _doubling_update(W, B, eps)
-                    if ended:
-                        if B is not A and decision[1] is None:
-                            decision = _decision(Phi)
-                        return W, decision
-                waiting = []
-            A = A @ A
-        if decision is None:
-            decision = _decision(Phi)
-            if decision[0]:
-                for B in waiting:
-                    W, ended = _doubling_update(W, B, eps)
-                    if ended:
-                        return W, decision
+                return W, decision
     return None, decision
 
 
@@ -328,7 +318,7 @@ def _solve_dple(model: PeriodicModel):
     if record[1] is None or record[1][0]:
         Phi = monodromy(model)
         Qbar = period_noise(model)
-        W1, record[1] = _smith_doubling(Phi, Qbar, record[1])
+        W1, record[1] = _smith_doubling(Phi, Qbar)
     stationary, rho = record[1]
     if not stationary:
         raise NotStationary(

@@ -235,6 +235,24 @@ class TestInits:
             filter_series(model, y, init="explicit", xhat1=np.zeros(2),
                           Sigma1=bad)
 
+    @pytest.mark.parametrize("init", ["zero-state", "stationary"])
+    @pytest.mark.parametrize("name", ["xhat1", "Sigma1"])
+    def test_start_argument_without_explicit_is_named(self, name, init,
+                                                      monkeypatch):
+        # refused before any Lyapunov solve or start memo lookup
+        import periodickf.filtering as filtering_module
+
+        def reached(*args):
+            raise AssertionError("the start was computed")
+
+        monkeypatch.setattr(filtering_module, "solve_dple", reached)
+        monkeypatch.setattr(filtering_module, "_content_key", reached)
+        model, y = simulated(88, n=5, r=2)
+        value = {"xhat1": np.zeros(2), "Sigma1": 100.0 * np.eye(2)}[name]
+        with pytest.raises(ValueError,
+                           match=f"^init='{init}' takes no {name}; "):
+            filter_series(model, y, init=init, **{name: value})
+
     @pytest.mark.parametrize("W1, problem", [
         pytest.param(np.array([[1.0, 1e-10], [0.0, 1.0]]), "is not symmetric",
                      id="asymmetry"),

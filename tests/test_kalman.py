@@ -533,3 +533,25 @@ class TestDeferredDoubling:
         with pytest.raises(NotStationary):
             solve_dple(model)
         assert updates == []
+
+
+class TestCertify:
+    """The certificate stage alone: its powers are the monodromy's
+    repeated squares, bitwise, and its stationarity flag is the eager
+    doubling's."""
+
+    @pytest.mark.parametrize("max_doublings", [64, 3, 1, 0])
+    def test_powers_and_flag(self, max_doublings, monkeypatch):
+        monkeypatch.setattr(kalman_module, "MAX_DOUBLINGS", max_doublings)
+        for name, model in doubling_cases():
+            Phi = monodromy(model)
+            powers, decision = kalman_module._certify(Phi)
+            assert len(powers) <= max_doublings, name
+            A = Phi
+            for k, power in enumerate(powers):
+                if k:
+                    A = A @ A
+                assert power.tobytes() == A.tobytes(), (name, k)
+            _, decision_ref = eager_doubling(
+                Phi, kalman_module.period_noise(model))
+            assert decision[0] == decision_ref[0], name

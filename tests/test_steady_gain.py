@@ -7,6 +7,8 @@ the run that steps the engine to the end (``conftest.unfrozen_filter``).
 """
 
 import json
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -229,6 +231,12 @@ class TestSettleProperty:
     # chand-minv raises MSingular during step 2, located in both runs
     @example(seed=1, r=7, S=2, m=1, radius=1.0, noise="full",
              nonnormal=True, init="zero-state")
+    # cond(F_s) about 1e11: the low-rank engines drift from kalman's
+    @example(seed=5806, r=8, S=3, m=2, radius=0.388, noise="full",
+             nonnormal=True, init="zero-state")
+    # chand31 quiet from t = 250 on, never settled
+    @example(seed=5983, r=4, S=2, m=1, radius=0.912, noise="ill",
+             nonnormal=False, init="stationary")
     def test_frozen_equals_unfrozen(self, seed, r, S, m, radius, noise,
                                     nonnormal, init):
         model, y, kwargs = drawn_case(seed, r, S, m, radius, noise,
@@ -481,6 +489,23 @@ class TestSettleCheckMatchesPerSeasonReference:
             assert got == per_season_absorbed(eng), t
             decisions.add(got)
         assert decisions == {False, True}
+
+
+class TestSettleCheckSingularN:
+    """A ``chand-minv`` state whose N fails the singular-value test is
+    not absorbed: the check returns False before it solves with N."""
+
+    def test_singular_n_is_not_absorbed(self):
+        model, _ = settle_case("m2-r12")
+        _, Sigma1, W = _initial_conditions(model, "zero-state", None, None)
+        eng = _make_engine(model, "chand-minv", Sigma1, W, False)
+        u = np.ones((eng.alpha, 1))
+        eng.state = replace(eng.state, M=u @ u.T)      # rank one
+        assert eng.state.m_is_inverse and eng.alpha > 1
+        assert not _m_invertible(eng.state)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert eng._absorbed() is False
 
 
 class TestErrorsUnchanged:

@@ -80,13 +80,26 @@ misses.  A start that raises is not stored, and an ``explicit`` start
 is never memoized.  ``_make_engine`` reuses an engine's start only when
 the covariances it is handed are the memo's own objects, so an engine
 built on covariances from elsewhere (``count_costs``' own solve next to
-a stored W1) starts afresh.  Outputs of a warm call are bitwise those
-of a cold one.  What differs: the active flop counter is not charged
-for the prelude (nor for ``to_inverse_state``'s solve) on a warm call,
-and the start's warnings (say ``to_inverse_state``'s
-``LinAlgWarning``) come only from the call that computed it.  The
-public start functions (``solve_dple``, ``build_prelude``,
-``auto_factorize``, ``chand_init``) are not memoized.
+a stored W1) starts afresh.
+
+The gains do not depend on the observations either, so the memo also
+keeps, per engine, the settled gain trajectory of a call from its start
+that reached ``settled_at = T`` (not with a sigma trace): read-only
+copies of K_t, Omega_t, its Cholesky factor and the normalized gain
+B_t the loop used, for t = 1..T.  A later call on that content,
+start kind and engine steps no engine: ``filter_series`` (not
+``_make_engine``, so ``count_costs`` still steps real engines) hands
+the loop a ``_Replay`` of the trajectory, settled after step T, and the
+loop, its checks and the settled steps run as on a cold call.  A run
+that never settles stores nothing.  Outputs of a warm call are bitwise
+those of a cold one, errors included.  What differs: a warm call
+charges the active flop counter only for the arithmetic it does, so
+not for the prelude (nor for ``to_inverse_state``'s solve), and on a
+replayed trajectory for no engine step and no solve for B; the start's
+warnings (say ``to_inverse_state``'s ``LinAlgWarning``) come only from
+the call that computed it.  The public start functions
+(``solve_dple``, ``build_prelude``, ``auto_factorize``, ``chand_init``)
+are not memoized.
 
 The innovations-form Gaussian log-likelihood is the sum of the terms
 
@@ -225,7 +238,7 @@ def _initial_conditions(model, init: str, xhat1, Sigma1):
     else:
         W = solve_dple(model)
         Sigma1v = W[0]
-    _START_MEMO = _StartMemo(key, Sigma1v, W, _record(model)[1], {})
+    _START_MEMO = _StartMemo(key, Sigma1v, W, _record(model)[1], {}, {})
     return x, Sigma1v, W
 
 
@@ -250,14 +263,17 @@ class _StartMemo:
     """The start of one model content: the starting covariance and the
     stationary covariances (None when not solved for) that
     ``_initial_conditions`` returns, the stationarity decision the
-    solve recorded (None when none was), and per low-rank engine name
-    the ``(state, Sigma)`` pair of ``_lowrank_start`` built on them."""
+    solve recorded (None when none was), per low-rank engine name the
+    ``(state, Sigma)`` pair of ``_lowrank_start`` built on them, and per
+    engine name the settled gain trajectory ``(K, Omega, L, B)`` of a
+    call from this start that settled (see ``_Replay``)."""
 
     key: list
     Sigma1: np.ndarray
     W: list | None
     decision: tuple | None
     engines: dict
+    gains: dict
 
 
 # The start memo's one slot: the last start computed, or None.
@@ -396,6 +412,25 @@ class _ChandEngine:
         return True
 
 
+class _Replay:
+    """A settled gain trajectory played back with an engine's protocol:
+    ``K``, ``Omega``, ``L`` and ``B`` are the stacks of K_t, Omega_t,
+    the Cholesky factor of Omega_t and the normalized gain B_t the loop
+    used, for steps 1..T, where T = ``len(B)`` is the ``settled_at`` of
+    the call that stored them.  Step t hands over step t's entries, and
+    the replay is settled after step T."""
+
+    def __init__(self, K, Omega, L, B):
+        self.K, self.Omega, self.L, self.B = K, Omega, L, B
+        self.settled = False
+        self.KtilT = None
+
+    def step(self, t: int):
+        self.KtilT = self.B[t - 1].T
+        self.settled = t == len(self.B)
+        return self.K[t - 1], self.Omega[t - 1], (self.L[t - 1], True), None
+
+
 def _check_engine(engine: str) -> None:
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; "
@@ -419,6 +454,15 @@ def _lowrank_start(model, Sigma1, W, variant: str):
     return state, prelude.Sigma
 
 
+def _memo_of(Sigma1, W) -> _StartMemo | None:
+    """The start memo when ``Sigma1`` and ``W`` are its own objects,
+    else None."""
+    memo = _START_MEMO
+    if memo is not None and (memo.Sigma1 is not Sigma1 or memo.W is not W):
+        return None
+    return memo
+
+
 def _make_engine(model, engine: str, Sigma1, W, trace: bool):
     """An engine started from ``Sigma1``.  A low-rank engine takes its
     start from the start memo when ``Sigma1`` and ``W`` are the memo's
@@ -426,9 +470,7 @@ def _make_engine(model, engine: str, Sigma1, W, trace: bool):
     ``Sigma1`` or ``W`` takes the start computed afresh."""
     if engine == "kalman":
         return _KalmanEngine(model, Sigma1)
-    memo = _START_MEMO
-    if memo is not None and (memo.Sigma1 is not Sigma1 or memo.W is not W):
-        memo = None
+    memo = _memo_of(Sigma1, W)
     start = memo.engines.get(engine) if memo is not None else None
     if start is None:
         start = _lowrank_start(model, Sigma1, W, engine)
@@ -486,8 +528,12 @@ def filter_series(model, y, engine: str = "kalman",
     content as the last start computed (the same model, or one rebuilt
     with the same bits) skips the Lyapunov solve, and a low-rank engine
     also its prelude, start factorization and ``chand_init``, and gives
-    bitwise the outputs of the call that computed them.  Such a call's
-    ``count_flops`` total leaves out the prelude's charges, and the
+    bitwise the outputs of the call that computed them.  Next to the
+    start, the memo keeps each engine's gains up to ``settled_at`` from
+    a call that settled without a sigma trace; a later such call with
+    that engine replays them and steps no engine.  A warm call's
+    ``count_flops`` total leaves out the prelude's charges, and on a
+    replayed trajectory the engine's charges and the solve for B; the
     start's warnings come only from the call that computed it.  An
     ``explicit`` start and a start that raises are never stored.
 
@@ -509,7 +555,8 @@ def filter_series(model, y, engine: str = "kalman",
     2m`` for the quadratic form (one triangular sweep and ``z'z``); per
     step that called the engine ``2m`` for the check's ``e'e`` and,
     unless the engine handed over ``Omega^{-1} K'``, ``2m^2 r`` for
-    that solve.  The engines charge their own steps.
+    that solve.  The engines charge their own steps; a replayed
+    trajectory hands over ``Omega^{-1} K'`` and charges nothing.
 
     Raises ``ValueError`` naming an unknown engine (before any other
     check or solve), an ``xhat1`` or ``Sigma1`` given to an init other
@@ -529,7 +576,12 @@ def filter_series(model, y, engine: str = "kalman",
     n = y2.shape[0]
     with _one_start(model):
         x1, Sigma1v, W = _initial_conditions(model, init, xhat1, Sigma1)
-        eng = _make_engine(model, engine, Sigma1v, W, sigma_trace)
+        # the memo this start came from: none with a sigma trace, nor
+        # for an explicit start (its Sigma1 is no memo's)
+        memo = None if sigma_trace else _memo_of(Sigma1v, W)
+        gains = memo.gains.get(engine) if memo is not None else None
+        eng = (_Replay(*gains) if gains is not None
+               else _make_engine(model, engine, Sigma1v, W, sigma_trace))
 
     m, r, S = model.m, model.r, model.S
     Omegas = np.empty((n, m, m))
@@ -541,6 +593,10 @@ def filter_series(model, y, engine: str = "kalman",
     # season -> B.dot of the last step that called the engine
     B_dot = [None] * S
     settled_at = None
+    # each engine step's B_t, kept when the memo may store this call's
+    # gain trajectory.  KtilT is potrs's Fortran-ordered output, so B_t
+    # is C-ordered as a row of this stack is: B.dot rounds alike on both
+    Bs = np.empty((n, r, m)) if memo is not None and gains is None else None
     isfinite = math.isfinite
     # row t: the prediction xhat[t] entering step t + 1, then (t >= 1)
     # the H'x of step t
@@ -560,6 +616,8 @@ def filter_series(model, y, engine: str = "kalman",
             if info:
                 raise ValueError(f"potrs: illegal value in argument "
                                  f"{-info} at t={t} (season {i + 1})")
+        if Bs is not None:
+            Bs[t - 1] = KtilT.T
         B_dot[i] = KtilT.T.dot
         Ls[t - 1] = factor[0]
         Omegas[t - 1] = Omega
@@ -587,6 +645,11 @@ def filter_series(model, y, engine: str = "kalman",
             FH(x, row)                          # row = (F x, H'x)
             x = x_next
             x += B(yt - z)                      # F x + B e
+    if Bs is not None and settled_at is not None:
+        stored = tuple(a[:settled_at].copy() for a in (Ks, Omegas, Ls, Bs))
+        for a in stored:
+            a.flags.writeable = False
+        memo.gains[engine] = stored
     xhats = np.ascontiguousarray(xz[:, :r])
     innovations = y2 - xz[1:, r:]
     engine_steps = n
@@ -609,7 +672,8 @@ def filter_series(model, y, engine: str = "kalman",
     # e'e, and B = K Omega^{-1} unless the engine handed over
     # Omega^{-1} K'
     _charge(n * (2*r*r + 2*m*r + m + 2*r*m + r + m*m + 2*m)
-            + engine_steps * (2*m + (0 if engine == "kalman" else 2*m*m*r)))
+            + engine_steps * (2*m + (2*m*m*r if isinstance(eng, _ChandEngine)
+                                     else 0)))
 
     return FilterOutput(engine=engine, n=n, innovations=innovations,
                         Omega=Omegas, K=Ks, xhat=xhats,

@@ -20,6 +20,7 @@ from periodickf import (
     solve_dple,
     validate,
 )
+import periodickf.filtering as filtering_module
 from periodickf.cli import main
 from conftest import (ROOT, assert_bitwise_equal, pinned_state_model,
                       random_stationary_model, unfrozen_filter)
@@ -655,11 +656,33 @@ class TestNonFiniteInnovation:
         assert 4 < settled_at < 41
         del step_log[:]
         y[t - 2], y[t - 1] = 1.7e308, -1.7e308
+        # a cold call: the call above stored its gain trajectory
+        filtering_module._START_MEMO = None
         with pytest.raises(ValueError,
                            match=rf"innovation at t={t} \(season "
                                  rf"{model.season(t)}\) is not finite"):
             self.run(model, y, engine)
         assert step_log == list(range(1, min(t, settled_at) + 1))
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("t", [4, 41])
+    def test_later_step_warm(self, engine, t, step_log):
+        # a warm call replays the stored gain trajectory: it raises the
+        # cold call's error, at the same step, and steps no engine
+        model = load_model(STATIONARY_S2)
+        y = simulate(model, 60, seed=3)[1]
+        filter_series(model, y, engine=engine)
+        del step_log[:]
+        y[t - 2], y[t - 1] = 1.7e308, -1.7e308
+        with pytest.raises(ValueError) as warm:
+            self.run(model, y, engine)
+        assert step_log == []
+        filtering_module._START_MEMO = None
+        with pytest.raises(ValueError) as cold:
+            self.run(model, y, engine)
+        assert str(warm.value) == str(cold.value)
+        assert f"innovation at t={t} (season {model.season(t)})" \
+            in str(warm.value)
 
     def test_overflowing_term_of_finite_innovation_passes(self):
         # e finite but e' w overflows: the term is -inf, no error
@@ -707,3 +730,28 @@ class TestMeteredFlopPins:
                 filter_series(model, y, engine=engine)
             got[engine] = counter.flops
         assert got == self.PINNED[case]
+
+
+class TestWarmCallFlops:
+    """A call that replays a stored gain trajectory charges only the
+    loop's own arithmetic: the per-step rate of ``filter_series``, and
+    the check's ``e'e`` on each replayed step; no engine charges and no
+    solve for ``B``."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("case", list(TestMeteredFlopPins.PINNED))
+    def test_totals(self, case, engine):
+        model, y = _flop_case(case)
+        settled_at = filter_series(model, y, engine=engine).settled_at
+        with count_flops() as counter:
+            filter_series(model, y, engine=engine)
+        if settled_at is None:
+            # kalman on the m = 2 model never settles: nothing is
+            # stored, and the second call steps the engine again
+            assert (case, engine) == ("m2-r12", "kalman")
+            assert counter.flops == TestMeteredFlopPins.PINNED[case][engine]
+            return
+        n, r, m = len(y), model.r, model.m
+        assert counter.flops == (
+            n * (2*r*r + 2*m*r + m + 2*r*m + r + m*m + 2*m)
+            + settled_at * 2*m)

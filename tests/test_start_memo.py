@@ -12,11 +12,11 @@ import periodickf.chandrasekhar as chandrasekhar_module
 import periodickf.filtering as filtering_module
 import periodickf.kalman as kalman_module
 from periodickf import (ENGINES, EngineInitFailed, NotStationary, OmegaNotPD,
-                        SingularLift, count_costs, filter_series, simulate,
-                        solve_dple)
+                        SingularLift, count_costs, filter_series, load_model,
+                        par_family, simulate, solve_dple)
 from periodickf.filtering import _initial_conditions, _make_engine
 from periodickf.kalman import _one_start
-from conftest import (assert_bitwise_equal, benchmark_round,
+from conftest import (ROOT, assert_bitwise_equal, benchmark_round,
                       pinned_state_model, random_stationary_model)
 from test_kalman import near_unit_model
 
@@ -35,6 +35,17 @@ def case(stored_w1: bool = False):
         model.W1 = solve_dple(model)[0].copy()
     _, y = simulate(model, 40, seed=22, start="stationary")
     return model, y
+
+
+def settling_case(par: bool = False):
+    """A model and series on which every engine settles: the demo model
+    (S = 2, r = 2, m = 1) over 60 steps, settled by step 20, or with
+    ``par`` PAR_4 at r = 6 over 40 steps, settled by step 15."""
+    if par:
+        model = par_family(4, 1)(6)
+        return model, simulate(model, 40, seed=6)[1]
+    model = load_model(ROOT / "demos" / "models" / "stationary_s2.json")
+    return model, simulate(model, 60, seed=3)[1]
 
 
 @pytest.fixture
@@ -308,16 +319,130 @@ class TestForeignStart:
         assert warm.alpha == cold.alpha
 
 
+class TestStoredTrajectory:
+    """A call that settles stores its gain trajectory next to its
+    start; a later call on that content, engine and start kind replays
+    it, steps no engine, and gives bitwise the cold call's outputs."""
+
+    @pytest.fixture
+    def engine_steps(self, monkeypatch):
+        """The names of the engines whose step function was called, once
+        per call of it: the covariance update of ``kalman`` and the step
+        function of each low-rank engine."""
+        calls = []
+        update = filtering_module._covariance_update
+
+        def counted_update(*args):
+            calls.append("kalman")
+            return update(*args)
+
+        monkeypatch.setattr(filtering_module, "_covariance_update",
+                            counted_update)
+        for name, fn in filtering_module.LOWRANK_STEPS.items():
+            def counted_step(*args, _name=name, _fn=fn):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setitem(filtering_module.LOWRANK_STEPS, name,
+                                counted_step)
+        return calls
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_warm_call_steps_no_engine(self, engine, engine_steps):
+        model, y = settling_case()
+        cold = filter_series(model, y, engine=engine)
+        assert engine_steps == [engine] * cold.settled_at
+        del engine_steps[:]
+        warm = filter_series(copy.deepcopy(model), y, engine=engine)
+        assert engine_steps == []
+        assert_bitwise_equal(warm, cold)
+        assert warm.settled_at == cold.settled_at
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_stored_arrays_are_read_only(self, engine):
+        model, y = settling_case()
+        filter_series(model, y, engine=engine)
+        for a in memo().gains[engine]:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_outputs_do_not_reach_the_memo(self, engine):
+        # writing into the outputs of the call that stored the
+        # trajectory, or of one that replayed it, leaves later warm
+        # calls bitwise the cold call
+        model, y = settling_case()
+        cold = copy.deepcopy(filter_series(model, y, engine=engine))
+        filtering_module._START_MEMO = None
+        for _ in range(3):
+            out = filter_series(model, y, engine=engine)
+            assert_bitwise_equal(out, cold)
+            assert out.settled_at == cold.settled_at
+            for a in (out.K, out.Omega, out.xhat):
+                a[...] = np.nan
+        assert engine in memo().gains
+
+    @pytest.mark.parametrize("n", [5, "T-1", "T"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_prefix(self, engine, n):
+        # a series shorter than the stored trajectory replays its
+        # prefix and, as a cold call, reports no settled step
+        model, y = settling_case()
+        T = filter_series(model, y, engine=engine).settled_at
+        n = {5: 5, "T-1": T - 1, "T": T}[n]
+        warm = filter_series(model, y[:n], engine=engine)
+        filtering_module._START_MEMO = None
+        cold = filter_series(model, y[:n], engine=engine)
+        assert_bitwise_equal(warm, cold)
+        assert warm.settled_at == cold.settled_at == (T if n == T else None)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_trace_and_explicit_calls_step_the_engine(self, engine,
+                                                      engine_steps):
+        model, y = settling_case()
+        T = filter_series(model, y, engine=engine).settled_at
+        del engine_steps[:]
+        traced = filter_series(model, y, engine=engine, sigma_trace=True)
+        assert engine_steps.count(engine) == (
+            T if engine == "kalman" else len(y))
+        del engine_steps[:]
+        filter_series(model, y, engine=engine, init="explicit",
+                      xhat1=np.zeros(model.r), Sigma1=memo().Sigma1)
+        assert len(engine_steps) == T
+        assert traced.sigma_trace is not None
+
+    def test_count_costs_steps_real_engines(self, engine_steps):
+        # count_costs builds its engines through _make_engine: after
+        # warm filter_series calls on the same content it still steps
+        # every engine, and reports what it does on an empty memo
+        model, y = settling_case()
+        cold = count_costs(model, 2)
+        filtering_module._START_MEMO = None
+        for engine in ENGINES:
+            for _ in range(2):
+                filter_series(model, y, engine=engine)
+        assert set(memo().gains) == set(ENGINES)
+        del engine_steps[:]
+        warm = count_costs(model, 2)
+        assert engine_steps == [
+            engine for engine in ENGINES for _ in range(2 * model.S)]
+        assert [(c.engine, c.steps, c.flops) for c in warm.costs] \
+            == [(c.engine, c.steps, c.flops) for c in cold.costs]
+        assert warm.alpha == cold.alpha
+
+
 class TestThreads:
     def test_interleaved_models_get_their_own_start(self):
-        # threads that alternate between two model contents replace the
+        # threads that alternate between four model contents replace the
         # one slot under each other: every call must still be bitwise
-        # its model's cold call
+        # its model's cold call (on the last two every engine settles,
+        # so a call may replay a stored gain trajectory)
         import sys
         import threading
 
         cases = [case(), (random_stationary_model(31, r=5, S=3, m=2),
-                          case()[1])]
+                          case()[1]), settling_case(), settling_case(True)]
         cold = {}
         for i, (model, y) in enumerate(cases):
             for engine in ENGINES:
@@ -326,15 +451,19 @@ class TestThreads:
         failures = []
 
         def work(offset):
-            for k in range(24):
-                i = (k + offset) % 2
-                engine = ENGINES[(k // 2 + offset) % len(ENGINES)]
+            for k in range(32):
+                i = (k + offset) % len(cases)
+                engine = ENGINES[(k // len(cases) + offset) % len(ENGINES)]
                 model, y = cases[i]
-                out = filter_series(copy.deepcopy(model), y, engine=engine)
-                try:
-                    assert_bitwise_equal(out, cold[i, engine])
-                except AssertionError as exc:
-                    failures.append(str(exc))
+                # the second call replays the trajectory the first
+                # stored, unless another thread replaced the slot between
+                for _ in range(2):
+                    out = filter_series(copy.deepcopy(model), y,
+                                        engine=engine)
+                    try:
+                        assert_bitwise_equal(out, cold[i, engine])
+                    except AssertionError as exc:
+                        failures.append(str(exc))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

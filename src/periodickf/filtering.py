@@ -62,7 +62,8 @@ each season's ``B.dot`` from the last period of steps.  After the loop
 it copies that period's Omega, K, factor and Sigma into the settled
 steps, season by season.  The switch lives in the loop, not in the
 engines, so ``count_costs`` keeps metering the recursion itself;
-``FilterOutput.settled_at`` is the last step that called the engine.
+``FilterOutput.settled_at`` is the step after which the gains repeat
+with period S.
 
 Start memo.  The start is a function of the model alone, so the module
 keeps the last one computed in one slot (``_START_MEMO``), keyed by the
@@ -70,36 +71,34 @@ start kind and the model's content (``_content_key``: the dimensions
 and every system matrix's dtype, shape, strides and bytes, W1
 included).  A call whose key matches, a "warm" call, takes from it the
 starting covariance, the stationary covariances and the stationarity
-decision their solve recorded, and a low-rank engine its initial
-``ChandrasekharState`` and the prelude's covariances (states are not
-changed once built, so sharing them is safe); it runs no Lyapunov
-solve, prelude, start factorization or monodromy eigensolve.  The key
-is built and compared on every call (microseconds), so a model mutated
-in place, given a new list, or flipping an entry between 0.0 and -0.0
-misses.  A start that raises is not stored, and an ``explicit`` start
-is never memoized.  ``_make_engine`` reuses an engine's start only when
-the covariances it is handed are the memo's own objects, so an engine
-built on covariances from elsewhere (``count_costs``' own solve next to
-a stored W1) starts afresh.
+decision their solve recorded, so it runs neither the start's Lyapunov
+solve nor a monodromy eigensolve; an engine it builds starts from these
+as a cold call's does.  The key is built and compared on every call
+(microseconds), so a model mutated in place, given a new list, or
+flipping an entry between 0.0 and -0.0 misses.  A start that raises is
+not stored, and an ``explicit`` start is never memoized.
 
 The gains do not depend on the observations either, so the memo also
 keeps, per engine, the settled gain trajectory of a call from its start
 that reached ``settled_at = T`` (not with a sigma trace): read-only
 copies of K_t, Omega_t, its Cholesky factor and the normalized gain
-B_t the loop used, for t = 1..T.  A later call on that content,
-start kind and engine steps no engine: ``filter_series`` (not
-``_make_engine``, so ``count_costs`` still steps real engines) hands
-the loop a ``_Replay`` of the trajectory, settled after step T, and the
-loop, its checks and the settled steps run as on a cold call.  A run
-that never settles stores nothing.  Outputs of a warm call are bitwise
-those of a cold one, errors included.  What differs: a warm call
-charges the active flop counter only for the arithmetic it does, so
-not for the prelude (nor for ``to_inverse_state``'s solve), and on a
-replayed trajectory for no engine step and no solve for B; the start's
-warnings (say ``to_inverse_state``'s ``LinAlgWarning``) come only from
-the call that computed it.  The public start functions
-(``solve_dple``, ``build_prelude``, ``auto_factorize``, ``chand_init``)
-are not memoized.
+B_t the loop used, for t = 1..T.  A later call on that content, start
+kind and engine builds and steps no engine: ``filter_series`` (not
+``_make_engine``, so ``count_costs`` still steps real engines) copies
+the stored K, Omega and factors into its outputs and runs the settled
+steps' loop from step 1, with B_1..B_T and then the last period's B
+cycled, checking its innovations after the loop as settled steps do.
+A run that never settles stores nothing, so a later call on its
+content builds its engine again: the prelude, the start factorization
+and, from a stored W1, the factorization's own Lyapunov solve.
+Outputs of a warm call are bitwise those of a cold one, errors
+included.  What differs: a replaying call charges the active flop
+counter only for the arithmetic it does, so for no engine step, no
+check's ``e'e`` and no solve for B, and gives none of the warnings of
+an engine's start (say ``to_inverse_state``'s ``LinAlgWarning``); the
+warnings of the start's solve come only from the call that computed
+it.  The public start functions (``solve_dple``, ``build_prelude``,
+``auto_factorize``, ``chand_init``) are not memoized.
 
 The innovations-form Gaussian log-likelihood is the sum of the terms
 
@@ -125,7 +124,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import cycle, islice
+from itertools import chain, cycle, islice
 
 import numpy as np
 
@@ -169,9 +168,10 @@ class FilterOutput:
     n + 1 rows). ``terms[t-1]`` is time t's log-likelihood term, and
     ``loglik`` their sum. ``sigma_trace[t-1]`` (present on request) is
     the prediction-error covariance at time t. ``settled_at`` is the
-    last step that called the engine before its gains were served from
-    the steady-gain cache, or None when the run never settled (every
-    step then called it).
+    step after which the gains repeat with period S, or None when the
+    run never settled: the last step that called the engine, or, on a
+    call that replayed a stored gain trajectory (no step called the
+    engine), the ``settled_at`` of the call that stored it.
     """
 
     engine: str
@@ -238,7 +238,7 @@ def _initial_conditions(model, init: str, xhat1, Sigma1):
     else:
         W = solve_dple(model)
         Sigma1v = W[0]
-    _START_MEMO = _StartMemo(key, Sigma1v, W, _record(model)[1], {}, {})
+    _START_MEMO = _StartMemo(key, Sigma1v, W, _record(model)[1], {})
     return x, Sigma1v, W
 
 
@@ -263,16 +263,16 @@ class _StartMemo:
     """The start of one model content: the starting covariance and the
     stationary covariances (None when not solved for) that
     ``_initial_conditions`` returns, the stationarity decision the
-    solve recorded (None when none was), per low-rank engine name the
-    ``(state, Sigma)`` pair of ``_lowrank_start`` built on them, and per
-    engine name the settled gain trajectory ``(K, Omega, L, B)`` of a
-    call from this start that settled (see ``_Replay``)."""
+    solve recorded (None when none was), and per engine name the
+    settled gain trajectory of a call from this start: read-only stacks
+    ``(K, Omega, L, B)`` of K_t, Omega_t, the Cholesky factor of
+    Omega_t and the normalized gain B_t the loop used, for steps 1..T,
+    where T = ``len(B)`` is that call's ``settled_at``."""
 
     key: list
     Sigma1: np.ndarray
     W: list | None
     decision: tuple | None
-    engines: dict
     gains: dict
 
 
@@ -412,25 +412,6 @@ class _ChandEngine:
         return True
 
 
-class _Replay:
-    """A settled gain trajectory played back with an engine's protocol:
-    ``K``, ``Omega``, ``L`` and ``B`` are the stacks of K_t, Omega_t,
-    the Cholesky factor of Omega_t and the normalized gain B_t the loop
-    used, for steps 1..T, where T = ``len(B)`` is the ``settled_at`` of
-    the call that stored them.  Step t hands over step t's entries, and
-    the replay is settled after step T."""
-
-    def __init__(self, K, Omega, L, B):
-        self.K, self.Omega, self.L, self.B = K, Omega, L, B
-        self.settled = False
-        self.KtilT = None
-
-    def step(self, t: int):
-        self.KtilT = self.B[t - 1].T
-        self.settled = t == len(self.B)
-        return self.K[t - 1], self.Omega[t - 1], (self.L[t - 1], True), None
-
-
 def _check_engine(engine: str) -> None:
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; "
@@ -454,29 +435,13 @@ def _lowrank_start(model, Sigma1, W, variant: str):
     return state, prelude.Sigma
 
 
-def _memo_of(Sigma1, W) -> _StartMemo | None:
-    """The start memo when ``Sigma1`` and ``W`` are its own objects,
-    else None."""
-    memo = _START_MEMO
-    if memo is not None and (memo.Sigma1 is not Sigma1 or memo.W is not W):
-        return None
-    return memo
-
-
 def _make_engine(model, engine: str, Sigma1, W, trace: bool):
-    """An engine started from ``Sigma1``.  A low-rank engine takes its
-    start from the start memo when ``Sigma1`` and ``W`` are the memo's
-    own objects, and stores the start it computes there; any other
-    ``Sigma1`` or ``W`` takes the start computed afresh."""
+    """An engine started from ``Sigma1``; ``W`` as for
+    ``_lowrank_start``."""
     if engine == "kalman":
         return _KalmanEngine(model, Sigma1)
-    memo = _memo_of(Sigma1, W)
-    start = memo.engines.get(engine) if memo is not None else None
-    if start is None:
-        start = _lowrank_start(model, Sigma1, W, engine)
-        if memo is not None:
-            memo.engines[engine] = start
-    return _ChandEngine(model, *start, engine, trace)
+    return _ChandEngine(model, *_lowrank_start(model, Sigma1, W, engine),
+                        engine, trace)
 
 
 def _coerce_observations(y, m: int) -> np.ndarray:
@@ -526,22 +491,23 @@ def filter_series(model, y, engine: str = "kalman",
     The start is memoized in one slot, keyed by ``init`` and the
     model's content (see the module docstring): a call on the same
     content as the last start computed (the same model, or one rebuilt
-    with the same bits) skips the Lyapunov solve, and a low-rank engine
-    also its prelude, start factorization and ``chand_init``, and gives
-    bitwise the outputs of the call that computed them.  Next to the
+    with the same bits) skips the start's Lyapunov solve and gives
+    bitwise the outputs of the call that computed it.  Next to the
     start, the memo keeps each engine's gains up to ``settled_at`` from
     a call that settled without a sigma trace; a later such call with
-    that engine replays them and steps no engine.  A warm call's
-    ``count_flops`` total leaves out the prelude's charges, and on a
-    replayed trajectory the engine's charges and the solve for B; the
-    start's warnings come only from the call that computed it.  An
-    ``explicit`` start and a start that raises are never stored.
+    that engine replays them, builds and steps no engine, and its
+    ``count_flops`` total leaves out the engine's charges, the check's
+    ``e'e`` and the solve for B.  The warnings of the start's solve
+    come only from the call that computed it, and a replaying call
+    gives none of an engine start's.  An ``explicit`` start and a start
+    that raises are never stored.
 
     Once the engine reports that its gains are exactly S-periodic (see
     the module docstring), later steps repeat ``(K, Omega, factor,
     Sigma)`` and the normalized gain of the step one period before
     them, and the engine is no longer stepped; ``settled_at`` in the
-    output names the last step that called it.
+    output names the last step that called it (on a replay, the stored
+    call's).
     Every output equals the run that steps the engine to the end, as
     long as the settle condition holds.  A consequence: the gates of
     the steps no longer run cannot raise, so a ``chand-minv`` run whose
@@ -555,8 +521,8 @@ def filter_series(model, y, engine: str = "kalman",
     2m`` for the quadratic form (one triangular sweep and ``z'z``); per
     step that called the engine ``2m`` for the check's ``e'e`` and,
     unless the engine handed over ``Omega^{-1} K'``, ``2m^2 r`` for
-    that solve.  The engines charge their own steps; a replayed
-    trajectory hands over ``Omega^{-1} K'`` and charges nothing.
+    that solve.  The engines charge their own steps; a replaying call
+    steps no engine, so it charges the per-step rate alone.
 
     Raises ``ValueError`` naming an unknown engine (before any other
     check or solve), an ``xhat1`` or ``Sigma1`` given to an init other
@@ -578,9 +544,11 @@ def filter_series(model, y, engine: str = "kalman",
         x1, Sigma1v, W = _initial_conditions(model, init, xhat1, Sigma1)
         # the memo this start came from: none with a sigma trace, nor
         # for an explicit start (its Sigma1 is no memo's)
-        memo = None if sigma_trace else _memo_of(Sigma1v, W)
+        memo = _START_MEMO
+        if sigma_trace or memo is None or memo.Sigma1 is not Sigma1v:
+            memo = None
         gains = memo.gains.get(engine) if memo is not None else None
-        eng = (_Replay(*gains) if gains is not None
+        eng = (None if gains is not None
                else _make_engine(model, engine, Sigma1v, W, sigma_trace))
 
     m, r, S = model.m, model.r, model.S
@@ -592,56 +560,74 @@ def filter_series(model, y, engine: str = "kalman",
     FH_dot = [np.vstack((F, H.T)).dot for F, H in zip(model.F, model.H)]
     # season -> B.dot of the last step that called the engine
     B_dot = [None] * S
-    settled_at = None
+    settled_at = first = None   # first: the settled loop's first row
     # each engine step's B_t, kept when the memo may store this call's
     # gain trajectory.  KtilT is potrs's Fortran-ordered output, so B_t
     # is C-ordered as a row of this stack is: B.dot rounds alike on both
-    Bs = np.empty((n, r, m)) if memo is not None and gains is None else None
+    Bs = np.empty((n, r, m)) if memo is not None and eng is not None else None
     isfinite = math.isfinite
     # row t: the prediction xhat[t] entering step t + 1, then (t >= 1)
     # the H'x of step t
     xz = np.empty((n + 1, r + m))
     x = xz[0, :r]
     x[:] = x1
-    for t, (yt, row) in enumerate(zip(y2, xz[1:]), 1):
-        i = (t - 1) % S
-        try:
-            K, Omega, factor, Sigma = eng.step(t)
-        except (OmegaNotPD, MSingular) as exc:
-            exc.locate(t, model.season(t))
-            raise
-        KtilT = eng.KtilT                       # Omega_t^{-1} K_t'
-        if KtilT is None:
-            KtilT, info = _potrs(factor[0], K.T, factor[1])
-            if info:
-                raise ValueError(f"potrs: illegal value in argument "
-                                 f"{-info} at t={t} (season {i + 1})")
-        if Bs is not None:
-            Bs[t - 1] = KtilT.T
-        B_dot[i] = KtilT.T.dot
-        Ls[t - 1] = factor[0]
-        Omegas[t - 1] = Omega
-        Ks[t - 1] = K
-        if sigma_trace:
-            sigmas[t - 1] = Sigma
-        if eng.settled:
-            settled_at = t
-            break
-        FH_dot[i](x, row)                       # row = (F x, H'x)
-        e = yt - row[r:]
-        # checked before the engine is stepped again; from settled_at
-        # on, after the loop
-        if not isfinite(e.dot(e)):
-            _check_innovation(e, t, i + 1)
-        x = row[:r]
-        x += B_dot[i](e)                        # F x + B e
-    if settled_at is not None:
-        # steps settled_at..n, each season with the B.dot of its last
-        # engine step; the same products as above, without the check
-        k = settled_at - 1
+    if eng is None:
+        # a replay of the stored T = settled_at steps: their gains go to
+        # the outputs, and the settled loop runs from step 1, with
+        # B_1..B_T and then the last period's B cycled
+        T = len(gains[3])
+        k = min(T, n)
+        for out, stored in zip((Ks, Omegas, Ls), gains):
+            out[:k] = stored[:k]
+        settled_at = T if T <= n else None
+        stored_dot = [B.dot for B in gains[3]]      # step t -> B_t.dot
+        first = 0
+        steps = zip(cycle(FH_dot),
+                    chain(stored_dot, cycle(stored_dot[-S:])))
+    else:
+        for t, (yt, row) in enumerate(zip(y2, xz[1:]), 1):
+            i = (t - 1) % S
+            try:
+                K, Omega, factor, Sigma = eng.step(t)
+            except (OmegaNotPD, MSingular) as exc:
+                exc.locate(t, model.season(t))
+                raise
+            KtilT = eng.KtilT                   # Omega_t^{-1} K_t'
+            if KtilT is None:
+                KtilT, info = _potrs(factor[0], K.T, factor[1])
+                if info:
+                    raise ValueError(f"potrs: illegal value in argument "
+                                     f"{-info} at t={t} (season {i + 1})")
+            if Bs is not None:
+                Bs[t - 1] = KtilT.T
+            B_dot[i] = KtilT.T.dot
+            Ls[t - 1] = factor[0]
+            Omegas[t - 1] = Omega
+            Ks[t - 1] = K
+            if sigma_trace:
+                sigmas[t - 1] = Sigma
+            if eng.settled:
+                settled_at = t
+                break
+            FH_dot[i](x, row)                   # row = (F x, H'x)
+            e = yt - row[r:]
+            # checked before the engine is stepped again; from
+            # settled_at on, after the loop
+            if not isfinite(e.dot(e)):
+                _check_innovation(e, t, i + 1)
+            x = row[:r]
+            x += B_dot[i](e)                    # F x + B e
+        if settled_at is not None:
+            # steps settled_at..n, each season with the B.dot of its
+            # last engine step
+            first = settled_at - 1
+            steps = islice(cycle(zip(FH_dot, B_dot)), first % S, None)
+    if first is not None:
+        # the steps from index first on: the products of the loop above,
+        # without the check
         for (FH, B), yt, row, x_next, z in zip(
-                islice(cycle(zip(FH_dot, B_dot)), k % S, None), y2[k:],
-                xz[k + 1:], xz[k + 1:, :r], xz[k + 1:, r:]):
+                steps, y2[first:], xz[first + 1:], xz[first + 1:, :r],
+                xz[first + 1:, r:]):
             FH(x, row)                          # row = (F x, H'x)
             x = x_next
             x += B(yt - z)                      # F x + B e
@@ -652,13 +638,12 @@ def filter_series(model, y, engine: str = "kalman",
         memo.gains[engine] = stored
     xhats = np.ascontiguousarray(xz[:, :r])
     innovations = y2 - xz[1:, r:]
-    engine_steps = n
-    if settled_at is not None:
-        engine_steps = settled_at
-        bad = np.argwhere(~np.isfinite(innovations[settled_at - 1:]))
+    if first is not None:
+        bad = np.argwhere(~np.isfinite(innovations[first:]))
         if bad.size:
-            t = settled_at + int(bad[0, 0])
+            t = first + 1 + int(bad[0, 0])
             _check_innovation(innovations[t - 1], t, model.season(t))
+    if settled_at is not None:
         # each settled step repeats the step one period before it
         # (settled_at >= S: an engine settles after S steps at the soonest)
         for j in range(settled_at, min(settled_at + S, n)):
@@ -671,6 +656,7 @@ def filter_series(model, y, engine: str = "kalman",
     # form (a triangular sweep and z'z); every engine step: the check's
     # e'e, and B = K Omega^{-1} unless the engine handed over
     # Omega^{-1} K'
+    engine_steps = 0 if eng is None else settled_at or n
     _charge(n * (2*r*r + 2*m*r + m + 2*r*m + r + m*m + 2*m)
             + engine_steps * (2*m + (2*m*m*r if isinstance(eng, _ChandEngine)
                                      else 0)))

@@ -3,6 +3,7 @@ matches the last start computed reuses that start, bitwise, and nothing
 else does."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -14,8 +15,7 @@ import periodickf.kalman as kalman_module
 from periodickf import (ENGINES, EngineInitFailed, NotStationary, OmegaNotPD,
                         SingularLift, count_costs, filter_series, load_model,
                         par_family, simulate, solve_dple)
-from periodickf.filtering import _initial_conditions, _make_engine
-from periodickf.kalman import _one_start
+from periodickf.chandrasekhar import ChandrasekharState, Prelude
 from conftest import (ROOT, assert_bitwise_equal, benchmark_round,
                       pinned_state_model, random_stationary_model)
 from test_kalman import near_unit_model
@@ -46,6 +46,22 @@ def settling_case(par: bool = False):
         return model, simulate(model, 40, seed=6)[1]
     model = load_model(ROOT / "demos" / "models" / "stationary_s2.json")
     return model, simulate(model, 60, seed=3)[1]
+
+
+def _reachable(obj):
+    """``obj`` and every object reachable from it through dataclass
+    fields, dict values, lists and tuples."""
+    yield obj
+    if dataclasses.is_dataclass(obj):
+        children = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif isinstance(obj, dict):
+        children = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        children = obj
+    else:
+        children = ()
+    for child in children:
+        yield from _reachable(child)
 
 
 @pytest.fixture
@@ -85,14 +101,22 @@ class TestWarmCallIsColdCall:
         del start_calls[:]
         # the same content in new objects, as a rebuilt model holds it
         warm = filter_series(copy.deepcopy(model), y, **kwargs)
-        assert start_calls == []
+        # no engine settles within the 40 steps, so nothing is replayed:
+        # a low-rank engine builds its start again on the stored
+        # covariances, and from a stored W1 (zero-state) its
+        # factorization solves for W itself
+        assert cold.settled_at is None
+        own_solve = stored_w1 and init == "zero-state"
+        assert start_calls == ([] if engine == "kalman" else [
+            "build_prelude", "auto_factorize"] + ["solve_dple"] * own_solve)
         assert_bitwise_equal(warm, cold)
         assert warm.settled_at == cold.settled_at
 
     def test_every_engine_on_one_start(self, start_calls):
-        # the four calls of an estimation round share one model: one
-        # Lyapunov solve, then one prelude and factorization per
-        # low-rank engine, and a second round is all warm
+        # the four calls of an estimation round share one Lyapunov
+        # solve; each low-rank engine builds its prelude and
+        # factorization on it, and again in a second round, as no
+        # engine settles
         model, y = case()
         for engine in ENGINES:
             filter_series(model, y, engine=engine)
@@ -101,20 +125,24 @@ class TestWarmCallIsColdCall:
         del start_calls[:]
         for engine in ENGINES:
             filter_series(model, y, engine=engine)
-        assert start_calls == []
+        assert start_calls == ["build_prelude", "auto_factorize"] * 3
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_warm_call_takes_no_eigensolve(self, engine, eigvals_log,
                                            start_calls):
         # near_unit_model(0.999999) is not certified by the doubling:
-        # its cold start takes one eigensolve
+        # its cold start takes one eigensolve.  A warm low-rank call
+        # builds its start again (no engine settles in 12 steps), with
+        # the recorded decision
         model = near_unit_model(0.999999)
         y = np.zeros((12, 1))
         cold = filter_series(model, y, engine=engine)
         assert len(eigvals_log) == 1
         del eigvals_log[:], start_calls[:]
         warm = filter_series(model, y, engine=engine)
-        assert (eigvals_log, start_calls) == ([], [])
+        assert eigvals_log == []
+        assert start_calls == ([] if engine == "kalman"
+                               else ["build_prelude", "auto_factorize"])
         assert_bitwise_equal(warm, cold)
 
     @pytest.mark.parametrize("engine", ENGINES[1:])
@@ -264,7 +292,7 @@ class TestFailedStartsAreNotStored:
         self.assert_raises_alike(
             lambda: filter_series(model, y, engine="chand-minv",
                                   init="stationary"), EngineInitFailed)
-        assert "chand-minv" not in memo().engines
+        assert "chand-minv" not in memo().gains
 
     def test_omega_not_pd_in_the_prelude(self):
         model = pinned_state_model()
@@ -274,36 +302,10 @@ class TestFailedStartsAreNotStored:
             lambda: filter_series(model, np.zeros((4, 2)), engine="chand31"),
             OmegaNotPD)
         assert (first.t, first.season) == (second.t, second.season) == (1, 1)
-        assert memo().engines == {}
+        assert memo().gains == {}
 
 
 class TestForeignStart:
-    def test_foreign_w_takes_the_cold_path(self, start_calls):
-        model, y = case()
-        filter_series(model, y, engine="chand31")
-        state = memo().engines["chand31"][0]
-        del start_calls[:]
-        with _one_start(model):
-            _, Sigma1, W = _initial_conditions(model, "zero-state", None,
-                                               None)
-            assert W is memo().W
-            foreign = [w.copy() for w in W]
-            eng = _make_engine(model, "chand31", Sigma1, foreign, False)
-        assert eng.state is not state
-        assert start_calls == ["build_prelude", "auto_factorize"]
-        assert memo().engines["chand31"][0] is state
-        warm = _make_engine(model, "chand31", Sigma1, W, False)
-        assert warm.state is state
-
-    def test_foreign_sigma1_takes_the_cold_path(self, start_calls):
-        model, y = case()
-        filter_series(model, y, engine="chand32")
-        del start_calls[:]
-        W = memo().W
-        eng = _make_engine(model, "chand32", W[0].copy(), W, False)
-        assert eng.state is not memo().engines["chand32"][0]
-        assert start_calls == ["build_prelude", "auto_factorize"]
-
     def test_count_costs_with_a_stored_w1(self, start_calls):
         # count_costs solves for W itself next to a stored W1: its
         # engines start from that foreign W, and the report is the
@@ -430,6 +432,39 @@ class TestStoredTrajectory:
         assert [(c.engine, c.steps, c.flops) for c in warm.costs] \
             == [(c.engine, c.steps, c.flops) for c in cold.costs]
         assert warm.alpha == cold.alpha
+
+
+    def test_memo_holds_the_start_and_the_trajectories(self):
+        # every engine filters a content on which it settles, then one
+        # on which none does: each memo entry holds the start (Sigma1, W
+        # and the stationarity decision) and, per engine that settled,
+        # its four read-only stacks, but no engine state and no
+        # prelude covariance
+        for (model, y), settles in ((settling_case(), True), (case(), False)):
+            settled_at = {engine: filter_series(model, y,
+                                                engine=engine).settled_at
+                          for engine in ENGINES}
+            entry = memo()
+            assert [f.name for f in dataclasses.fields(entry)] == [
+                "key", "Sigma1", "W", "decision", "gains"]
+            assert entry.decision is not None
+            r, m = model.r, model.m
+            covariances = [a for a in _reachable(entry)
+                           if isinstance(a, np.ndarray) and a.shape == (r, r)]
+            assert [id(a) for a in covariances] == [
+                id(a) for a in [entry.Sigma1, *entry.W]]
+            assert not any(isinstance(a, (ChandrasekharState, Prelude))
+                           for a in _reachable(entry))
+            if not settles:
+                assert set(settled_at.values()) == {None}
+                assert entry.gains == {}
+                continue
+            assert set(entry.gains) == set(ENGINES)
+            for engine, stacks in entry.gains.items():
+                T = settled_at[engine]
+                assert [a.shape for a in stacks] == [
+                    (T, r, m), (T, m, m), (T, m, m), (T, r, m)]
+                assert not any(a.flags.writeable for a in stacks)
 
 
 class TestThreads:

@@ -16,6 +16,8 @@ from periodickf import (ENGINES, EngineInitFailed, NotStationary, OmegaNotPD,
                         SingularLift, count_costs, filter_series, load_model,
                         par_family, simulate, solve_dple)
 from periodickf.chandrasekhar import ChandrasekharState, Prelude
+from periodickf.filtering import _initial_conditions, _make_engine
+from periodickf.kalman import _one_start
 from conftest import (ROOT, assert_bitwise_equal, benchmark_round,
                       pinned_state_model, random_stationary_model)
 from test_kalman import near_unit_model
@@ -306,6 +308,46 @@ class TestFailedStartsAreNotStored:
 
 
 class TestForeignStart:
+    def test_foreign_w_takes_the_cold_path(self, start_calls):
+        # an engine started from a copy of the memo's W builds its own
+        # start, leaves the memo as it was, and steps through the stored
+        # trajectory bitwise
+        model, y = settling_case()
+        filter_series(model, y, engine="chand31")
+        stored = memo().gains["chand31"]
+        del start_calls[:]
+        with _one_start(model):
+            _, Sigma1, W = _initial_conditions(model, "zero-state", None,
+                                               None)
+            assert W is memo().W
+            foreign = [w.copy() for w in W]
+            eng = _make_engine(model, "chand31", Sigma1, foreign, False)
+        assert start_calls == ["build_prelude", "auto_factorize"]
+        assert memo().W is W and memo().gains["chand31"] is stored
+        for t in range(1, len(stored[0]) + 1):
+            K, Omega, factor, _ = eng.step(t)
+            assert np.array_equal(K, stored[0][t - 1])
+            assert np.array_equal(Omega, stored[1][t - 1])
+        assert eng.settled
+
+    def test_foreign_sigma1_takes_the_cold_path(self, start_calls):
+        # an explicit start from a copy of the memo's Sigma1 is no
+        # memo's start: it builds its engine (its factorization solves
+        # for W itself), stores nothing, and gives the stored gains
+        model, y = settling_case()
+        zero = filter_series(model, y, engine="chand32")
+        stored = memo().gains["chand32"]
+        del start_calls[:]
+        out = filter_series(model, y, engine="chand32", init="explicit",
+                            xhat1=np.zeros(model.r),
+                            Sigma1=memo().Sigma1.copy())
+        assert start_calls == ["build_prelude", "auto_factorize",
+                               "solve_dple"]
+        assert memo().gains["chand32"] is stored
+        assert out.settled_at == zero.settled_at
+        assert np.array_equal(out.K, zero.K)
+        assert np.array_equal(out.Omega, zero.Omega)
+
     def test_count_costs_with_a_stored_w1(self, start_calls):
         # count_costs solves for W itself next to a stored W1: its
         # engines start from that foreign W, and the report is the

@@ -21,7 +21,7 @@ An engine has one method, ``step(t)``, returning ``(K_t, Omega_t,
 factor_t, Sigma_t)`` and advancing to time t + 1.  ``factor_t`` is the
 Cholesky factor of Omega_t, made by ``linalg.spd_factor`` (after the
 positive-definiteness gate) in the code that formed Omega_t, so each
-Omega is gated and factored once and the filter loop factors nothing.
+Omega is gated and factored once and the filter factors nothing.
 After a step, ``KtilT`` holds ``Omega_t^{-1} K_t'`` when the engine
 solved for it (``kalman`` does, to update its covariance), else None.
 The low-rank engines never form the r x r covariance unless a sigma
@@ -30,23 +30,27 @@ season's covariance is accumulated from the prelude and the increments,
 
     Sigma_{kS+s} = Sigma_s + sum_{j=0}^{k-1} Y_{jS+s} M_{jS+s} Y_{jS+s}'.
 
-This trace is the package's one covariance rebuild, and
-:func:`filter_series` its one filter loop.
+This trace is the package's one covariance rebuild.
 
-The loop takes ``B_t' = Omega_t^{-1} K_t'`` from the engine's
-``KtilT``, or solves for it with one ``potrs`` on the factor, once per
-step that calls the engine, and keeps ``B.dot`` per season.  Every
-step then makes two products: ``[F_s; H_s'] xhat[t]``, whose rows give
-``F_s xhat[t]`` and ``H_s' xhat[t]`` at once (into the row of a work
-array that becomes the next prediction), and ``B_t e_t``, which is
-added in place.  This is the innovations form, with its numerics: an
-error in the gain enters the state as that error times e_t, not times
-xhat or y, so engines whose gains agree closely still agree on a
-series whose level runs far above its innovations.  The closed-loop
-form ``(F - B H') xhat + B y`` saves the subtraction but loses that
-agreement: on the non-stationary 5000-step series of the long-horizon
-test (monodromy radius 1.05, observations up to 1e53) its engines'
-log-likelihoods differ by about 20%.
+:func:`filter_series` makes two passes.  The gains do not depend on the
+observations, so the gain pass (``_gain_pass``) steps the engine alone,
+from step 1 until it settles (below) or reaches step n, and stacks
+K_t, Omega_t, the factor, Sigma_t (with a trace) and ``B_t`` per step,
+taking ``B_t' = Omega_t^{-1} K_t'`` from the engine's ``KtilT`` or
+solving for it with one ``potrs`` on the factor.  The state pass
+(``_state_pass``), the package's one filter loop, then runs every step
+with ``B_1..B_T`` of those T steps and, past them, the last period's
+``B`` cycled.  Each step makes two products: ``[F_s; H_s'] xhat[t]``,
+whose rows give ``F_s xhat[t]`` and ``H_s' xhat[t]`` at once (into the
+row of a work array that becomes the next prediction), and ``B_t
+e_t``, which is added in place.  This is the innovations form, with
+its numerics: an error in the gain enters the state as that error
+times e_t, not times xhat or y, so engines whose gains agree closely
+still agree on a series whose level runs far above its innovations.
+The closed-loop form ``(F - B H') xhat + B y`` saves the subtraction
+but loses that agreement: on the non-stationary 5000-step series of
+the long-horizon test (monodromy radius 1.05, observations up to 1e53)
+its engines' log-likelihoods differ by about 20%.
 
 Steady-gain switch.  Every engine also carries a flag ``settled``: set
 after a step once its ``(K_t, Omega_t, factor_t, Sigma_t)`` sequence
@@ -56,14 +60,13 @@ PRDE map is deterministic); a low-rank engine when its ring has not
 changed bitwise for S steps and the terms the current (Y, M) would add
 to each season's ring entry lie far below the last bit of every entry
 (a sufficient condition it enforces, stated in ``_ChandEngine``; never
-with a sigma trace).  From the next step on the loop stops calling
-``step``, and each step is the two products and the add above, with
-each season's ``B.dot`` from the last period of steps.  After the loop
-it copies that period's Omega, K, factor and Sigma into the settled
-steps, season by season.  The switch lives in the loop, not in the
-engines, so ``count_costs`` keeps metering the recursion itself;
-``FilterOutput.settled_at`` is the step after which the gains repeat
-with period S.
+with a sigma trace).  The gain pass then stops, the state pass runs
+the settled steps with each season's ``B`` from the last period of
+steps, and after it that period's Omega, K, factor and Sigma are copied
+into the settled steps, season by season.  The switch lives in the gain
+pass, not in the engines, so ``count_costs`` keeps metering the
+recursion itself; ``FilterOutput.settled_at`` is the step after which
+the gains repeat with period S.
 
 Start memo.  The start is a function of the model alone, so the module
 keeps the last one computed in one slot (``_START_MEMO``), keyed by the
@@ -78,53 +81,50 @@ as a cold call's does.  The key is built and compared on every call
 flipping an entry between 0.0 and -0.0 misses.  A start that raises is
 not stored, and an ``explicit`` start is never memoized.
 
-The gains do not depend on the observations either, so the memo also
-keeps, per engine, the settled gain trajectory of a call from its start
-that reached ``settled_at = T`` (not with a sigma trace): read-only
-copies of K_t, Omega_t, its Cholesky factor and the normalized gain
-B_t the loop used, for t = 1..T.  A later call on that content, start
-kind and engine builds and steps no engine: ``filter_series`` (not
-``_make_engine``, so ``count_costs`` still steps real engines) copies
-the stored K, Omega and factors into its outputs and runs the settled
-steps' loop from step 1, with B_1..B_T and then the last period's B
-cycled, checking its innovations after the loop as settled steps do.
+The memo also keeps, per engine, the gain pass of a call from its
+start that reached ``settled_at = T`` (not with a sigma trace):
+read-only copies of its K, Omega, factor and B stacks, t = 1..T.  A
+later call on that content, start kind and engine builds and steps no
+engine: ``filter_series`` (not ``_make_engine``, so ``count_costs``
+still steps real engines) copies the stored K, Omega and factors into
+its outputs in place of the gain pass, and runs the same state pass.
 A run that never settles stores nothing, so a later call on its
 content builds its engine again: the prelude, the start factorization
 and, from a stored W1, the factorization's own Lyapunov solve.
 Outputs of a warm call are bitwise those of a cold one, errors
 included.  What differs: a replaying call charges the active flop
-counter only for the arithmetic it does, so for no engine step, no
-check's ``e'e`` and no solve for B, and gives none of the warnings of
-an engine's start (say ``to_inverse_state``'s ``LinAlgWarning``); the
-warnings of the start's solve come only from the call that computed
-it.  The public start functions (``solve_dple``, ``build_prelude``,
+counter only for the arithmetic it does, so for no engine step and
+no solve for B, and gives none of the warnings of an engine's start
+(say ``to_inverse_state``'s ``LinAlgWarning``); the warnings of the
+start's solve come only from the call that computed it.  The public start functions (``solve_dple``, ``build_prelude``,
 ``auto_factorize``, ``chand_init``) are not memoized.
 
 The innovations-form Gaussian log-likelihood is the sum of the terms
 
     -1/2 [ m log 2 pi + log det Omega_t + e_t' Omega_t^{-1} e_t ],
 
-which are formed after the loop for all steps at once from the stack
-of factors: the log-determinants from their diagonals
+which are formed after the state pass for all steps at once from the
+stack of factors: the log-determinants from their diagonals
 (``_logdets``), the quadratic forms as ``|L_t^{-1} e_t|^2`` by one
 forward substitution vectorized over the steps (``_quadratic_forms``).
 No step's term depends on another row, so a settled step's term is
 what the engine's own step would have given.
 
 A non-finite innovation raises ``ValueError`` naming its step and
-season: on a step that called the engine, in the loop, before the
-engine is stepped again (tested through ``e_t' e_t``); from
-``settled_at`` on, after the loop, at the first such step.  The loop
-charges the active flop counter once per call with the arithmetic it
-does, at the rates of the metered helpers in :mod:`periodickf.linalg`
-(see ``filter_series``).
+season, after the state pass, at the first such step; the engine has
+by then been stepped past it.  When the gain pass fails at step t
+(``OmegaNotPD``, ``MSingular``, or ``potrs`` rejecting an argument),
+the state pass first runs steps 1..t-1 and raises a non-finite
+innovation among them instead, so errors keep the order of the steps.
+``filter_series`` charges the active flop counter once per call with
+the arithmetic it does itself, at the rates of the metered helpers in
+:mod:`periodickf.linalg` (see ``filter_series``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import chain, cycle, islice
+from itertools import chain, cycle
 
 import numpy as np
 
@@ -496,18 +496,17 @@ def filter_series(model, y, engine: str = "kalman",
     start, the memo keeps each engine's gains up to ``settled_at`` from
     a call that settled without a sigma trace; a later such call with
     that engine replays them, builds and steps no engine, and its
-    ``count_flops`` total leaves out the engine's charges, the check's
-    ``e'e`` and the solve for B.  The warnings of the start's solve
-    come only from the call that computed it, and a replaying call
-    gives none of an engine start's.  An ``explicit`` start and a start
-    that raises are never stored.
+    ``count_flops`` total leaves out the engine's charges and the solve
+    for B.  The warnings of the start's solve come only from the call
+    that computed it, and a replaying call gives none of an engine
+    start's.  An ``explicit`` start and a start that raises are never
+    stored.
 
     Once the engine reports that its gains are exactly S-periodic (see
-    the module docstring), later steps repeat ``(K, Omega, factor,
-    Sigma)`` and the normalized gain of the step one period before
-    them, and the engine is no longer stepped; ``settled_at`` in the
-    output names the last step that called it (on a replay, the stored
-    call's).
+    the module docstring), the gain pass stops: later steps repeat
+    ``(K, Omega, factor, Sigma)`` and the normalized gain of the step
+    one period before them.  ``settled_at`` in the output names the
+    last step that called the engine (on a replay, the stored call's).
     Every output equals the run that steps the engine to the end, as
     long as the settle condition holds.  A consequence: the gates of
     the steps no longer run cannot raise, so a ``chand-minv`` run whose
@@ -519,23 +518,24 @@ def filter_series(model, y, engine: str = "kalman",
     helpers' rates: per step ``2(r+m)r`` for ``[F; H'] x``, ``m`` for
     the innovation, ``2rm + r`` for ``B e`` and the add, and ``m^2 +
     2m`` for the quadratic form (one triangular sweep and ``z'z``); per
-    step that called the engine ``2m`` for the check's ``e'e`` and,
-    unless the engine handed over ``Omega^{-1} K'``, ``2m^2 r`` for
-    that solve.  The engines charge their own steps; a replaying call
-    steps no engine, so it charges the per-step rate alone.
+    step that called a low-rank engine ``2m^2 r`` for the solve for
+    ``Omega^{-1} K'`` (``kalman`` hands it over).  The engines charge
+    their own steps; a replaying call steps no engine, so it charges
+    the per-step rate alone.
 
     Raises ``ValueError`` naming an unknown engine (before any other
     check or solve), an ``xhat1`` or ``Sigma1`` given to an init other
     than ``explicit`` (before any solve), the first non-finite
     observation or the first non-finite innovation (say from a huge
-    explicit ``xhat1``) with its step and season, the latter before the
-    engine is stepped past it, ``NotStationary`` when a stationary start
-    is requested from a model without one, ``EngineInitFailed`` when a
-    low-rank engine's start factorization fails, and ``OmegaNotPD`` (or
-    ``MSingular`` from ``chand-minv``) from the recursions.  These last
-    two carry the step ``t`` and ``season`` during which they were
-    raised; a low-rank engine forms Omega_{t+S} in step t, so it stops
-    one period earlier than ``kalman`` on the same singular Omega.
+    explicit ``xhat1``) with its step and season, ``NotStationary``
+    when a stationary start is requested from a model without one,
+    ``EngineInitFailed`` when a low-rank engine's start factorization
+    fails, and ``OmegaNotPD`` (or ``MSingular`` from ``chand-minv``)
+    from the recursions.  These last two carry the step ``t`` and
+    ``season`` during which they were raised; a low-rank engine forms
+    Omega_{t+S} in step t, so it stops one period earlier than
+    ``kalman`` on the same singular Omega.  A non-finite innovation at
+    an earlier step than such an error is raised instead of it.
     """
     _check_engine(engine)
     y2 = _coerce_observations(y, model.m)
@@ -556,93 +556,27 @@ def filter_series(model, y, engine: str = "kalman",
     Ks = np.empty((n, r, m))
     sigmas = np.empty((n, r, r)) if sigma_trace else None
     Ls = np.empty((n, m, m))    # the Cholesky factors of the Omegas
-    # season -> [F; H'].dot, one product for F x and H'x
-    FH_dot = [np.vstack((F, H.T)).dot for F, H in zip(model.F, model.H)]
-    # season -> B.dot of the last step that called the engine
-    B_dot = [None] * S
-    settled_at = first = None   # first: the settled loop's first row
-    # each engine step's B_t, kept when the memo may store this call's
-    # gain trajectory.  KtilT is potrs's Fortran-ordered output, so B_t
-    # is C-ordered as a row of this stack is: B.dot rounds alike on both
-    Bs = np.empty((n, r, m)) if memo is not None and eng is not None else None
-    isfinite = math.isfinite
-    # row t: the prediction xhat[t] entering step t + 1, then (t >= 1)
-    # the H'x of step t
-    xz = np.empty((n + 1, r + m))
-    x = xz[0, :r]
-    x[:] = x1
     if eng is None:
-        # a replay of the stored T = settled_at steps: their gains go to
-        # the outputs, and the settled loop runs from step 1, with
-        # B_1..B_T and then the last period's B cycled
-        T = len(gains[3])
-        k = min(T, n)
+        # a replay of the stored T = settled_at steps
+        Bs = gains[3]
+        T = len(Bs)
         for out, stored in zip((Ks, Omegas, Ls), gains):
-            out[:k] = stored[:k]
+            out[:T] = stored[:n]
         settled_at = T if T <= n else None
-        stored_dot = [B.dot for B in gains[3]]      # step t -> B_t.dot
-        first = 0
-        steps = zip(cycle(FH_dot),
-                    chain(stored_dot, cycle(stored_dot[-S:])))
     else:
-        for t, (yt, row) in enumerate(zip(y2, xz[1:]), 1):
-            i = (t - 1) % S
-            try:
-                K, Omega, factor, Sigma = eng.step(t)
-            except (OmegaNotPD, MSingular) as exc:
-                exc.locate(t, model.season(t))
-                raise
-            KtilT = eng.KtilT                   # Omega_t^{-1} K_t'
-            if KtilT is None:
-                KtilT, info = _potrs(factor[0], K.T, factor[1])
-                if info:
-                    raise ValueError(f"potrs: illegal value in argument "
-                                     f"{-info} at t={t} (season {i + 1})")
-            if Bs is not None:
-                Bs[t - 1] = KtilT.T
-            B_dot[i] = KtilT.T.dot
-            Ls[t - 1] = factor[0]
-            Omegas[t - 1] = Omega
-            Ks[t - 1] = K
-            if sigma_trace:
-                sigmas[t - 1] = Sigma
-            if eng.settled:
-                settled_at = t
-                break
-            FH_dot[i](x, row)                   # row = (F x, H'x)
-            e = yt - row[r:]
-            # checked before the engine is stepped again; from
-            # settled_at on, after the loop
-            if not isfinite(e.dot(e)):
-                _check_innovation(e, t, i + 1)
-            x = row[:r]
-            x += B_dot[i](e)                    # F x + B e
-        if settled_at is not None:
-            # steps settled_at..n, each season with the B.dot of its
-            # last engine step
-            first = settled_at - 1
-            steps = islice(cycle(zip(FH_dot, B_dot)), first % S, None)
-    if first is not None:
-        # the steps from index first on: the products of the loop above,
-        # without the check
-        for (FH, B), yt, row, x_next, z in zip(
-                steps, y2[first:], xz[first + 1:], xz[first + 1:, :r],
-                xz[first + 1:, r:]):
-            FH(x, row)                          # row = (F x, H'x)
-            x = x_next
-            x += B(yt - z)                      # F x + B e
-    if Bs is not None and settled_at is not None:
-        stored = tuple(a[:settled_at].copy() for a in (Ks, Omegas, Ls, Bs))
-        for a in stored:
-            a.flags.writeable = False
-        memo.gains[engine] = stored
-    xhats = np.ascontiguousarray(xz[:, :r])
-    innovations = y2 - xz[1:, r:]
-    if first is not None:
-        bad = np.argwhere(~np.isfinite(innovations[first:]))
-        if bad.size:
-            t = first + 1 + int(bad[0, 0])
-            _check_innovation(innovations[t - 1], t, model.season(t))
+        Bs = np.empty((n, r, m))
+        T, error = _gain_pass(eng, model, Ks, Omegas, Ls, Bs, sigmas)
+        if error is not None:
+            # a non-finite innovation of the steps before raises first
+            _state_pass(model, y2[:T], x1, Bs[:T])
+            raise error
+        settled_at = T if eng.settled else None
+        if memo is not None and settled_at is not None:
+            stored = tuple(a[:T].copy() for a in (Ks, Omegas, Ls, Bs))
+            for a in stored:
+                a.flags.writeable = False
+            memo.gains[engine] = stored
+    xz, innovations = _state_pass(model, y2, x1, Bs[:T])
     if settled_at is not None:
         # each settled step repeats the step one period before it
         # (settled_at >= S: an engine settles after S steps at the soonest)
@@ -653,18 +587,78 @@ def filter_series(model, y, engine: str = "kalman",
     terms = -0.5 * (m * _LOG_2PI + _logdets(Ls)
                     + _quadratic_forms(Ls, innovations))
     # every step: F x and H'x, e, B e and the sum, and the quadratic
-    # form (a triangular sweep and z'z); every engine step: the check's
-    # e'e, and B = K Omega^{-1} unless the engine handed over
-    # Omega^{-1} K'
-    engine_steps = 0 if eng is None else settled_at or n
+    # form (a triangular sweep and z'z); every low-rank engine step:
+    # B = K Omega^{-1}
+    solves = T if isinstance(eng, _ChandEngine) else 0
     _charge(n * (2*r*r + 2*m*r + m + 2*r*m + r + m*m + 2*m)
-            + engine_steps * (2*m + (2*m*m*r if isinstance(eng, _ChandEngine)
-                                     else 0)))
+            + solves * 2*m*m*r)
 
     return FilterOutput(engine=engine, n=n, innovations=innovations,
-                        Omega=Omegas, K=Ks, xhat=xhats,
+                        Omega=Omegas, K=Ks,
+                        xhat=np.ascontiguousarray(xz[:, :r]),
                         loglik=float(np.sum(terms)), sigma_trace=sigmas,
                         terms=terms, settled_at=settled_at)
+
+
+def _gain_pass(eng, model, Ks, Omegas, Ls, Bs, sigmas):
+    """Step ``eng`` from step 1 until it settles or the stacks are
+    full, writing step t's K_t, Omega_t, the Cholesky factor of
+    Omega_t, the normalized gain B_t and (with a trace) Sigma_t into
+    row t - 1 of ``Ks``, ``Omegas``, ``Ls``, ``Bs`` and ``sigmas``.
+    ``(T, error)``: the number T of steps made, and None or the
+    ``OmegaNotPD``, ``MSingular`` or ``ValueError`` that step T + 1
+    raised, naming that step and its season."""
+    for t in range(1, len(Bs) + 1):
+        try:
+            K, Omega, factor, Sigma = eng.step(t)
+        except (OmegaNotPD, MSingular) as exc:
+            exc.locate(t, model.season(t))
+            return t - 1, exc
+        KtilT = eng.KtilT                       # Omega_t^{-1} K_t'
+        if KtilT is None:
+            KtilT, info = _potrs(factor[0], K.T, factor[1])
+            if info:
+                return t - 1, ValueError(
+                    f"potrs: illegal value in argument {-info} at t={t} "
+                    f"(season {model.season(t)})")
+        Bs[t - 1] = KtilT.T
+        Ls[t - 1] = factor[0]
+        Omegas[t - 1] = Omega
+        Ks[t - 1] = K
+        if sigmas is not None:
+            sigmas[t - 1] = Sigma
+        if eng.settled:
+            return t, None
+    return len(Bs), None
+
+
+def _state_pass(model, y: np.ndarray, x1: np.ndarray, B: np.ndarray):
+    """``(xz, innovations)`` of the state update over the rows of
+    ``y`` from ``xhat[1] = x1``, with the normalized gains B_1..B_T of
+    ``B`` and then its last S cycled: row t of ``xz`` holds the
+    prediction ``xhat[t]`` entering step t + 1 and (t >= 1) the
+    ``H'x`` of step t.  Raises ``ValueError`` at the first step whose
+    innovation is not finite, after the loop."""
+    r, S = model.r, model.S
+    # season -> [F; H'].dot, one product for F x and H'x
+    FH_dot = [np.vstack((F, H.T)).dot for F, H in zip(model.F, model.H)]
+    B_dot = [b.dot for b in B]                  # step t -> B_t.dot
+    xz = np.empty((y.shape[0] + 1, r + y.shape[1]))
+    x = xz[0, :r]
+    x[:] = x1
+    for FH, Bt, yt, row, x_next, z in zip(
+            cycle(FH_dot), chain(B_dot, cycle(B_dot[-S:])), y, xz[1:],
+            xz[1:, :r], xz[1:, r:]):
+        FH(x, row)                              # row = (F x, H'x)
+        x = x_next
+        x += Bt(yt - z)                         # F x + B e
+    innovations = y - xz[1:, r:]
+    bad = np.argwhere(~np.isfinite(innovations))
+    if bad.size:
+        t = 1 + int(bad[0, 0])
+        raise ValueError(f"innovation at t={t} (season {model.season(t)}) "
+                         f"is not finite ({innovations[t - 1]!r})")
+    return xz, innovations
 
 
 def _logdets(L: np.ndarray) -> np.ndarray:
@@ -686,15 +680,6 @@ def _quadratic_forms(L: np.ndarray, e: np.ndarray) -> np.ndarray:
             acc = acc - L[:, k, j] * z[:, j]
         z[:, k] = acc / L[:, k, k]
     return (z * z).sum(axis=1)
-
-
-def _check_innovation(e: np.ndarray, t: int, season: int) -> None:
-    """Raise ``ValueError`` naming step t and its season when the
-    innovation ``e`` is not finite; run when ``e' e`` is not finite,
-    which a finite but huge innovation also makes it."""
-    if not np.isfinite(e).all():
-        raise ValueError(f"innovation at t={t} (season {season}) is not "
-                         f"finite ({e!r})")
 
 
 def gaussian_loglik(output: FilterOutput) -> float:

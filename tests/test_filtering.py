@@ -601,10 +601,10 @@ class TestGateOncePerOmega:
 class TestOneSolvePerStep:
     def test_kalman_loop_flops(self):
         # per step, next to the engine's covariance step: F x and H'x
-        # (one product), e, the check's e'e, B e and the sum, and after
-        # the loop the quadratic form (a triangular sweep and z'z); no
-        # m x r gain solve, since kalman hands over the Omega^{-1} K'
-        # its step solved
+        # (one product), e, B e and the sum, and after the loop the
+        # quadratic form (a triangular sweep and z'z); no m x r gain
+        # solve, since kalman hands over the Omega^{-1} K' its step
+        # solved
         r, m = 5, 2
         model, y = simulated(99, n=12, r=r, S=2, m=m)
         Sigma1 = solve_dple(model)[0]
@@ -613,14 +613,15 @@ class TestOneSolvePerStep:
         with count_flops() as c:
             filter_series(model, y, init="explicit", xhat1=np.zeros(r),
                           Sigma1=Sigma1)
-        loop_step = 4 * r * m + 2 * r * r + m * m + 5 * m + r   # 109
+        loop_step = 4 * r * m + 2 * r * r + m * m + 3 * m + r   # 105
         assert c.flops == len(y) * (engine_step + loop_step)
 
 
 class TestNonFiniteInnovation:
     """An innovation that overflows from finite inputs raises
-    ``ValueError`` naming its step and season, at that step: the engine
-    is stepped no further."""
+    ``ValueError`` naming its step and season, after the gain pass: the
+    engine has been stepped to ``settled_at`` (or n), since the gains do
+    not depend on the observations."""
 
     @staticmethod
     def run(model, y, engine, **kwargs):
@@ -635,12 +636,17 @@ class TestNonFiniteInnovation:
         for name in "FGHQR":
             setattr(model, name, getattr(model, name)[::-1])
         y = simulate(model, 10, seed=3)[1]
+        # the gains, and so the steps made, do not depend on xhat1
+        settled_at = filter_series(model, y, engine=engine, init="explicit",
+                                   xhat1=[0.0, 0.0],
+                                   Sigma1=np.eye(2)).settled_at
+        del step_log[:]
         with pytest.raises(ValueError,
                            match=r"innovation at t=1 \(season 1\) is not "
                                  r"finite"):
             self.run(model, y, engine, init="explicit",
                      xhat1=[1.7e308, 1.7e308], Sigma1=np.eye(2))
-        assert step_log == [1]
+        assert step_log == list(range(1, (settled_at or len(y)) + 1))
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("t", [4, 41])
@@ -660,7 +666,7 @@ class TestNonFiniteInnovation:
                            match=rf"innovation at t={t} \(season "
                                  rf"{model.season(t)}\) is not finite"):
             self.run(model, y, engine)
-        assert step_log == list(range(1, min(t, settled_at) + 1))
+        assert step_log == list(range(1, settled_at + 1))
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("t", [4, 41])
@@ -681,6 +687,22 @@ class TestNonFiniteInnovation:
         assert str(warm.value) == str(cold.value)
         assert f"innovation at t={t} (season {model.season(t)})" \
             in str(warm.value)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_earlier_innovation_raises_before_gain_error(self, engine):
+        # the gains fail at step 4 (kalman) or 2 (low-rank), after the
+        # innovation of step 1 has overflowed: the innovation is raised
+        model = pinned_state_model()
+        y = np.zeros((6, 2))
+        start = dict(init="explicit", Sigma1=np.eye(2))
+        with pytest.raises(OmegaNotPD) as info:
+            self.run(model, y, engine, xhat1=(0.0, 0.0), **start)
+        assert info.value.t == (4 if engine == "kalman" else 2)
+        y[0] = 1e308
+        with pytest.raises(ValueError,
+                           match=r"innovation at t=1 \(season 1\) is not "
+                                 r"finite"):
+            self.run(model, y, engine, xhat1=(-1.7e308, -1.7e308), **start)
 
     def test_overflowing_term_of_finite_innovation_passes(self):
         # e finite but e' w overflows: the term is -inf, no error
@@ -705,18 +727,18 @@ def _flop_case(name: str):
 
 class TestMeteredFlopPins:
     """``count_flops`` totals of whole ``filter_series`` calls, pinned:
-    the loop charges once per call the arithmetic it does (see
+    it charges once per call the arithmetic it does itself (see
     ``filter_series``), at the rates of the metered helpers, next to
     what the engines charge.  One input per benchmark workload shape;
     every run settles except ``kalman`` on the m = 2 model."""
 
     PINNED = {
-        "stationary_s2": {"kalman": 8392, "chand31": 8796, "chand32": 8796,
-                          "chand-minv": 8774},
-        "par4-r48": {"kalman": 50804228, "chand31": 3888632,
-                     "chand32": 3888632, "chand-minv": 3889457},
-        "m2-r12": {"kalman": 2489400, "chand31": 487814, "chand32": 487814,
-                   "chand-minv": 496534},
+        "stationary_s2": {"kalman": 8360, "chand31": 8756, "chand32": 8756,
+                          "chand-minv": 8734},
+        "par4-r48": {"kalman": 50804014, "chand31": 3888528,
+                     "chand32": 3888528, "chand-minv": 3889353},
+        "m2-r12": {"kalman": 2488800, "chand31": 487530, "chand32": 487530,
+                   "chand-minv": 496250},
     }
 
     @pytest.mark.parametrize("case", list(PINNED))
@@ -732,8 +754,8 @@ class TestMeteredFlopPins:
 
 class TestWarmCallFlops:
     """A call that replays a stored gain trajectory charges only the
-    loop's own arithmetic: the per-step rate of ``filter_series``; no
-    engine charges, no check's ``e'e`` and no solve for ``B``."""
+    state pass's own arithmetic: the per-step rate of
+    ``filter_series``; no engine charges and no solve for ``B``."""
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("case", list(TestMeteredFlopPins.PINNED))

@@ -40,17 +40,32 @@ taking ``B_t' = Omega_t^{-1} K_t'`` from the engine's ``KtilT`` or
 solving for it with one ``potrs`` on the factor.  The state pass
 (``_state_pass``), the package's one filter loop, then runs every step
 with ``B_1..B_T`` of those T steps and, past them, the last period's
-``B`` cycled.  Each step makes two products: ``[F_s; H_s'] xhat[t]``,
-whose rows give ``F_s xhat[t]`` and ``H_s' xhat[t]`` at once (into the
-row of a work array that becomes the next prediction), and ``B_t
-e_t``, which is added in place.  This is the innovations form, with
-its numerics: an error in the gain enters the state as that error
-times e_t, not times xhat or y, so engines whose gains agree closely
-still agree on a series whose level runs far above its innovations.
-The closed-loop form ``(F - B H') xhat + B y`` saves the subtraction
-but loses that agreement: on the non-stationary 5000-step series of
-the long-horizon test (monodromy radius 1.05, observations up to 1e53)
-its engines' log-likelihoods differ by about 20%.
+``B`` cycled.  Each step is one product.  Row t - 1 of a work array
+holds ``[xhat[t], e_t, y[t+1]]`` (the observations are written in
+before the loop, zeros after the last one), and each season s keeps
+one (r+m) x (r+2m) matrix
+
+    M_s = [[ F_s,              B,              0  ],
+           [ -H_{s+1}' F_s,   -H_{s+1}' B,     I_m ]],
+
+so that ``M_s [xhat[t]; e_t; y[t+1]]`` is ``[xhat[t+1]; e_{t+1}]``,
+written into row t.  ``-H_{s+1}' F_s`` is formed once per call; steps
+1..T first write ``B_t`` and ``-H_{s+1}' B_t`` into their season's
+matrix, and every later step makes the product alone, the matrices then
+holding the last period's gains.  This is still the innovations form,
+with its numerics: an error in the gain enters the state only as that
+error times e_t, and y only through the identity block, so engines
+whose gains agree closely still agree on a series whose level runs far
+above its innovations.  The closed-loop form ``(F - B H') xhat + B y``,
+which forms ``F - B H'``, loses that agreement: on the non-stationary
+5000-step series of the long-horizon test (monodromy radius 1.05,
+observations up to 1e53) its engines' log-likelihoods differ by about
+20%, where here they agree to 7.3e-16.  On that series the
+log-likelihood itself is at rounding level, about -2.07e74 (the same
+recursion in extended precision on ``kalman``'s gains gives -1.35e74);
+the -9.03e4 an earlier two-product step gave came from 67.6% of its
+innovations being exactly 0.0, its ``[F; H'] xhat`` reproducing the
+simulator's own float64 products bit for bit.
 
 Steady-gain switch.  Every engine also carries a flag ``settled``: set
 after a step once its ``(K_t, Omega_t, factor_t, Sigma_t)`` sequence
@@ -111,7 +126,9 @@ No step's term depends on another row, so a settled step's term is
 what the engine's own step would have given.
 
 A non-finite innovation raises ``ValueError`` naming its step and
-season, after the state pass, at the first such step; the engine has
+season, after the state pass, at the first such step (a step whose
+prediction is not finite counts, since ``y - H'xhat`` would not be
+finite there either); the engine has
 by then been stepped past it.  When the gain pass fails at step t
 (``OmegaNotPD``, ``MSingular``, or ``potrs`` rejecting an argument),
 the state pass first runs steps 1..t-1 and raises a non-finite
@@ -124,7 +141,7 @@ the arithmetic it does itself, at the rates of the metered helpers in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, cycle
+from itertools import cycle
 
 import numpy as np
 
@@ -344,8 +361,9 @@ class _ChandEngine:
     after those S, not a proof: Y and M keep moving, and (b) only leaves
     a margin of ``2**-20`` against the increment regrowing (an
     oscillating or non-normal closed loop).  It is checked only once
-    (a) holds, on all seasons at once (``U`` and ``T`` for
-    ``[H_1 .. H_S]`` side by side), and charges no flops.  With a sigma
+    (a) holds, one season at a time (each season's ``U_s`` and ``T_s``
+    are formed only when the seasons before it have passed), and
+    charges no flops.  With a sigma
     trace the engine never settles, because its accumulator keeps adding
     Y M Y' every step.
     """
@@ -358,9 +376,6 @@ class _ChandEngine:
         self.state = state
         self.alpha = state.alpha
         self.acc = [s.copy() for s in Sigma] if trace else None
-        self.H_all = np.hstack(model.H)     # [H_1 .. H_S], for (b)
-        m = model.m                         # season s's columns of H_all
-        self.seasons = [slice(s * m, (s + 1) * m) for s in range(model.S)]
         self.quiet = 0              # consecutive quiet steps
         self.settled = False
 
@@ -386,30 +401,33 @@ class _ChandEngine:
         return K, Omega, factor, Sigma
 
     def _absorbed(self) -> bool:
-        """Condition (b) on the current state, season by season: each
-        season's two comparisons make one reduction, and the first
-        season that fails ends the check (in a quiet but unsettled
-        stretch most checks fail on the first season)."""
+        """Condition (b) on the current state, one season at a time:
+        season s forms its own ``U_s`` and ``T_s``, its Omega terms
+        before its K terms, and the first comparison that fails ends
+        the check (in a quiet but unsettled stretch most checks fail on
+        the first season)."""
         state = self.state
         if state.alpha == 0:
             return True
         if state.m_is_inverse and not _m_invertible(state):
             return False
-        U = state.Y.T.dot(self.H_all)       # [U_1 .. U_S]
-        # [T_1 .. T_S]; an N that passed the singular-value test is too
-        # well conditioned for the solve to warn
-        T = _sym_solve(state.M, U) if state.m_is_inverse else state.M.dot(U)
-        YT = state.Y.dot(T)
-        Ut = U.T
-        for (K, Omega), F, cols in zip(state.ring, self.model.F,
-                                       self.seasons):
-            terms = np.concatenate((Ut[cols].dot(T[:, cols]),
-                                    F.dot(YT[:, cols])), axis=None)
-            below = (np.abs(terms) <= SETTLE_MARGIN
-                     * np.abs(np.concatenate((Omega, K), axis=None)))
-            if np.count_nonzero(below) != below.size:
+        Y, M = state.Y, state.M
+        for (K, Omega), F, H in zip(state.ring, self.model.F, self.model.H):
+            U = Y.T.dot(H)
+            # an N that passed the singular-value test is too well
+            # conditioned for the solve to warn
+            T = _sym_solve(M, U) if state.m_is_inverse else M.dot(U)
+            if not (_negligible(U.T.dot(T), Omega)
+                    and _negligible(F.dot(Y.dot(T)), K)):
                 return False
         return True
+
+
+def _negligible(terms: np.ndarray, entries: np.ndarray) -> bool:
+    """Whether ``|terms| <= SETTLE_MARGIN |entries|`` entrywise, by one
+    reduction."""
+    below = np.abs(terms) <= SETTLE_MARGIN * np.abs(entries)
+    return np.count_nonzero(below) == below.size
 
 
 def _check_engine(engine: str) -> None:
@@ -515,13 +533,15 @@ def filter_series(model, y, engine: str = "kalman",
     any other frozen/unfrozen difference; it has found none.
 
     The active flop counter is charged once per call, at the metered
-    helpers' rates: per step ``2(r+m)r`` for ``[F; H'] x``, ``m`` for
-    the innovation, ``2rm + r`` for ``B e`` and the add, and ``m^2 +
-    2m`` for the quadratic form (one triangular sweep and ``z'z``); per
-    step that called a low-rank engine ``2m^2 r`` for the solve for
-    ``Omega^{-1} K'`` (``kalman`` hands it over).  The engines charge
-    their own steps; a replaying call steps no engine, so it charges
-    the per-step rate alone.
+    helpers' rates: per step ``2(r+m)(r+2m)`` for the season matrix
+    times the work row and ``m^2 + 2m`` for the quadratic form (one
+    triangular sweep and ``z'z``); per step that writes its gain into
+    the season matrix (the first ``min(T, n)``) ``2m^2 r`` for ``-H'B``;
+    per step that called a low-rank engine ``2m^2 r`` for the solve for
+    ``Omega^{-1} K'`` (``kalman`` hands it over); and once, for n > 0,
+    ``2mr^2`` per season for ``-H'F`` and ``2rm + m`` for ``e_1``.  The
+    engines charge their own steps; a replaying call steps no engine,
+    so it charges the state pass's arithmetic alone.
 
     Raises ``ValueError`` naming an unknown engine (before any other
     check or solve), an ``xhat1`` or ``Sigma1`` given to an init other
@@ -576,7 +596,7 @@ def filter_series(model, y, engine: str = "kalman",
             for a in stored:
                 a.flags.writeable = False
             memo.gains[engine] = stored
-    xz, innovations = _state_pass(model, y2, x1, Bs[:T])
+    xhat, innovations = _state_pass(model, y2, x1, Bs[:T])
     if settled_at is not None:
         # each settled step repeats the step one period before it
         # (settled_at >= S: an engine settles after S steps at the soonest)
@@ -586,16 +606,16 @@ def filter_series(model, y, engine: str = "kalman",
                     out[j::S] = out[j - S]
     terms = -0.5 * (m * _LOG_2PI + _logdets(Ls)
                     + _quadratic_forms(Ls, innovations))
-    # every step: F x and H'x, e, B e and the sum, and the quadratic
-    # form (a triangular sweep and z'z); every low-rank engine step:
-    # B = K Omega^{-1}
+    # every step: the season matrix times the work row, and the
+    # quadratic form (a triangular sweep and z'z); every step that wrote
+    # its gain: -H'B; every low-rank engine step: B = K Omega^{-1}; once
+    # (n > 0): -H'F per season and e_1 = y_1 - H'xhat_1
     solves = T if isinstance(eng, _ChandEngine) else 0
-    _charge(n * (2*r*r + 2*m*r + m + 2*r*m + r + m*m + 2*m)
-            + solves * 2*m*m*r)
+    _charge(n * (2*(r+m)*(r+2*m) + m*m + 2*m) + min(T, n) * 2*m*m*r
+            + solves * 2*m*m*r + (S * 2*m*r*r + 2*r*m + m if n else 0))
 
     return FilterOutput(engine=engine, n=n, innovations=innovations,
-                        Omega=Omegas, K=Ks,
-                        xhat=np.ascontiguousarray(xz[:, :r]),
+                        Omega=Omegas, K=Ks, xhat=xhat,
                         loglik=float(np.sum(terms)), sigma_trace=sigmas,
                         terms=terms, settled_at=settled_at)
 
@@ -633,32 +653,50 @@ def _gain_pass(eng, model, Ks, Omegas, Ls, Bs, sigmas):
 
 
 def _state_pass(model, y: np.ndarray, x1: np.ndarray, B: np.ndarray):
-    """``(xz, innovations)`` of the state update over the rows of
+    """``(xhat, innovations)`` of the state update over the rows of
     ``y`` from ``xhat[1] = x1``, with the normalized gains B_1..B_T of
-    ``B`` and then its last S cycled: row t of ``xz`` holds the
-    prediction ``xhat[t]`` entering step t + 1 and (t >= 1) the
-    ``H'x`` of step t.  Raises ``ValueError`` at the first step whose
-    innovation is not finite, after the loop."""
-    r, S = model.r, model.S
-    # season -> [F; H'].dot, one product for F x and H'x
-    FH_dot = [np.vstack((F, H.T)).dot for F, H in zip(model.F, model.H)]
-    B_dot = [b.dot for b in B]                  # step t -> B_t.dot
-    xz = np.empty((y.shape[0] + 1, r + y.shape[1]))
-    x = xz[0, :r]
-    x[:] = x1
-    for FH, Bt, yt, row, x_next, z in zip(
-            cycle(FH_dot), chain(B_dot, cycle(B_dot[-S:])), y, xz[1:],
-            xz[1:, :r], xz[1:, r:]):
-        FH(x, row)                              # row = (F x, H'x)
-        x = x_next
-        x += Bt(yt - z)                         # F x + B e
-    innovations = y - xz[1:, r:]
-    bad = np.argwhere(~np.isfinite(innovations))
-    if bad.size:
-        t = 1 + int(bad[0, 0])
+    ``B`` (those past the rows of ``y`` unused) and then its last S
+    cycled.  Row t - 1 of the work array holds ``[xhat[t], e_t,
+    y[t+1]]``, with zeros past the last observation, and step t writes
+    ``[xhat[t+1], e_{t+1}]`` into row t as one product with its
+    season's matrix ``[[F_s, B_t, 0], [-H_{s+1}' F_s, -H_{s+1}' B_t,
+    I]]``.  Steps 1..T first write ``B_t`` and ``-H_{s+1}' B_t`` into
+    that matrix; later steps find the last period's there.  Raises
+    ``ValueError`` after the loop at the first step whose prediction or
+    innovation is not finite (where ``y - H'xhat`` would not be)."""
+    (n, m), r, S = y.shape, model.r, model.S
+    work = np.zeros((n + 1, r + 2 * m))
+    work[0, :r] = x1
+    if n == 0:
+        return work[:, :r].copy(), np.empty((0, m))
+    work[0, r:r + m] = y[0] - model.H[0].T.dot(x1)
+    work[:n - 1, r + m:] = y[1:]
+    # season -> (M.dot, (-H_{s+1}').dot, M's B block, M's -H'B block)
+    seasons = []
+    for s, F in enumerate(model.F):
+        negHT = -model.H[(s + 1) % S].T
+        M = np.zeros((r + m, r + 2 * m))
+        M[:r, :r] = F
+        M[r:, :r] = negHT.dot(F)
+        M[r:, r + m:] = np.eye(m)
+        seasons.append((M.dot, negHT.dot, M[:r, r:r + m], M[r:, r:r + m]))
+    T = min(len(B), n)
+    nexts = work[1:, :r + m]        # step t writes row t from row t - 1
+    for (M_dot, negHT_dot, B_block, HB_block), Bt, row, nxt in zip(
+            cycle(seasons), B[:T], work, nexts):
+        B_block[...] = Bt
+        HB_block[...] = negHT_dot(Bt)
+        M_dot(row, nxt)
+    k = T % S                       # the season of step T + 1
+    M_dots = [s[0] for s in seasons[k:] + seasons[:k]]
+    for M_dot, row, nxt in zip(cycle(M_dots), work[T:n], nexts[T:]):
+        M_dot(row, nxt)
+    finite = np.isfinite(work[:n, :r + m])
+    if np.count_nonzero(finite) != finite.size:
+        t = 1 + int(np.argwhere(~finite)[0, 0])
         raise ValueError(f"innovation at t={t} (season {model.season(t)}) "
-                         f"is not finite ({innovations[t - 1]!r})")
-    return xz, innovations
+                         f"is not finite ({work[t - 1, r:r + m]!r})")
+    return work[:, :r].copy(), work[:n, r:r + m].copy()
 
 
 def _logdets(L: np.ndarray) -> np.ndarray:

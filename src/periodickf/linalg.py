@@ -19,9 +19,10 @@ directly where ``@`` accumulates from +0.0, so such a product that is
 exactly zero may come out as -0.0 where ``@`` gives 0.0.  Such a
 product reaches an output only when the state dimension r is 1: a
 season with F = 0, say, then gives gains of -0.0 where ``@`` gave 0.0,
-and the filter loop's ``F x`` and ``B e`` are such products too; the
-values compare equal.  ``tests/test_linalg.py`` checks ``dot`` against
-``@`` on every operand layout the per-step code uses.  Activating a
+and with m = 1 the state pass's ``-H'F``, ``-H'B`` and ``H'xhat_1``
+are such products too; the values compare equal.
+``tests/test_linalg.py`` checks ``dot`` against ``@`` on every operand
+layout the per-step code uses.  Activating a
 counter only increments a tally, so numerical results are bitwise
 identical with metering on or off.
 

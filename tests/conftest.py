@@ -118,48 +118,58 @@ def unfrozen_filter(model, y, engine: str = "kalman",
     by ``_make_engine`` is stepped at every t, whatever its ``settled``
     flag says, and the loop's own expressions are applied to what it
     returns: the normalized gain ``B = K Omega^{-1}`` (from the engine's
-    ``KtilT`` when it made that solve), ``(F x, H'x)`` in one product
-    with ``[F; H']``, ``e = y - H'x`` and ``x = F x + B e`` per step;
-    after the loop the log-determinants and quadratic forms
+    ``KtilT`` when it made that solve), ``e_1 = y_1 - H_1' xhat_1``, and
+    per step a fresh matrix ``[[F, B, 0], [-H_next' F, -H_next' B, I]]``
+    (``H_next`` of the season after step t) times the work row ``[x,
+    e, y_next]`` (``y_next = 0`` after the last step), written into the
+    next row; after the loop the log-determinants and quadratic forms
     ``e' Omega^{-1} e`` from the stack of Omega factors."""
     y2 = _coerce_observations(y, model.m)
-    n = y2.shape[0]
+    n, m, r = y2.shape[0], model.m, model.r
     x, Sigma1v, W = _initial_conditions(model, init, xhat1, Sigma1)
     eng = _make_engine(model, engine, Sigma1v, W, sigma_trace)
-    innovations = np.empty((n, model.m))
-    Omegas = np.empty((n, model.m, model.m))
-    Ks = np.empty((n, model.r, model.m))
-    xhats = np.empty((n + 1, model.r))
-    sigmas = np.empty((n, model.r, model.r)) if sigma_trace else None
-    Ls = np.empty((n, model.m, model.m))
-    xhats[0] = x
+    Omegas = np.empty((n, m, m))
+    Ks = np.empty((n, r, m))
+    sigmas = np.empty((n, r, r)) if sigma_trace else None
+    Ls = np.empty((n, m, m))
+    work = np.zeros((n + 1, r + 2 * m))
+    work[0, :r] = x
+    if n:
+        work[0, r:r + m] = y2[0] - model.H[0].T.dot(x)
+        work[:n - 1, r + m:] = y2[1:]
     for t in range(1, n + 1):
         try:
             K, Omega, factor, Sigma = eng.step(t)
         except (OmegaNotPD, MSingular) as exc:
             exc.locate(t, model.season(t))
             raise
-        F, _, H, _, _ = model.at(t)
+        if not np.isfinite(work[t - 1, :r + m]).all():
+            raise ValueError(f"innovation at t={t} (season "
+                             f"{model.season(t)}) is not finite "
+                             f"({work[t - 1, r:r + m]!r})")
+        F = model.F[(t - 1) % model.S]
+        negHT = -model.H[t % model.S].T
         KtilT = eng.KtilT
         if KtilT is None:
             KtilT = factor_solve(factor, K.T)
-        Fx_HTx = np.vstack((F, H.T)).dot(x)
-        e = y2[t - 1] - Fx_HTx[model.r:]
-        if not np.isfinite(e).all():
-            raise ValueError(f"innovation at t={t} (season "
-                             f"{model.season(t)}) is not finite ({e!r})")
-        x = Fx_HTx[:model.r] + KtilT.T.dot(e)
-        innovations[t - 1] = e
-        xhats[t] = x
+        B = KtilT.T
+        M = np.zeros((r + m, r + 2 * m))
+        M[:r, :r] = F
+        M[r:, :r] = negHT.dot(F)
+        M[r:, r + m:] = np.eye(m)
+        M[:r, r:r + m] = B
+        M[r:, r:r + m] = negHT.dot(B)
+        M.dot(work[t - 1], out=work[t, :r + m])
         Ls[t - 1] = factor[0]
         Omegas[t - 1] = Omega
         Ks[t - 1] = K
         if sigma_trace:
             sigmas[t - 1] = Sigma
-    terms = -0.5 * (model.m * float(np.log(2.0 * np.pi)) + _logdets(Ls)
+    innovations = work[:n, r:r + m].copy()
+    terms = -0.5 * (m * float(np.log(2.0 * np.pi)) + _logdets(Ls)
                     + _quadratic_forms(Ls, innovations))
     return FilterOutput(engine=engine, n=n, innovations=innovations,
-                        Omega=Omegas, K=Ks, xhat=xhats,
+                        Omega=Omegas, K=Ks, xhat=work[:, :r].copy(),
                         loglik=float(np.sum(terms)), sigma_trace=sigmas,
                         terms=terms)
 

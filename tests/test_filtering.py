@@ -600,11 +600,12 @@ class TestGateOncePerOmega:
 
 class TestOneSolvePerStep:
     def test_kalman_loop_flops(self):
-        # per step, next to the engine's covariance step: F x and H'x
-        # (one product), e, B e and the sum, and after the loop the
-        # quadratic form (a triangular sweep and z'z); no m x r gain
-        # solve, since kalman hands over the Omega^{-1} K' its step
-        # solved
+        # per step, next to the engine's covariance step: the season
+        # matrix times the work row, -H'B (every step writes its gain
+        # here), and after the loop the quadratic form (a triangular
+        # sweep and z'z); no m x r gain solve, since kalman hands over
+        # the Omega^{-1} K' its step solved; once per call, -H'F per
+        # season and e_1
         r, m = 5, 2
         model, y = simulated(99, n=12, r=r, S=2, m=m)
         Sigma1 = solve_dple(model)[0]
@@ -613,8 +614,9 @@ class TestOneSolvePerStep:
         with count_flops() as c:
             filter_series(model, y, init="explicit", xhat1=np.zeros(r),
                           Sigma1=Sigma1)
-        loop_step = 4 * r * m + 2 * r * r + m * m + 3 * m + r   # 105
-        assert c.flops == len(y) * (engine_step + loop_step)
+        loop_step = 2*(r+m)*(r+2*m) + m*m + 2*m + 2*m*m*r   # 174
+        once = model.S * 2*m*r*r + 2*r*m + m                 # 222
+        assert c.flops == len(y) * (engine_step + loop_step) + once
 
 
 class TestNonFiniteInnovation:
@@ -733,12 +735,12 @@ class TestMeteredFlopPins:
     every run settles except ``kalman`` on the m = 2 model."""
 
     PINNED = {
-        "stationary_s2": {"kalman": 8360, "chand31": 8756, "chand32": 8756,
-                          "chand-minv": 8734},
-        "par4-r48": {"kalman": 50804014, "chand31": 3888528,
-                     "chand32": 3888528, "chand-minv": 3889353},
-        "m2-r12": {"kalman": 2488800, "chand31": 487530, "chand32": 487530,
-                   "chand-minv": 496250},
+        "stationary_s2": {"kalman": 9945, "chand31": 10357,
+                          "chand32": 10357, "chand-minv": 10335},
+        "par4-r48": {"kalman": 50840465, "chand31": 3919699,
+                     "chand32": 3919699, "chand-minv": 3920524},
+        "m2-r12": {"kalman": 2513054, "chand31": 504200, "chand32": 504200,
+                   "chand-minv": 512920},
     }
 
     @pytest.mark.parametrize("case", list(PINNED))
@@ -754,8 +756,10 @@ class TestMeteredFlopPins:
 
 class TestWarmCallFlops:
     """A call that replays a stored gain trajectory charges only the
-    state pass's own arithmetic: the per-step rate of
-    ``filter_series``; no engine charges and no solve for ``B``."""
+    state pass's own arithmetic: the per-step rate of ``filter_series``,
+    ``-H'B`` for the ``settled_at`` steps that write their gain, and
+    the per-call ``-H'F`` and ``e_1``; no engine charges and no solve
+    for ``B``."""
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("case", list(TestMeteredFlopPins.PINNED))
@@ -770,6 +774,7 @@ class TestWarmCallFlops:
             assert (case, engine) == ("m2-r12", "kalman")
             assert counter.flops == TestMeteredFlopPins.PINNED[case][engine]
             return
-        n, r, m = len(y), model.r, model.m
-        assert counter.flops == n * (2*r*r + 2*m*r + m + 2*r*m + r + m*m
-                                     + 2*m)
+        n, r, m, S = len(y), model.r, model.m, model.S
+        assert counter.flops == (n * (2*(r+m)*(r+2*m) + m*m + 2*m)
+                                 + settled_at * 2*m*m*r
+                                 + S * 2*m*r*r + 2*r*m + m)

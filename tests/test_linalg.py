@@ -311,21 +311,26 @@ def kernel_products(rng, r: int, m: int, a: int, draw):
     them out: C-contiguous model matrices and results, transposed views
     (``H.T``, ``Y.T``, ``U.T``, ``F.T``, ``G.T``), a (1, r) row for
     ``H.T`` at m = 1, single-column ``K`` and ``U`` at m = 1, the
-    stacked ``[F; H']``, and the ``potrs`` solutions ``B``,
-    ``Omega^{-1} K'`` and its transpose.  ``draw(shape)`` makes the
-    entries."""
+    negated ``-H.T`` (F-contiguous, as negating the view makes it), the
+    ``potrs`` solutions ``B``, ``Omega^{-1} K'`` and its transpose; and
+    (left, right, out) where the product is written with ``out=``: the
+    state pass's (r+m) x (r+2m) season matrix times row t - 1 of its
+    work array, into the first r + m entries of row t.  ``draw(shape)``
+    makes the entries."""
     F, H, Sigma, Y, M = (draw((r, r)), draw((r, m)), draw((r, r)),
                          draw((r, a)), draw((a, a)))
-    G, Q, K, x, e = (draw((r, 3)), draw((3, 3)), draw((r, m)), draw(r),
-                     draw(m))
+    G, Q, K, x = draw((r, 3)), draw((3, 3)), draw((r, m)), draw(r)
+    season, work, gain = (draw((r + m, r + 2 * m)), draw((3, r + 2 * m)),
+                          draw((r, m)))
     factor = spd_factor(random_spd(rng, m))
     U = Y.T.dot(H)
     T = M.dot(U)
     B = _solve(factor, U.T)
     return {
-        # filtering.filter_series: the state update and the check's e'e
-        "[F; H'] x": (np.vstack((F, H.T)), x),
-        "(Omega^-1 K.T).T e": (_solve(factor, K.T).T, e), "e e": (e, e),
+        # filtering._state_pass: e_1, the season matrices' -H'F and
+        # -H'B_t, and the one product per step
+        "H.T x": (H.T, x), "-H.T F": (-H.T, F), "-H.T B_t": (-H.T, gain),
+        "M [x; e; y]": (season, work[0], work[1, :r + m]),
         # chandrasekhar._step
         "Y.T H": (Y.T, H), "M U": (M, U), "Y T": (Y, T),
         "U.T T": (U.T, T), "F (Y T)": (F, Y.dot(T)), "F Y": (F, Y),
@@ -355,8 +360,9 @@ def test_dot_is_bitwise_matmul_on_kernel_layouts(r, m):
 
     for a in sorted({1, 2, 8, r}):
         for draw in (nonzero, with_zeros):
-            for name, (x, y) in kernel_products(rng, r, m, a, draw).items():
-                got, want = x.dot(y), x @ y
+            for name, (x, y, *out) in kernel_products(rng, r, m, a,
+                                                       draw).items():
+                got, want = x.dot(y, *out), x @ y
                 layout = (f"{name}: {x.shape} {x.strides} . {y.shape} "
                           f"{y.strides}, {draw.__name__}")
                 assert np.array_equal(got, want), layout

@@ -95,7 +95,7 @@ PER_STEP = {
     "kalman.py": ["_covariance_update"],
     "chandrasekhar.py": ["_step"],
     "filtering.py": ["_KalmanEngine.step", "_ChandEngine.step",
-                     "_ChandEngine._absorbed", "filter_series",
+                     "_ChandEngine._absorbed", "_negligible", "filter_series",
                      "_gain_pass", "_state_pass"],
 }
 

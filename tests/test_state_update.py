@@ -1,8 +1,10 @@
 """The state update and log-likelihood terms of ``filter_series``.
 
-The loop advances the prediction as ``F x + B e`` with the normalized
-gain ``B = K Omega^{-1}``, taking ``F x`` and ``H'x`` from one product,
-and forms the terms after the loop from the stack of Omega factors.
+The state pass advances ``[xhat; e]`` by one product per step, with
+each season's matrix ``[[F, B, 0], [-H_next' F, -H_next' B, I]]`` (the
+normalized gain ``B = K Omega^{-1}``, ``H_next`` of the next season)
+times the work row ``[xhat_t, e_t, y_{t+1}]``, and forms the terms
+after the loop from the stack of Omega factors.
 ``conftest.innovation_form_filter`` is the reference it replaced: per
 step ``w = Omega^{-1} e`` and ``x = F x + K w`` through the metered
 helpers, and each term from that ``w``.  The gains are the engines' and
@@ -21,9 +23,12 @@ from hypothesis import Phase, given, settings, strategies as st
 
 import periodickf.filtering as filtering_module
 import periodickf.linalg as linalg_module
-from periodickf import ENGINES, filter_series, load_model, simulate
+from periodickf import (ENGINES, PeriodicFilterError, PeriodicModel,
+                        filter_series, load_model, simulate)
 from periodickf.filtering import _initial_conditions, _make_engine
-from conftest import ROOT, benchmark_round, innovation_form_filter
+from conftest import (ROOT, assert_bitwise_equal, benchmark_round,
+                      innovation_form_filter, pinned_state_model,
+                      random_stationary_model, unfrozen_filter)
 from test_filtering import _flop_case
 from test_steady_gain import drawn_case, outcome
 
@@ -129,12 +134,82 @@ def assert_same_filter(model, y, engine, kwargs, accuracy=False):
             (engine, name, got, want)
 
 
+# Series-length edges of the state pass, each at m = 1 and m = 2: n = 0,
+# 1, 2, S and S + 1 (no step settled); n = settled_at and settled_at + 1
+# (an empty and a one-step settled stretch); a warm call shorter than the
+# stored trajectory; and a gain pass that fails at step t, so that the
+# state pass covers steps 1..t-1 only, with no overflow or with an
+# innovation overflowing at step t - 1.
+SERIES_EDGES = [f"{kind}-m{m}" for m in (1, 2) for kind in (
+    "n=0", "n=1", "n=2", "n=S", "n=S+1", "n=settled_at", "n=settled_at+1",
+    "warm-prefix", "gain-fails", "gain-fails-overflow")]
+
+
+def pinned_model(m: int) -> PeriodicModel:
+    """``pinned_state_model()`` at m = 2; at m = 1 its scalar analogue:
+    a fixed state observed with unit noise in season 1 and without
+    noise in season 2, whose Omega_4 is exactly 0."""
+    if m == 2:
+        return pinned_state_model()
+    one, zero = np.eye(1), np.zeros((1, 1))
+    return PeriodicModel(S=2, r=1, m=1, d=1, F=[one] * 2, G=[zero] * 2,
+                         H=[one] * 2, Q=[one] * 2, R=[one, zero], W1=one)
+
+
+def fixed_case(name: str, engine: str):
+    """``(model, y, kwargs, prior)``: a flop case or a series-length edge
+    for ``engine``; ``prior`` is None or the series of a call to make
+    first, whose stored gain trajectory the call on ``y`` replays."""
+    if name in ("stationary_s2", "par4-r48", "m2-r12"):
+        return (*_flop_case(name), {}, None)
+    kind, m = name.rsplit("-m", 1)
+    if kind.startswith("gain-fails"):
+        model = pinned_model(int(m))
+        y = np.zeros((6, model.m))
+        kwargs = dict(init="explicit", xhat1=np.zeros(model.r),
+                      Sigma1=np.eye(model.r))
+        failed = outcome(filter_series, model, y, engine, kwargs)
+        if kind.endswith("overflow") and isinstance(failed, tuple):
+            t = failed[1] - 1       # the last step the state pass covers
+            if t == 1:
+                kwargs["xhat1"] = np.full(model.r, 1.7e308)
+            else:
+                y[t - 2] = 1.7e308
+            y[t - 1] = -1.7e308
+        return model, y, kwargs, None
+    model = random_stationary_model(60, r=2, S=3, m=int(m))
+    y = simulate(model, 100, seed=61)[1]
+    settled_at = first_settled_step(model, y, engine, {})
+    n = {"n=0": 0, "n=1": 1, "n=2": 2, "n=S": 3, "n=S+1": 4,
+         "n=settled_at": settled_at, "n=settled_at+1": settled_at + 1,
+         "warm-prefix": 4}[kind]
+    return model, y[:n], {}, y if kind == "warm-prefix" else None
+
+
+def assert_frozen_equals_unfrozen(model, y, engine, kwargs):
+    """``filter_series`` gives bitwise the outputs of the run that steps
+    the engine at every t, or the same error at the same step."""
+    def run(filter_fn):
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                return filter_fn(model, y, engine=engine, **kwargs)
+            except (PeriodicFilterError, ValueError) as exc:
+                return type(exc).__name__, getattr(exc, "t", None), str(exc)
+    out, ref = run(filter_series), run(unfrozen_filter)
+    if isinstance(out, tuple) or isinstance(ref, tuple):
+        assert out == ref, engine
+    else:
+        assert_bitwise_equal(out, ref)
+
+
 class TestInnovationFormReference:
     """``filter_series`` against the innovation-form filter it
     replaced: K and Omega bitwise, ``settled_at`` where the engine
     settles; xhat and innovations within 1e-9 of their largest entry
     and the log-likelihood within 1e-11 relative; on the random draws
-    also no less accurate than the reference."""
+    also no less accurate than the reference.  On the flop cases and
+    the series-length edges also bitwise the run that steps the engine
+    at every t (or its error)."""
 
     @pytest.mark.parametrize("k", range(3))
     @pytest.mark.parametrize("workload",
@@ -144,11 +219,18 @@ class TestInnovationFormReference:
         for engine in ENGINES:
             assert_same_filter(rd.model, rd.y, engine, {})
 
-    @pytest.mark.parametrize("case", ["stationary_s2", "par4-r48", "m2-r12"])
+    @pytest.mark.parametrize("case", ["stationary_s2", "par4-r48", "m2-r12",
+                                      *SERIES_EDGES])
     def test_flop_cases(self, case):
-        model, y = _flop_case(case)
         for engine in ENGINES:
-            assert_same_filter(model, y, engine, {})
+            filtering_module._START_MEMO = None
+            model, y, kwargs, prior = fixed_case(case, engine)
+            if prior is not None:
+                filter_series(model, prior, engine=engine, **kwargs)
+            assert_frozen_equals_unfrozen(model, y, engine, kwargs)
+            if "overflow" in case:
+                continue    # the reference does not check innovations
+            assert_same_filter(model, y, engine, kwargs)
 
     # the settle property's draws, a fixed derandomized sample
     @pytest.mark.skipif(not EXTENDED, reason="long double is float64 here")

@@ -446,13 +446,15 @@ class TestSettleNoLaterThanNormBound:
 
 def per_season_absorbed(engine) -> bool:
     """Settle condition (b) as it read with one ``.all()`` per season
-    and part, Omega's before K's, season by season."""
+    and part, Omega's before K's, season by season, from ``U`` and
+    ``T`` formed for all seasons at once (``[H_1 .. H_S]`` side by
+    side)."""
     state, model = engine.state, engine.model
     if state.alpha == 0:
         return True
     if state.m_is_inverse and not _m_invertible(state):
         return False
-    U = state.Y.T.dot(engine.H_all)
+    U = state.Y.T.dot(np.hstack(model.H))
     T = _sym_solve(state.M, U) if state.m_is_inverse else state.M.dot(U)
     YT = state.Y.dot(T)
     m = model.m
@@ -467,8 +469,9 @@ def per_season_absorbed(engine) -> bool:
 
 
 class TestSettleCheckMatchesPerSeasonReference:
-    """The settle check's one reduction per season decides as the
-    per-part ``.all()`` reference does, on every step of every low-rank
+    """The settle check, which forms each season's ``U_s`` and ``T_s``
+    on its own, decides as the all-seasons, per-part ``.all()``
+    reference does, on every step of every low-rank
     engine stepped to the end (so settled or not, quiet or not)."""
 
     @pytest.mark.parametrize("engine", LOWRANK)

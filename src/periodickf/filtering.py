@@ -111,8 +111,9 @@ included.  What differs: a replaying call charges the active flop
 counter only for the arithmetic it does, so for no engine step and
 no solve for B, and gives none of the warnings of an engine's start
 (say ``to_inverse_state``'s ``LinAlgWarning``); the warnings of the
-start's solve come only from the call that computed it.  The public start functions (``solve_dple``, ``build_prelude``,
-``auto_factorize``, ``chand_init``) are not memoized.
+start's solve come only from the call that computed it.  The public
+start functions (``solve_dple``, ``build_prelude``, ``auto_factorize``,
+``chand_init``) are not memoized.
 
 The innovations-form Gaussian log-likelihood is the sum of the terms
 
@@ -470,9 +471,9 @@ def _coerce_observations(y, m: int) -> np.ndarray:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2 or arr.shape[1] != m:
         raise ValueError(f"observations must be (n, {m}), got {arr.shape}")
-    bad = np.argwhere(~np.isfinite(arr))
-    if bad.size:
-        t, j = bad[0]
+    finite = np.isfinite(arr)
+    if np.count_nonzero(finite) != finite.size:
+        t, j = np.argwhere(~finite)[0]
         raise ValueError(f"observation at t={t + 1}, column {j + 1} is not "
                          f"finite ({arr[t, j]!r})")
     return arr

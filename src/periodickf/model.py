@@ -273,13 +273,14 @@ def simulate(model: PeriodicModel, n: int, seed: int,
 
     Notes
     -----
-    The noise terms ``G_s sqrt(Q_s) eps`` and ``sqrt(R_s) e`` and the
-    outputs ``H_s' x`` are formed with one matrix product per season;
-    only ``x[t+1] += F_s x[t]`` runs per step, one r x r matrix-vector
-    product added in place. The per-season products round differently
-    from per-step ones, so values agree with a loop that draws and
-    multiplies at every step over the same draws to rounding, not
-    bitwise.
+    Row t - 1 of a work array holds ``[x_t, eps_t]``, eps_t the d state
+    normals of noise row t - 1, and each season keeps one r x (r + d)
+    matrix ``[F_s, G_s sqrt(Q_s)]``, so that step t writes x_{t+1} into
+    row t as one matrix-vector product, 2r(r + d) flops. The outputs
+    ``H_s' x + sqrt(R_s) e`` are formed with one matrix product per
+    season. These products round differently from a loop that draws
+    and multiplies at every step, so values agree with it over the same
+    draws to rounding, not bitwise.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -293,24 +294,17 @@ def simulate(model: PeriodicModel, n: int, seed: int,
     else:
         x1 = np.zeros(r)
     noise = rng.standard_normal((n, m + model.d))
-    xs = np.empty((n, r))
+    # The state normals of the last row drive no returned state.
+    work = np.empty((n, r + model.d))
+    work[:1, :r] = x1
+    work[:, r:] = noise[:, m:]
+    M_dots = [np.hstack([F, np.asarray(G, dtype=float).dot(
+                  psd_sqrt(np.asarray(Q, dtype=float)))]).dot
+              for F, G, Q in zip(model.F, model.G, model.Q)]
+    for M_dot, row, nxt in zip(itertools.cycle(M_dots), work, work[1:, :r]):
+        M_dot(row, nxt)
+    xs = work[:, :r].copy()
     ys = np.empty((n, m))
-    if n == 0:
-        return xs, ys
-    xs[0] = x1
-    # Row k of xs first receives the state-noise term drawn in noise row
-    # k - 1; the recursion then adds F_s times row k - 1. The noise of the
-    # last row drives no returned state.
-    for i in range(S):
-        sqQ = psd_sqrt(np.asarray(model.Q[i], dtype=float))
-        G = np.asarray(model.G[i], dtype=float)
-        xs[1 + i::S] = noise[i:n - 1:S, m:].dot(sqQ.T).dot(G.T)
-    Fdots = [np.asarray(F, dtype=float).dot for F in model.F]
-    rows = iter(xs)
-    x = next(rows)
-    for Fdot, nxt in zip(itertools.cycle(Fdots), rows):
-        nxt += Fdot(x)
-        x = nxt
     for i in range(S):
         sqR = psd_sqrt(np.asarray(model.R[i], dtype=float))
         H = np.asarray(model.H[i], dtype=float)

@@ -217,18 +217,29 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(model, -1, seed=0)
 
-    @pytest.mark.parametrize("n", [0, 1, "S+1", 300])
-    @pytest.mark.parametrize("start", ["zero-state", "stationary"])
+    # n = 2 and n = S: one step, and a run whose last step writes the
+    # last work row; d = 3r: a state-noise block wider than F; radius
+    # 1.05 and 1.5: non-stationary models, so zero-state only
+    @pytest.mark.parametrize("n", [0, 1, 2, "S", "S+1", 300])
+    @pytest.mark.parametrize("start, radius", [
+        ("zero-state", None), ("stationary", None),
+        ("zero-state", 1.05), ("zero-state", 1.5)])
+    @pytest.mark.parametrize("d", ["r+1", "3r"])
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("r", [1, 4])
     @pytest.mark.parametrize("S", [1, 3])
-    def test_matches_step_by_step_reference(self, S, r, m, start, n):
-        n = S + 1 if n == "S+1" else n
+    def test_matches_step_by_step_reference(self, S, r, m, d, start, radius,
+                                            n):
+        n = {"S": S, "S+1": S + 1}.get(n, n)
+        d = r + 1 if d == "r+1" else 3 * r
         model = random_stationary_model(100 * S + 10 * r + m, r=r, S=S,
-                                        m=m, d=r + 1)
+                                        m=m, d=d, radius=radius)
         x, y = simulate(model, n, seed=5, start=start)
         x_ref, y_ref = step_by_step_simulate(model, n, 5, start)
         assert x.shape == x_ref.shape and y.shape == y_ref.shape
+        # fresh C-ordered arrays: no (n, r + d) work buffer is kept alive
+        for got in (x, y):
+            assert got.flags.c_contiguous and got.base is None
         for got, ref in ((x, x_ref), (y, y_ref)):
             scale = np.max(np.abs(ref), initial=0.0)
             assert np.max(np.abs(got - ref), initial=0.0) <= 1e-13 * scale

@@ -74,7 +74,7 @@ print(json.dumps({{"correct": True, "attempted": 3, "failed": 0,
 """
 
 
-def test_main_alternates_and_keeps_other_workloads(tmp_path):
+def test_main_alternates_and_keeps_other_workloads(tmp_path, monkeypatch):
     log = tmp_path / "order.log"
     for side, value in (("parent", 2.0), ("change", 1.0)):
         (tmp_path / side).mkdir()
@@ -84,13 +84,13 @@ def test_main_alternates_and_keeps_other_workloads(tmp_path):
     spec.write_text(json.dumps({
         "command": [sys.executable, "stand_in.py"],
         "end_to_end": [{"name": "setup_s", "better": "lower"}]}))
+    monkeypatch.setattr(bench_pairs, "BENCHMARK", spec)
     out = tmp_path / "BENCH.json"
     out.write_text(json.dumps({"notes": "kept", "runs": _runs(
         "other", "setup_s", [1.0], [1.0])}))
     args = ["--parent", str(tmp_path / "parent"),
             "--change", str(tmp_path / "change"), "--workload", "w",
-            "--seeds", "10-12", "--seconds", "0.5", "--out", str(out),
-            "--benchmark", str(spec)]
+            "--seeds", "10-12", "--seconds", "0.5", "--out", str(out)]
     assert bench_pairs.main(args) == 0
     assert log.read_text().split("\n")[:-1] == [
         "parent 10", "change 10", "change 11", "parent 11",

@@ -219,17 +219,19 @@ class TestSimulate:
 
     # n = 2 and n = S: one step, and a run whose last step writes the
     # last work row; d = 3r: a state-noise block wider than F; radius
-    # 1.05 and 1.5: non-stationary models, so zero-state only
-    @pytest.mark.parametrize("n", [0, 1, 2, "S", "S+1", 300])
-    @pytest.mark.parametrize("start, radius", [
-        ("zero-state", None), ("stationary", None),
-        ("zero-state", 1.05), ("zero-state", 1.5)])
-    @pytest.mark.parametrize("d", ["r+1", "3r"])
+    # 1.05 and 1.5: non-stationary models, so zero-state only, and at
+    # n = 300 so that the state has time to grow
+    @pytest.mark.parametrize("start, radius, d, n", [
+        *[(start, None, "r+1", n) for start in ("zero-state", "stationary")
+          for n in (0, 1, 2, "S", "S+1", 300)],
+        ("zero-state", None, "3r", 300),
+        *[("stationary", None, "3r", n) for n in (2, "S", 300)],
+        ("zero-state", 1.05, "r+1", 300), ("zero-state", 1.5, "r+1", 300)])
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("r", [1, 4])
     @pytest.mark.parametrize("S", [1, 3])
-    def test_matches_step_by_step_reference(self, S, r, m, d, start, radius,
-                                            n):
+    def test_matches_step_by_step_reference(self, S, r, m, start, radius,
+                                            d, n):
         n = {"S": S, "S+1": S + 1}.get(n, n)
         d = r + 1 if d == "r+1" else 3 * r
         model = random_stationary_model(100 * S + 10 * r + m, r=r, S=S,

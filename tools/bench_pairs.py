@@ -15,14 +15,16 @@ first in odd ones.
 When it exists already, its runs of other workloads are kept and its
 other fields left as they are, so one file can take a call per
 workload; it is rewritten after every pair. The exit status is 1 when
-a run of this call exited non-zero or reported ``correct: false``. Per workload and end-to-end metric the summary gives both
-sides' medians and quartiles (``statistics.quantiles``, inclusive), the
+a run of this call exited non-zero or reported ``correct: false``.
+
+Per workload and end-to-end metric the summary gives both sides'
+medians and quartiles (``statistics.quantiles``, inclusive), the
 distance between the parent's quartiles, the number of pairs in which
 the change's unrounded value is strictly better (so a tie, such as
 ``ok_share`` at 1.0 on both sides, is no win) and the relative change
-of the medians. Whether lower or higher is better is read from
-``BENCHMARK.json``, which this script never writes. Standard library
-only.
+of the medians. Whether lower or higher is better is read from the
+repository's ``BENCHMARK.json``, which this script never writes.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import subprocess
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = ROOT / "BENCHMARK.json"
 SIDES = ("parent", "change")
 
 
@@ -153,11 +156,9 @@ def main(argv=None) -> int:
                         help="a range FIRST-LAST, one pair per seed")
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--benchmark", type=Path,
-                        default=ROOT / "BENCHMARK.json")
     args = parser.parse_args(argv)
 
-    spec = json.loads(args.benchmark.read_text())
+    spec = json.loads(BENCHMARK.read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     checkouts = {"parent": args.parent.resolve(),
                  "change": args.change.resolve()}

@@ -40,30 +40,40 @@ taking ``B_t' = Omega_t^{-1} K_t'`` from the engine's ``KtilT`` or
 solving for it with one ``potrs`` on the factor.  The state pass
 (``_state_pass``), the package's one filter loop, then runs every step
 with ``B_1..B_T`` of those T steps and, past them, the last period's
-``B`` cycled.  Each step is one product.  Row t - 1 of a work array
-holds ``[xhat[t], e_t, y[t+1]]`` (the observations are written in
-before the loop, zeros after the last one), and each season s keeps
-one (r+m) x (r+2m) matrix
+``B`` cycled.  Step t maps ``z_t = [xhat[t]; e_t]`` to ``z_{t+1} =
+A_t z_t + [0; y[t+1]]`` (``y[n+1] = 0``), with
 
-    M_s = [[ F_s,              B,              0  ],
-           [ -H_{s+1}' F_s,   -H_{s+1}' B,     I_m ]],
+    A_t = [[ F_s,              B_t         ],
+           [ -H_{s+1}' F_s,   -H_{s+1}' B_t ]],
 
-so that ``M_s [xhat[t]; e_t; y[t+1]]`` is ``[xhat[t+1]; e_{t+1}]``,
-written into row t.  ``-H_{s+1}' F_s`` is formed once per call; steps
-1..T first write ``B_t`` and ``-H_{s+1}' B_t`` into their season's
-matrix, and every later step makes the product alone, the matrices then
-holding the last period's gains.  This is still the innovations form,
-with its numerics: an error in the gain enters the state only as that
-error times e_t, and y only through the identity block, so engines
-whose gains agree closely still agree on a series whose level runs far
-above its innovations.  The closed-loop form ``(F - B H') xhat + B y``,
+in one of two forms, chosen by r + m against ``_BAND_MAX_P``.  At or
+below it (``_band_pass``) all steps are one unit lower triangular
+banded system ``z_{t+1} - A_t z_t = [0; y[t+1]]``, held in BLAS band
+storage and solved by ``tbsv`` a chunk of steps at a time.  Above it
+each step is one product: row t - 1 of a work array holds ``[xhat[t],
+e_t, y[t+1]]`` (the observations written in before the loop, zeros
+after the last one), and each season s keeps one (r+m) x (r+2m) matrix
+``M_s = [A_t, [0; I_m]]``, so that ``M_s [xhat[t]; e_t; y[t+1]]`` is
+``z_{t+1}``, written into row t; steps 1..T first write ``B_t`` and
+``-H_{s+1}' B_t`` into their season's matrix, and every later step
+makes the product alone.  ``-H_{s+1}' F_s`` is formed once per call in
+both.  ``tbsv`` forms each block row as ``y[t+1] + sum_j A_t[i, j]
+z_t[j]``, the product's coefficients times the same ``z_t`` summed in
+another order, so the two forms agree to rounding.  Both are still the
+innovations form, with its numerics: no product of coefficient matrices
+is formed, an error in the gain enters the state only as that error
+times e_t, and y only as it is (the identity block, or the band's
+right-hand side), so engines whose gains agree closely still agree on
+a series whose level runs far above its innovations.  The closed-loop
+form ``(F - B H') xhat + B y``,
 which forms ``F - B H'``, loses that agreement: on the non-stationary
 5000-step series of the long-horizon test (monodromy radius 1.05,
 observations up to 1e53) its engines' log-likelihoods differ by about
-20%, where here they agree to 7.3e-16.  On that series the
-log-likelihood itself is at rounding level, about -2.07e74 (the same
-recursion in extended precision on ``kalman``'s gains gives -1.35e74);
-the -9.03e4 an earlier two-product step gave came from 67.6% of its
+20%, where here they agree to 1.3e-15 (7.8e-16 with the product per
+step).  On that series the log-likelihood itself is at rounding level,
+about -3.61e74 (-5.14e74 with the product per step; the same recursion
+in extended precision on ``kalman``'s gains gives -2.22e74); the
+-9.03e4 an earlier two-product step gave came from 67.6% of its
 innovations being exactly 0.0, its ``[F; H'] xhat`` reproducing the
 simulator's own float64 products bit for bit.
 
@@ -129,8 +139,10 @@ what the engine's own step would have given.
 A non-finite innovation raises ``ValueError`` naming its step and
 season, after the state pass, at the first such step (a step whose
 prediction is not finite counts, since ``y - H'xhat`` would not be
-finite there either); the engine has
-by then been stepped past it.  When the gain pass fails at step t
+finite there either); when the band finds one, the product per step
+runs the pass again and names it, so that no NaN the band's zeros made
+from an overflowed entry shows in the message.  The engine has by then
+been stepped past it.  When the gain pass fails at step t
 (``OmegaNotPD``, ``MSingular``, or ``potrs`` rejecting an argument),
 the state pass first runs steps 1..t-1 and raises a non-finite
 innovation among them instead, so errors keep the order of the steps.
@@ -152,8 +164,8 @@ from .chandrasekhar import (_m_invertible, auto_factorize, build_prelude,
 from .exceptions import (EngineInitFailed, MSingular, OmegaNotPD,
                          ResidualTooLarge)
 from .kalman import _covariance_update, _one_start, _record, solve_dple
-from .linalg import (_charge, _potrs, _sym_solve, factor_logdet, factor_solve,
-                     spd_factor)
+from .linalg import (_charge, _potrs, _sym_solve, _tbsv, factor_logdet,
+                     factor_solve, spd_factor)
 from .model import EIG_FLOOR_RTOL, SYM_RTOL, _sym_psd_violations
 
 # Engine registry: each low-rank engine name maps to its step function.
@@ -175,6 +187,14 @@ SIGMA_EIG_FLOOR_RTOL = 1e-8
 SETTLE_MARGIN = 2.0 ** -74
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+
+# The state pass solves all its steps as one banded system when r + m is
+# at most ``_BAND_MAX_P`` (from the sweep of ``tools/state_pass_sweep.py``
+# in BENCH_30.json), and makes one product per step otherwise; the band
+# is solved ``_BAND_STEPS`` steps at a time, rounded up to a multiple of
+# S, so its workspace does not grow with n.
+_BAND_MAX_P = 15
+_BAND_STEPS = 256
 
 
 @dataclass
@@ -534,15 +554,19 @@ def filter_series(model, y, engine: str = "kalman",
     any other frozen/unfrozen difference; it has found none.
 
     The active flop counter is charged once per call, at the metered
-    helpers' rates: per step ``2(r+m)(r+2m)`` for the season matrix
-    times the work row and ``m^2 + 2m`` for the quadratic form (one
-    triangular sweep and ``z'z``); per step that writes its gain into
-    the season matrix (the first ``min(T, n)``) ``2m^2 r`` for ``-H'B``;
-    per step that called a low-rank engine ``2m^2 r`` for the solve for
-    ``Omega^{-1} K'`` (``kalman`` hands it over); and once, for n > 0,
-    ``2mr^2`` per season for ``-H'F`` and ``2rm + m`` for ``e_1``.  The
-    engines charge their own steps; a replaying call steps no engine,
-    so it charges the state pass's arithmetic alone.
+    helpers' rates, by one formula per form of the state pass: per step
+    ``2p^2`` (p = r + m) for ``A_t z_t`` when the band solves the steps
+    (r + m at most ``_BAND_MAX_P``), whatever its chunks, else
+    ``2p(r+2m)`` for the season matrix times the work row; per step
+    ``m^2 + 2m`` for the quadratic form (one triangular sweep and
+    ``z'z``); per step that writes its own gain (the first ``min(T,
+    n)``) ``2m^2 r`` for ``-H'B``; per step that called a low-rank engine
+    ``2m^2 r`` for the solve for ``Omega^{-1} K'`` (``kalman`` hands it
+    over); and once, for n > 0, ``2mr^2`` per season for ``-H'F`` and
+    ``2rm + m`` for ``e_1``.  The band's structural zeros, which ``tbsv``
+    also multiplies, are not charged.  The engines charge their own
+    steps; a replaying call steps no engine, so it charges the state
+    pass's arithmetic alone.
 
     Raises ``ValueError`` naming an unknown engine (before any other
     check or solve), an ``xhat1`` or ``Sigma1`` given to an init other
@@ -607,12 +631,14 @@ def filter_series(model, y, engine: str = "kalman",
                     out[j::S] = out[j - S]
     terms = -0.5 * (m * _LOG_2PI + _logdets(Ls)
                     + _quadratic_forms(Ls, innovations))
-    # every step: the season matrix times the work row, and the
-    # quadratic form (a triangular sweep and z'z); every step that wrote
-    # its gain: -H'B; every low-rank engine step: B = K Omega^{-1}; once
-    # (n > 0): -H'F per season and e_1 = y_1 - H'xhat_1
+    # every step: A_t z_t (in the band) or the season matrix times the
+    # work row, and the quadratic form (a triangular sweep and z'z);
+    # every step that wrote its gain: -H'B; every low-rank engine step:
+    # B = K Omega^{-1}; once (n > 0): -H'F per season and e_1
+    p = r + m
+    update = 2*p*p if p <= _BAND_MAX_P else 2*p*(p+m)
     solves = T if isinstance(eng, _ChandEngine) else 0
-    _charge(n * (2*(r+m)*(r+2*m) + m*m + 2*m) + min(T, n) * 2*m*m*r
+    _charge(n * (update + m*m + 2*m) + min(T, n) * 2*m*m*r
             + solves * 2*m*m*r + (S * 2*m*r*r + 2*r*m + m if n else 0))
 
     return FilterOutput(engine=engine, n=n, innovations=innovations,
@@ -657,31 +683,43 @@ def _state_pass(model, y: np.ndarray, x1: np.ndarray, B: np.ndarray):
     """``(xhat, innovations)`` of the state update over the rows of
     ``y`` from ``xhat[1] = x1``, with the normalized gains B_1..B_T of
     ``B`` (those past the rows of ``y`` unused) and then its last S
-    cycled.  Row t - 1 of the work array holds ``[xhat[t], e_t,
-    y[t+1]]``, with zeros past the last observation, and step t writes
-    ``[xhat[t+1], e_{t+1}]`` into row t as one product with its
-    season's matrix ``[[F_s, B_t, 0], [-H_{s+1}' F_s, -H_{s+1}' B_t,
-    I]]``.  Steps 1..T first write ``B_t`` and ``-H_{s+1}' B_t`` into
-    that matrix; later steps find the last period's there.  Raises
-    ``ValueError`` after the loop at the first step whose prediction or
-    innovation is not finite (where ``y - H'xhat`` would not be)."""
+    cycled.  Each step t maps ``z_t = [xhat[t]; e_t]`` to ``z_{t+1} =
+    A_t z_t + [0; y[t+1]]`` (``y[n+1] = 0``), with its season's ``A_t
+    = [[F_s, B_t], [-H_{s+1}' F_s, -H_{s+1}' B_t]]``.  When r + m is
+    at most ``_BAND_MAX_P`` all steps are one banded solve
+    (``_band_pass``).  Otherwise row t - 1 of a work array holds
+    ``[xhat[t], e_t, y[t+1]]``, and step t writes ``z_{t+1}`` into row t
+    as one product with the season matrix ``[A_t, [0; I]]``; steps 1..T
+    first write ``B_t`` and ``-H_{s+1}' B_t`` into that matrix, later
+    steps find the last period's there.  Raises ``ValueError`` at the
+    first step whose prediction or innovation is not finite (where
+    ``y - H'xhat`` would not be), named by this loop also when the band
+    found it, so that the printed innovation carries no NaN made by a
+    zero of the band times an overflowed entry."""
     (n, m), r, S = y.shape, model.r, model.S
+    if n == 0:
+        return np.reshape(x1, (1, r)).copy(), np.empty((0, m))
+    e1 = y[0] - model.H[0].T.dot(x1)
+    negHT = [-model.H[(s + 1) % S].T for s in range(S)]
+    negHF = [h.dot(F) for h, F in zip(negHT, model.F)]
+    T = min(len(B), n)
+    if r + m <= _BAND_MAX_P:
+        z = _band_pass(model, y, x1, e1, B[:T], negHT, negHF)
+        finite = np.isfinite(z[:n])
+        if np.count_nonzero(finite) == finite.size:
+            return z[:, :r].copy(), z[:n, r:].copy()
     work = np.zeros((n + 1, r + 2 * m))
     work[0, :r] = x1
-    if n == 0:
-        return work[:, :r].copy(), np.empty((0, m))
-    work[0, r:r + m] = y[0] - model.H[0].T.dot(x1)
+    work[0, r:r + m] = e1
     work[:n - 1, r + m:] = y[1:]
     # season -> (M.dot, (-H_{s+1}').dot, M's B block, M's -H'B block)
     seasons = []
-    for s, F in enumerate(model.F):
-        negHT = -model.H[(s + 1) % S].T
+    for F, h, hF in zip(model.F, negHT, negHF):
         M = np.zeros((r + m, r + 2 * m))
         M[:r, :r] = F
-        M[r:, :r] = negHT.dot(F)
+        M[r:, :r] = hF
         M[r:, r + m:] = np.eye(m)
-        seasons.append((M.dot, negHT.dot, M[:r, r:r + m], M[r:, r:r + m]))
-    T = min(len(B), n)
+        seasons.append((M.dot, h.dot, M[:r, r:r + m], M[r:, r:r + m]))
     nexts = work[1:, :r + m]        # step t writes row t from row t - 1
     for (M_dot, negHT_dot, B_block, HB_block), Bt, row, nxt in zip(
             cycle(seasons), B[:T], work, nexts):
@@ -698,6 +736,58 @@ def _state_pass(model, y: np.ndarray, x1: np.ndarray, B: np.ndarray):
         raise ValueError(f"innovation at t={t} (season {model.season(t)}) "
                          f"is not finite ({work[t - 1, r:r + m]!r})")
     return work[:, :r].copy(), work[:n, r:r + m].copy()
+
+
+def _band_pass(model, y, x1, e1, B, negHT, negHF) -> np.ndarray:
+    """The (n + 1) x (r + m) rows ``z_t = [xhat[t]; e_t]`` of
+    ``_state_pass``, from ``z_1 = [x1; e1]``, as the unit lower
+    triangular block-bidiagonal system ``z_{t+1} - A_t z_t = [0;
+    y[t+1]]`` in BLAS band storage (2p - 1 subdiagonals, p = r + m),
+    solved by ``tbsv`` in chunks of C steps, the multiple of S from
+    ``_BAND_STEPS``: a chunk's first block is the last of the chunk
+    before it, and every chunk starts in season 1.  ``B`` holds
+    B_1..B_T; step t > T takes the B of step t - kS in the last period.
+
+    In the column-major band, entry (i, j) of step tau's ``-A`` block
+    (tau = 0.. within its chunk) is element ``p + i + j(2p - 1) + tau
+    2p^2``, so one strided view addresses all of them.  Each season's
+    F blocks are written once.  The gain blocks ``-[B_t; -H_{s+1}'
+    B_t]`` are stacked once (``-H'B`` by one ``matmul`` per season) and
+    written per chunk, a slice for the steps up to T and one assignment
+    per season for the cycled ones; the chunks after the first one past
+    T reuse its band.  Values may be non-finite; the caller checks."""
+    (n, m), r, S = y.shape, model.r, model.S
+    p, T = r + m, len(B)
+    z = np.zeros((n + 1, p))
+    z[0, :r], z[0, r:] = x1, e1
+    z[1:n, r:] = y[1:]
+    gains = np.empty((T, p, m))
+    gains[:, :r] = B
+    for s, h in enumerate(negHT):
+        gains[s::S, r:] = np.matmul(h, B[s::S])
+    np.negative(gains, out=gains)
+    C = -(-_BAND_STEPS // S) * S
+    ab = np.zeros((2 * p, (min(C, n) + 1) * p), order="F")
+    size = ab.itemsize
+    # ab.T, C-contiguous, exports ab's memory in column-major order
+    blocks = np.ndarray((min(C, n), p, p), buffer=ab.T, offset=p * size,
+                        strides=(2 * p * p * size, size, (2 * p - 1) * size))
+    for s, (F, hF) in enumerate(zip(model.F, negHF)):
+        blocks[s::S, :r, :r] = -F
+        blocks[s::S, r:, :r] = -hF
+    settled = False                 # the band holds a chunk past T
+    zf = z.reshape(-1)
+    for t0 in range(0, n, C):
+        c = min(C, n - t0)
+        if not settled:
+            k = min(max(T - t0, 0), c)      # steps with their own gains
+            blocks[:k, :, r:] = gains[t0:t0 + k]
+            for j in range(k, min(k + S, c)):
+                blocks[j:c:S, :, r:] = gains[T - S + (t0 + j - T) % S]
+            settled = k == 0
+        _tbsv(2 * p - 1, ab[:, :(c + 1) * p], zf, offx=t0 * p, lower=1,
+              diag=1, overwrite_x=1)
+    return z
 
 
 def _logdets(L: np.ndarray) -> np.ndarray:

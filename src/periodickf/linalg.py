@@ -11,11 +11,14 @@ the operand's bound ``ndarray.dot``, which skips the ufunc dispatch of
 They charge what the helpers would charge in one sum, once per step;
 ``spd_factor`` and ``sym_solve``, which they still call, charge their
 own share.  So their results and counts are bitwise those of the
-helper-by-helper code.  The filter loop in :mod:`periodickf.filtering`
-makes its products through ``ndarray.dot`` too, and charges its
-arithmetic once per call at the rates below.  The one exception to
-``dot`` matching ``@``: ``dot`` multiplies two one-element operands
-directly where ``@`` accumulates from +0.0, so such a product that is
+helper-by-helper code.  The state pass in :mod:`periodickf.filtering`
+makes its per-call products through ``ndarray.dot`` too, its per-step
+ones through ``dot`` or, in its band form, one ``matmul`` per season
+over a stack of gains (bitwise the per-step ``dot``) and BLAS ``tbsv``
+(``_tbsv``, the banded triangular solve, fetched once at import), and
+charges its arithmetic once per call at the rates below.  The one
+exception to ``dot`` matching ``@``: ``dot`` multiplies two one-element
+operands directly where ``@`` accumulates from +0.0, so such a product that is
 exactly zero may come out as -0.0 where ``@`` gives 0.0.  Such a
 product reaches an output only when the state dimension r is 1: a
 season with F = 0, say, then gives gains of -0.0 where ``@`` gave 0.0,
@@ -118,6 +121,9 @@ PD_RTOL = 1e-12
  _syevd_lwork, _gesdd, _gesdd_lwork) = scipy.linalg.get_lapack_funcs(
     ("potrf", "potrs", "sytrf", "sytrf_lwork", "sytrs", "sycon", "lange",
      "syevd", "syevd_lwork", "gesdd", "gesdd_lwork"), dtype=np.float64)
+# The float64 BLAS banded triangular solve behind the state pass's band
+# form (``filtering._band_pass``), fetched once as the LAPACK handles are.
+(_tbsv,) = scipy.linalg.get_blas_funcs(("tbsv",), dtype=np.float64)
 _EPS = float(np.finfo(np.float64).eps)
 
 

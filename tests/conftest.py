@@ -8,11 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import periodickf.filtering as filtering_module
 from periodickf import (FilterOutput, MSingular, OmegaNotPD, PeriodicModel,
                         filter_series)
 from periodickf.filtering import (_coerce_observations, _initial_conditions,
                                   _logdets, _make_engine, _quadratic_forms)
-from periodickf.linalg import add, factor_logdet, factor_solve, matmul, sub
+from periodickf.linalg import (_tbsv, add, factor_logdet, factor_solve, matmul,
+                               sub)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -60,8 +62,6 @@ def console_scripts(tmp_path_factory):
 def cold_start_memo():
     """Every test starts with an empty start memo, so that no test's
     outcome depends on which test ran before it."""
-    import periodickf.filtering as filtering_module
-
     filtering_module._START_MEMO = None
 
 
@@ -82,8 +82,6 @@ def eigvals_log(monkeypatch):
 @pytest.fixture
 def step_log(monkeypatch):
     """The times t at which ``filter_series`` called its engine's step."""
-    import periodickf.filtering as filtering_module
-
     make_engine = filtering_module._make_engine
     log = []
 
@@ -116,14 +114,15 @@ def unfrozen_filter(model, y, engine: str = "kalman",
                     sigma_trace: bool = False) -> FilterOutput:
     """``filter_series`` without the steady-gain switch: the engine built
     by ``_make_engine`` is stepped at every t, whatever its ``settled``
-    flag says, and the loop's own expressions are applied to what it
-    returns: the normalized gain ``B = K Omega^{-1}`` (from the engine's
-    ``KtilT`` when it made that solve), ``e_1 = y_1 - H_1' xhat_1``, and
-    per step a fresh matrix ``[[F, B, 0], [-H_next' F, -H_next' B, I]]``
-    (``H_next`` of the season after step t) times the work row ``[x,
-    e, y_next]`` (``y_next = 0`` after the last step), written into the
-    next row; after the loop the log-determinants and quadratic forms
-    ``e' Omega^{-1} e`` from the stack of Omega factors."""
+    flag says, and the state pass's own expressions are applied to what
+    it returns: the normalized gain ``B = K Omega^{-1}`` (from the
+    engine's ``KtilT`` when it made that solve), ``e_1 = y_1 - H_1'
+    xhat_1``, and per step a fresh matrix ``M_t = [[F, B, 0], [-H_next'
+    F, -H_next' B, I]]`` (``H_next`` of the season after step t); then
+    the states (``unfrozen_states``), and the log-determinants and
+    quadratic forms ``e' Omega^{-1} e`` from the stack of Omega
+    factors.  An engine error at step t is raised after the states of
+    steps 1..t-1, so a non-finite innovation among them comes first."""
     y2 = _coerce_observations(y, model.m)
     n, m, r = y2.shape[0], model.m, model.r
     x, Sigma1v, W = _initial_conditions(model, init, xhat1, Sigma1)
@@ -132,21 +131,14 @@ def unfrozen_filter(model, y, engine: str = "kalman",
     Ks = np.empty((n, r, m))
     sigmas = np.empty((n, r, r)) if sigma_trace else None
     Ls = np.empty((n, m, m))
-    work = np.zeros((n + 1, r + 2 * m))
-    work[0, :r] = x
-    if n:
-        work[0, r:r + m] = y2[0] - model.H[0].T.dot(x)
-        work[:n - 1, r + m:] = y2[1:]
+    Ms, error = [], None
     for t in range(1, n + 1):
         try:
             K, Omega, factor, Sigma = eng.step(t)
         except (OmegaNotPD, MSingular) as exc:
             exc.locate(t, model.season(t))
-            raise
-        if not np.isfinite(work[t - 1, :r + m]).all():
-            raise ValueError(f"innovation at t={t} (season "
-                             f"{model.season(t)}) is not finite "
-                             f"({work[t - 1, r:r + m]!r})")
+            error = exc
+            break
         F = model.F[(t - 1) % model.S]
         negHT = -model.H[t % model.S].T
         KtilT = eng.KtilT
@@ -159,19 +151,68 @@ def unfrozen_filter(model, y, engine: str = "kalman",
         M[r:, r + m:] = np.eye(m)
         M[:r, r:r + m] = B
         M[r:, r:r + m] = negHT.dot(B)
-        M.dot(work[t - 1], out=work[t, :r + m])
+        Ms.append(M)
         Ls[t - 1] = factor[0]
         Omegas[t - 1] = Omega
         Ks[t - 1] = K
         if sigma_trace:
             sigmas[t - 1] = Sigma
-    innovations = work[:n, r:r + m].copy()
+    xhat, innovations = unfrozen_states(model, y2[:len(Ms)], x, Ms)
+    if error is not None:
+        raise error
     terms = -0.5 * (m * float(np.log(2.0 * np.pi)) + _logdets(Ls)
                     + _quadratic_forms(Ls, innovations))
     return FilterOutput(engine=engine, n=n, innovations=innovations,
-                        Omega=Omegas, K=Ks, xhat=work[:, :r].copy(),
+                        Omega=Omegas, K=Ks, xhat=xhat,
                         loglik=float(np.sum(terms)), sigma_trace=sigmas,
                         terms=terms)
+
+
+def unfrozen_states(model, y, x, Ms):
+    """``(xhat, innovations)`` over the rows of ``y`` from ``xhat_1 =
+    x``, step t mapping ``z_t = [x; e]`` to ``M_t [z_t; y_{t+1}]``
+    (``y_{n+1} = 0``).  When r + m is at most the state pass's cutover
+    (``filtering._BAND_MAX_P``), the z_t are solved from the BLAS lower
+    band of the system ``z_{t+1} - A_t z_t = [0; y_{t+1}]`` (``A_t``
+    the first r + m columns of ``M_t``), in chunks of the pass's length
+    with one ``tbsv`` call each: every chunk gets a band of its own,
+    into which each step writes its block by the band's definition,
+    entry (row, col) at ``(row - col, col)``.  Otherwise, or when that
+    solution is not finite, row t - 1 of a work array holding ``[x,
+    e, y_next]`` times ``M_t`` is written into row t; its first
+    non-finite row raises ``ValueError`` naming the step."""
+    (n, m), r = y.shape, model.r
+    p = r + m
+    work = np.zeros((n + 1, r + 2 * m))
+    work[0, :r] = x
+    if n == 0:
+        return work[:, :r].copy(), np.empty((0, m))
+    work[0, r:p] = y[0] - model.H[0].T.dot(x)
+    work[:n - 1, p:] = y[1:]
+    if p <= filtering_module._BAND_MAX_P:
+        z = np.zeros((n + 1, p))
+        z[0] = work[0, :p]
+        z[1:n, r:] = y[1:]
+        chunk = -(-filtering_module._BAND_STEPS // model.S) * model.S
+        block = np.arange(p)
+        for t0 in range(0, n, chunk):
+            c = min(chunk, n - t0)
+            ab = np.zeros((2 * p, (c + 1) * p), order="F")
+            for tau in range(c):
+                rows, cols = (tau + 1) * p + block[:, None], tau * p + block
+                ab[rows - cols, cols] = -Ms[t0 + tau][:, :p]
+            _tbsv(2 * p - 1, ab, z.reshape(-1), offx=t0 * p, lower=1,
+                  diag=1, overwrite_x=1)
+        if np.isfinite(z[:n]).all():
+            return z[:, :r].copy(), z[:n, r:].copy()
+    for t in range(1, n + 1):
+        Ms[t - 1].dot(work[t - 1], out=work[t, :p])
+    for t in range(1, n + 1):
+        if not np.isfinite(work[t - 1, :p]).all():
+            raise ValueError(f"innovation at t={t} (season "
+                             f"{model.season(t)}) is not finite "
+                             f"({work[t - 1, r:p]!r})")
+    return work[:, :r].copy(), work[:n, r:p].copy()
 
 
 def innovation_form_filter(model, y, engine: str = "kalman",

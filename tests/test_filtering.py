@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -536,6 +538,10 @@ class TestLongHorizon:
         assert start_log == [start] * (2 * len(ENGINES[1:]))
 
 
+# a filter_series call's tracemalloc peak, per byte of its output
+PEAK_PER_OUTPUT_BYTE = 3
+
+
 @pytest.fixture(scope="module")
 def horizon_1e5():
     """PAR_4 at r = 6 over 10^5 steps, and kalman's filter of it."""
@@ -556,6 +562,22 @@ class TestHorizon1e5:
         assert _worst_step_rel_dev(out.K, ref.K) <= 1e-11
         assert _worst_step_rel_dev(out.Omega, ref.Omega) <= 1e-11
         assert out.loglik == pytest.approx(ref.loglik, rel=1e-8, abs=0.0)
+
+    def test_peak_memory_within_a_multiple_of_the_output(self, horizon_1e5):
+        # r + m = 7 runs on the band, solved a chunk at a time: a band
+        # over all 10^5 steps (2 (r+m)^2 doubles a step, 78 MB) would
+        # take the peak to about 8 times the output's 12 MB
+        model, y, _ = horizon_1e5
+        assert model.r + model.m <= filtering_module._BAND_MAX_P
+        tracemalloc.start()
+        try:
+            out = filter_series(model, y, engine="kalman")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = sum(a.nbytes for a in (out.xhat, out.innovations,
+                                        out.Omega, out.K, out.terms))
+        assert peak <= PEAK_PER_OUTPUT_BYTE * output, (peak, output)
 
 
 class TestGateOncePerOmega:
@@ -600,12 +622,12 @@ class TestGateOncePerOmega:
 
 class TestOneSolvePerStep:
     def test_kalman_loop_flops(self):
-        # per step, next to the engine's covariance step: the season
-        # matrix times the work row, -H'B (every step writes its gain
-        # here), and after the loop the quadratic form (a triangular
-        # sweep and z'z); no m x r gain solve, since kalman hands over
-        # the Omega^{-1} K' its step solved; once per call, -H'F per
-        # season and e_1
+        # per step, next to the engine's covariance step: A_t z_t in
+        # the band (r + m = 7 is below the cutover), -H'B (every step
+        # writes its gain here), and after the pass the quadratic form
+        # (a triangular sweep and z'z); no m x r gain solve, since
+        # kalman hands over the Omega^{-1} K' its step solved; once per
+        # call, -H'F per season and e_1
         r, m = 5, 2
         model, y = simulated(99, n=12, r=r, S=2, m=m)
         Sigma1 = solve_dple(model)[0]
@@ -614,7 +636,7 @@ class TestOneSolvePerStep:
         with count_flops() as c:
             filter_series(model, y, init="explicit", xhat1=np.zeros(r),
                           Sigma1=Sigma1)
-        loop_step = 2*(r+m)*(r+2*m) + m*m + 2*m + 2*m*m*r   # 174
+        loop_step = 2*(r+m)**2 + m*m + 2*m + 2*m*m*r        # 146
         once = model.S * 2*m*r*r + 2*r*m + m                 # 222
         assert c.flops == len(y) * (engine_step + loop_step) + once
 
@@ -735,12 +757,12 @@ class TestMeteredFlopPins:
     every run settles except ``kalman`` on the m = 2 model."""
 
     PINNED = {
-        "stationary_s2": {"kalman": 9945, "chand31": 10357,
-                          "chand32": 10357, "chand-minv": 10335},
+        "stationary_s2": {"kalman": 8145, "chand31": 8557,
+                          "chand32": 8557, "chand-minv": 8535},
         "par4-r48": {"kalman": 50840465, "chand31": 3919699,
                      "chand32": 3919699, "chand-minv": 3920524},
-        "m2-r12": {"kalman": 2513054, "chand31": 504200, "chand32": 504200,
-                   "chand-minv": 512920},
+        "m2-r12": {"kalman": 2504654, "chand31": 495800, "chand32": 495800,
+                   "chand-minv": 504520},
     }
 
     @pytest.mark.parametrize("case", list(PINNED))
@@ -775,6 +797,11 @@ class TestWarmCallFlops:
             assert counter.flops == TestMeteredFlopPins.PINNED[case][engine]
             return
         n, r, m, S = len(y), model.r, model.m, model.S
-        assert counter.flops == (n * (2*(r+m)*(r+2*m) + m*m + 2*m)
+        p = r + m
+        # A_t z_t in the band below the cutover, else the season matrix
+        # times the work row
+        update = (2*p*p if p <= filtering_module._BAND_MAX_P
+                  else 2*p*(p+m))
+        assert counter.flops == (n * (update + m*m + 2*m)
                                  + settled_at * 2*m*m*r
                                  + S * 2*m*r*r + 2*r*m + m)

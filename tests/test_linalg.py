@@ -315,22 +315,28 @@ def kernel_products(rng, r: int, m: int, a: int, draw):
     ``potrs`` solutions ``B``, ``Omega^{-1} K'`` and its transpose; and
     (left, right, out) where the product is written with ``out=``: the
     state pass's (r+m) x (r+2m) season matrix times row t - 1 of its
-    work array, into the first r + m entries of row t.  ``draw(shape)``
-    makes the entries."""
+    work array, into the first r + m entries of row t.  A right operand
+    with three axes is a stack, multiplied by one ``matmul`` where the
+    per-step code multiplies each slice by ``dot``: the band form's
+    ``-H'B_t`` over every S-th gain of a C-ordered (T, r, m) stack.
+    ``draw(shape)`` makes the entries."""
     F, H, Sigma, Y, M = (draw((r, r)), draw((r, m)), draw((r, r)),
                          draw((r, a)), draw((a, a)))
     G, Q, K, x = draw((r, 3)), draw((3, 3)), draw((r, m)), draw(r)
     season, work, gain = (draw((r + m, r + 2 * m)), draw((3, r + 2 * m)),
                           draw((r, m)))
+    gains = draw((7, r, m))
     factor = spd_factor(random_spd(rng, m))
     U = Y.T.dot(H)
     T = M.dot(U)
     B = _solve(factor, U.T)
     return {
         # filtering._state_pass: e_1, the season matrices' -H'F and
-        # -H'B_t, and the one product per step
+        # -H'B_t, and the one product per step above the band's cutover
         "H.T x": (H.T, x), "-H.T F": (-H.T, F), "-H.T B_t": (-H.T, gain),
         "M [x; e; y]": (season, work[0], work[1, :r + m]),
+        # filtering._band_pass: -H'B_t over the steps of one season
+        "-H.T B_t stack": (-H.T, gains[1::3]),
         # chandrasekhar._step
         "Y.T H": (Y.T, H), "M U": (M, U), "Y T": (Y, T),
         "U.T T": (U.T, T), "F (Y T)": (F, Y.dot(T)), "F Y": (F, Y),
@@ -362,14 +368,18 @@ def test_dot_is_bitwise_matmul_on_kernel_layouts(r, m):
         for draw in (nonzero, with_zeros):
             for name, (x, y, *out) in kernel_products(rng, r, m, a,
                                                        draw).items():
-                got, want = x.dot(y, *out), x @ y
+                if y.ndim == 3:
+                    got, want = np.array([x.dot(b) for b in y]), x @ y
+                else:
+                    got, want = x.dot(y, *out), x @ y
                 layout = (f"{name}: {x.shape} {x.strides} . {y.shape} "
                           f"{y.strides}, {draw.__name__}")
                 assert np.array_equal(got, want), layout
                 # the one exception: an exactly zero product of two
                 # one-element operands, which dot returns as multiplied
                 # and @ adds to +0.0
-                if draw is nonzero or x.size > 1 or y.size > 1:
+                right = y[0] if y.ndim == 3 else y
+                if draw is nonzero or x.size > 1 or right.size > 1:
                     assert got.tobytes() == want.tobytes(), layout
 
 

@@ -96,7 +96,7 @@ PER_STEP = {
     "chandrasekhar.py": ["_step"],
     "filtering.py": ["_KalmanEngine.step", "_ChandEngine.step",
                      "_ChandEngine._absorbed", "_negligible", "filter_series",
-                     "_gain_pass", "_state_pass"],
+                     "_gain_pass", "_state_pass", "_band_pass"],
 }
 
 

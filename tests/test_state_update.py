@@ -1,10 +1,13 @@
 """The state update and log-likelihood terms of ``filter_series``.
 
-The state pass advances ``[xhat; e]`` by one product per step, with
-each season's matrix ``[[F, B, 0], [-H_next' F, -H_next' B, I]]`` (the
-normalized gain ``B = K Omega^{-1}``, ``H_next`` of the next season)
-times the work row ``[xhat_t, e_t, y_{t+1}]``, and forms the terms
-after the loop from the stack of Omega factors.
+The state pass advances ``z = [xhat; e]`` by ``A = [[F, B], [-H_next'
+F, -H_next' B]]`` per step (the normalized gain ``B = K Omega^{-1}``,
+``H_next`` of the next season), as one banded solve over all steps
+when r + m is at most its cutover and as one product per step, each
+season's matrix ``[A, [0; I]]`` times the work row ``[xhat_t, e_t,
+y_{t+1}]``, above it; it forms the terms after the pass from the stack
+of Omega factors.  The flop cases and series-length edges run on both
+sides of the cutover, which must agree to ``PATH_TOL``.
 ``conftest.innovation_form_filter`` is the reference it replaced: per
 step ``w = Omega^{-1} e`` and ``x = F x + K w`` through the metered
 helpers, and each term from that ``w``.  The gains are the engines' and
@@ -137,12 +140,23 @@ def assert_same_filter(model, y, engine, kwargs, accuracy=False):
 # Series-length edges of the state pass, each at m = 1 and m = 2: n = 0,
 # 1, 2, S and S + 1 (no step settled); n = settled_at and settled_at + 1
 # (an empty and a one-step settled stretch); a warm call shorter than the
-# stored trajectory; and a gain pass that fails at step t, so that the
+# stored trajectory; a gain pass that fails at step t, so that the
 # state pass covers steps 1..t-1 only, with no overflow or with an
-# innovation overflowing at step t - 1.
+# innovation overflowing at step t - 1; and the band's chunk edges: n =
+# C - 1, C, C + 1 and 2C + S - 1 for its C steps per solve, and
+# settled_at just before and just after the first edge, the band then
+# solving 3C + 1 steps in chunks of the multiple of S next to it.
 SERIES_EDGES = [f"{kind}-m{m}" for m in (1, 2) for kind in (
     "n=0", "n=1", "n=2", "n=S", "n=S+1", "n=settled_at", "n=settled_at+1",
-    "warm-prefix", "gain-fails", "gain-fails-overflow")]
+    "warm-prefix", "gain-fails", "gain-fails-overflow", "n=C-1", "n=C",
+    "n=C+1", "n=2C+S-1", "settled-before-edge", "settled-after-edge")]
+
+# ``filtering._BAND_MAX_P`` putting every case on one side of the
+# state pass's cutover
+PATHS = {"band": 10 ** 6, "loop": 0}
+# the band and loop forms against each other, of the largest entry (or
+# |loglik|)
+PATH_TOL = 1e-13
 
 
 def pinned_model(m: int) -> PeriodicModel:
@@ -157,11 +171,13 @@ def pinned_model(m: int) -> PeriodicModel:
 
 
 def fixed_case(name: str, engine: str):
-    """``(model, y, kwargs, prior)``: a flop case or a series-length edge
-    for ``engine``; ``prior`` is None or the series of a call to make
-    first, whose stored gain trajectory the call on ``y`` replays."""
+    """``(model, y, kwargs, prior, steps)``: a flop case or a
+    series-length edge for ``engine``; ``prior`` is None or the series
+    of a call to make first, whose stored gain trajectory the call on
+    ``y`` replays, and ``steps`` None or the band's steps per solve
+    (``filtering._BAND_STEPS``) the case takes."""
     if name in ("stationary_s2", "par4-r48", "m2-r12"):
-        return (*_flop_case(name), {}, None)
+        return (*_flop_case(name), {}, None, None)
     kind, m = name.rsplit("-m", 1)
     if kind.startswith("gain-fails"):
         model = pinned_model(int(m))
@@ -176,30 +192,68 @@ def fixed_case(name: str, engine: str):
             else:
                 y[t - 2] = 1.7e308
             y[t - 1] = -1.7e308
-        return model, y, kwargs, None
+        return model, y, kwargs, None, None
     model = random_stationary_model(60, r=2, S=3, m=int(m))
+    S = model.S
+    if "C" in kind or "edge" in kind:
+        y = simulate(model, 1000, seed=62)[1]
+        if kind.endswith("edge"):
+            settled_at = first_settled_step(model, y, engine, {})
+            edge = S * (settled_at // S + 1 if "before" in kind
+                        else (settled_at - 1) // S)
+            return model, y[:3 * edge + 1], {}, None, edge
+        C = -(-filtering_module._BAND_STEPS // S) * S
+        n = {"n=C-1": C - 1, "n=C": C, "n=C+1": C + 1,
+             "n=2C+S-1": 2 * C + S - 1}[kind]
+        return model, y[:n], {}, None, None
     y = simulate(model, 100, seed=61)[1]
     settled_at = first_settled_step(model, y, engine, {})
     n = {"n=0": 0, "n=1": 1, "n=2": 2, "n=S": 3, "n=S+1": 4,
          "n=settled_at": settled_at, "n=settled_at+1": settled_at + 1,
          "warm-prefix": 4}[kind]
-    return model, y[:n], {}, y if kind == "warm-prefix" else None
+    return model, y[:n], {}, y if kind == "warm-prefix" else None, None
+
+
+def guarded(filter_fn, model, y, engine, kwargs):
+    """``filter_fn``'s output, or the type, step and message of the
+    package error or ``ValueError`` it raised."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return filter_fn(model, y, engine=engine, **kwargs)
+        except (PeriodicFilterError, ValueError) as exc:
+            return type(exc).__name__, getattr(exc, "t", None), str(exc)
 
 
 def assert_frozen_equals_unfrozen(model, y, engine, kwargs):
     """``filter_series`` gives bitwise the outputs of the run that steps
     the engine at every t, or the same error at the same step."""
-    def run(filter_fn):
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                return filter_fn(model, y, engine=engine, **kwargs)
-            except (PeriodicFilterError, ValueError) as exc:
-                return type(exc).__name__, getattr(exc, "t", None), str(exc)
-    out, ref = run(filter_series), run(unfrozen_filter)
+    out = guarded(filter_series, model, y, engine, kwargs)
+    ref = guarded(unfrozen_filter, model, y, engine, kwargs)
     if isinstance(out, tuple) or isinstance(ref, tuple):
         assert out == ref, engine
     else:
         assert_bitwise_equal(out, ref)
+
+
+def assert_paths_agree(model, y, engine, kwargs, monkeypatch):
+    """The band and loop forms of the state pass give K, Omega and
+    ``settled_at`` bitwise, xhat and the innovations within
+    ``PATH_TOL`` of their largest entry and the log-likelihood within
+    ``PATH_TOL`` relative; or the same error (type, step, season and
+    message)."""
+    runs = {}
+    for path, limit in PATHS.items():
+        monkeypatch.setattr(filtering_module, "_BAND_MAX_P", limit)
+        runs[path] = guarded(filter_series, model, y, engine, kwargs)
+    band, loop = runs["band"], runs["loop"]
+    if isinstance(band, tuple) or isinstance(loop, tuple):
+        assert band == loop, engine
+        return
+    assert band.K.tobytes() == loop.K.tobytes(), engine
+    assert band.Omega.tobytes() == loop.Omega.tobytes(), engine
+    assert band.settled_at == loop.settled_at, engine
+    assert max(deviations(band, loop)) <= PATH_TOL, (engine,
+                                                     deviations(band, loop))
 
 
 class TestInnovationFormReference:
@@ -208,8 +262,9 @@ class TestInnovationFormReference:
     settles; xhat and innovations within 1e-9 of their largest entry
     and the log-likelihood within 1e-11 relative; on the random draws
     also no less accurate than the reference.  On the flop cases and
-    the series-length edges also bitwise the run that steps the engine
-    at every t (or its error)."""
+    the series-length edges, in either form of the state pass, also
+    bitwise the run that steps the engine at every t (or its error),
+    and the band form within ``PATH_TOL`` of the product per step."""
 
     @pytest.mark.parametrize("k", range(3))
     @pytest.mark.parametrize("workload",
@@ -219,14 +274,21 @@ class TestInnovationFormReference:
         for engine in ENGINES:
             assert_same_filter(rd.model, rd.y, engine, {})
 
+    @pytest.mark.parametrize("path", list(PATHS))
     @pytest.mark.parametrize("case", ["stationary_s2", "par4-r48", "m2-r12",
                                       *SERIES_EDGES])
-    def test_flop_cases(self, case):
+    def test_flop_cases(self, case, path, monkeypatch):
         for engine in ENGINES:
             filtering_module._START_MEMO = None
-            model, y, kwargs, prior = fixed_case(case, engine)
+            model, y, kwargs, prior, steps = fixed_case(case, engine)
+            if steps is not None:
+                monkeypatch.setattr(filtering_module, "_BAND_STEPS", steps)
             if prior is not None:
                 filter_series(model, prior, engine=engine, **kwargs)
+            if path == "band":
+                assert_paths_agree(model, y, engine, kwargs, monkeypatch)
+            monkeypatch.setattr(filtering_module, "_BAND_MAX_P",
+                                PATHS[path])
             assert_frozen_equals_unfrozen(model, y, engine, kwargs)
             if "overflow" in case:
                 continue    # the reference does not check innovations

@@ -189,8 +189,10 @@ SETTLE_MARGIN = 2.0 ** -74
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 # The state pass solves all its steps as one banded system when r + m is
-# at most ``_BAND_MAX_P`` (from the sweep of ``tools/state_pass_sweep.py``
-# in BENCH_30.json), and makes one product per step otherwise; the band
+# at most ``_BAND_MAX_P`` (the cutover of the sweep of
+# ``tools/state_pass_sweep.py`` in BENCH_30.json: the largest p up to
+# which the band is 5% faster in the median of every (n, gains) group of
+# its cases), and makes one product per step otherwise; the band
 # is solved ``_BAND_STEPS`` steps at a time, rounded up to a multiple of
 # S, so its workspace does not grow with n.
 _BAND_MAX_P = 15
@@ -554,8 +556,10 @@ def filter_series(model, y, engine: str = "kalman",
     any other frozen/unfrozen difference; it has found none.
 
     The active flop counter is charged once per call, at the metered
-    helpers' rates, by one formula per form of the state pass: per step
-    ``2p^2`` (p = r + m) for ``A_t z_t`` when the band solves the steps
+    helpers' rates, by one formula per form of the state pass, each
+    charging the operand its kernel works through, zeros included: per
+    step ``2p(2p-1)`` (p = r + m) for the p columns of 2p - 1
+    subdiagonals that ``tbsv`` runs over when the band solves the steps
     (r + m at most ``_BAND_MAX_P``), whatever its chunks, else
     ``2p(r+2m)`` for the season matrix times the work row; per step
     ``m^2 + 2m`` for the quadratic form (one triangular sweep and
@@ -563,8 +567,7 @@ def filter_series(model, y, engine: str = "kalman",
     n)``) ``2m^2 r`` for ``-H'B``; per step that called a low-rank engine
     ``2m^2 r`` for the solve for ``Omega^{-1} K'`` (``kalman`` hands it
     over); and once, for n > 0, ``2mr^2`` per season for ``-H'F`` and
-    ``2rm + m`` for ``e_1``.  The band's structural zeros, which ``tbsv``
-    also multiplies, are not charged.  The engines charge their own
+    ``2rm + m`` for ``e_1``.  The engines charge their own
     steps; a replaying call steps no engine, so it charges the state
     pass's arithmetic alone.
 
@@ -631,12 +634,13 @@ def filter_series(model, y, engine: str = "kalman",
                     out[j::S] = out[j - S]
     terms = -0.5 * (m * _LOG_2PI + _logdets(Ls)
                     + _quadratic_forms(Ls, innovations))
-    # every step: A_t z_t (in the band) or the season matrix times the
-    # work row, and the quadratic form (a triangular sweep and z'z);
-    # every step that wrote its gain: -H'B; every low-rank engine step:
-    # B = K Omega^{-1}; once (n > 0): -H'F per season and e_1
+    # every step: its p columns of the band (2p - 1 subdiagonals each)
+    # or the season matrix times the work row, and the quadratic form
+    # (a triangular sweep and z'z); every step that wrote its gain:
+    # -H'B; every low-rank engine step: B = K Omega^{-1}; once (n > 0):
+    # -H'F per season and e_1
     p = r + m
-    update = 2*p*p if p <= _BAND_MAX_P else 2*p*(p+m)
+    update = 2*p*(2*p-1) if p <= _BAND_MAX_P else 2*p*(p+m)
     solves = T if isinstance(eng, _ChandEngine) else 0
     _charge(n * (update + m*m + 2*m) + min(T, n) * 2*m*m*r
             + solves * 2*m*m*r + (S * 2*m*r*r + 2*r*m + m if n else 0))

@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Per-call time of the state pass in its two forms, over p = r + m.
 
-    PYTHONPATH=src python3 tools/state_pass_sweep.py [--repeat 7] \\
-        [--out sweep.json]
+    PYTHONPATH=src python3 tools/state_pass_sweep.py [--out sweep.json]
 
 For p in 2..32 (m = 1, and m = 2 from p = 3), n in {50, 200, 2000}
 and S in {2, 4, 12}, it times ``filtering._state_pass`` on a random
@@ -11,14 +10,19 @@ per step (``filtering._BAND_MAX_P`` set above, then below p), with the
 gains of two runs: ``settled`` (B_1..B_S, the last period cycled over
 the other steps, as after a settled gain pass) and ``unsettled`` (a B
 per step, so that every band chunk writes its gains).  Each time is
-the lowest of three medians, each over ``--repeat`` samples of enough
+the lowest of ROUNDS medians, each over REPEAT samples of enough
 calls to last about a millisecond, the two forms alternating; both
 forms must give finite values, so neither falls back to the other.
 
 The JSON written (to stdout, or ``--out``) holds ``what``, ``host``,
 ``cases`` (p, r, m, n, S, gains, ``loop_us``, ``band_us``) and
-``cutover``: the largest p such that at every p' <= p the band is no
-slower in any case, the value ``filtering._BAND_MAX_P`` takes.  Uses
+``cutover``: the largest p such that at every p' <= p, in every group
+of cases with the same n and gains, the median of ``band_us /
+loop_us`` is at most 1 - MARGIN; the value ``filtering._BAND_MAX_P``
+takes.  The median over a group's S and m keeps one slow case from
+deciding, and the margin is wider than the spread of the largest group
+median between repeated sweeps near the crossing, so repeated sweeps
+give one value (the README has the figures).  Uses
 the package and the standard library only (numpy, which the package
 needs, builds the inputs).
 """
@@ -31,6 +35,7 @@ import os
 import platform
 import statistics
 import time
+from collections import defaultdict
 from itertools import product
 
 import numpy as np
@@ -44,6 +49,8 @@ LENGTHS = (50, 200, 2000)
 PERIODS = (2, 4, 12)
 GAINS = ("settled", "unsettled")
 ROUNDS = 3          # alternating rounds per case; the lowest median counts
+REPEAT = 7          # samples of about 1 ms per median
+MARGIN = 0.05       # how much faster the band must be, in a group's median
 
 
 def inputs(r: int, m: int, S: int, n: int, gains: str, seed: int):
@@ -66,15 +73,15 @@ def inputs(r: int, m: int, S: int, n: int, gains: str, seed: int):
     return model, rng.normal(size=(n, m)), rng.normal(size=r), B
 
 
-def time_call(call, repeat: int) -> float:
-    """Median microseconds per call over ``repeat`` samples."""
+def time_call(call) -> float:
+    """Median microseconds per call over REPEAT samples."""
     call()
     start = time.perf_counter()
     call()
     once = max(time.perf_counter() - start, 1e-7)
     number = max(1, int(1e-3 / once))
     samples = []
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = time.perf_counter()
         for _ in range(number):
             call()
@@ -90,7 +97,7 @@ def configurations():
                 yield p, m, S, n, gains
 
 
-def sweep(repeat: int) -> list[dict]:
+def sweep() -> list[dict]:
     cases, cutover = [], filtering._BAND_MAX_P
     try:
         for p, m, S, n, gains in configurations():
@@ -109,7 +116,7 @@ def sweep(repeat: int) -> list[dict]:
                                 and np.isfinite(e).all()):
                             raise RuntimeError(f"{form} not finite at {p=}")
                     times[form] = min(times.get(form, float("inf")),
-                                      time_call(call, repeat))
+                                      time_call(call))
             cases.append({"p": p, "r": p - m, "m": m, "n": n, "S": S,
                           "gains": gains, "loop_us": round(times["loop"], 2),
                           "band_us": round(times["band"], 2)})
@@ -119,11 +126,16 @@ def sweep(repeat: int) -> list[dict]:
 
 
 def cutover_of(cases: list[dict]) -> int:
-    """The largest p with the band no slower in every case at every
-    p' <= p (1 when it is slower at p = 2)."""
+    """The largest p such that at every p' <= p the median of
+    ``band_us / loop_us`` over each (n, gains) group is at most 1 -
+    MARGIN (1 when that fails at p = 2)."""
     best = 1
     for p in P_RANGE:
-        if any(c["band_us"] > c["loop_us"] for c in cases if c["p"] == p):
+        groups = defaultdict(list)
+        for c in cases:
+            if c["p"] == p:
+                groups[c["n"], c["gains"]].append(c["band_us"] / c["loop_us"])
+        if any(statistics.median(g) > 1 - MARGIN for g in groups.values()):
             break
         best = p
     return best
@@ -131,16 +143,16 @@ def cutover_of(cases: list[dict]) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--repeat", type=int, default=7)
     parser.add_argument("--out")
     args = parser.parse_args(argv)
-    cases = sweep(args.repeat)
+    cases = sweep()
     doc = {"what": ("filtering._state_pass per call, the lowest of "
-                    f"{ROUNDS} medians of {args.repeat} samples of about "
+                    f"{ROUNDS} medians of {REPEAT} samples of about "
                     "1 ms each, the band solve against the product per "
-                    "step, alternating; cutover: the "
-                    "largest p = r + m with the band no slower in every "
-                    "case up to it"),
+                    "step, alternating; cutover: the largest p = r + m "
+                    "such that at every p up to it the median of band / "
+                    f"loop over each (n, gains) group is at most "
+                    f"{1 - MARGIN:g}"),
            "host": {"nproc": os.cpu_count(),
                     "python": platform.python_version(),
                     "numpy": np.__version__, "scipy": scipy.__version__,

@@ -29,8 +29,8 @@ import numpy as np
 
 from .exceptions import NotStationary, SingularLift
 from .filtering import (ENGINES, LOWRANK_STEPS, _check_engine,
-                        _initial_conditions, _make_engine)
-from .kalman import _one_start, solve_dple
+                        _initial_conditions, _make_engine,
+                        _stationary_covariances)
 from .linalg import count_flops
 from .model import PeriodicModel, par_to_state_space, random_stationary_par
 
@@ -83,9 +83,11 @@ def count_costs(model: PeriodicModel, n_periods: int,
 
     Builds and steps the same engine objects :func:`filter_series`
     does, from its zero-state start (a stored W1, else the stationary
-    W_1, else zero when neither exists).  With a stored W1 one Lyapunov
-    solve, unmetered, serves every low-rank engine's start factorization
-    (in a filter run the one engine solves it itself).
+    W_1, else zero when neither exists).  The start's one Lyapunov
+    solve, unmetered, is made next to a stored W1 too (in a filter run
+    the one engine makes it itself), and its outcome, the stationary
+    covariances or none, is handed to every engine: no engine solves
+    or decides stationarity again.
     """
     if n_periods < 1:
         raise ValueError("n_periods must be positive")
@@ -94,19 +96,14 @@ def count_costs(model: PeriodicModel, n_periods: int,
     for name in engines:
         _check_engine(name)
     steps = n_periods * model.S
-    with _one_start(model):
-        try:
-            _, Sigma1, W = _initial_conditions(model, "zero-state", None, None)
-        except (NotStationary, SingularLift):
-            Sigma1, W = np.zeros((model.r, model.r)), None
-        else:
-            if W is None:   # a stored W1: one solve for every engine
-                try:
-                    W = solve_dple(model)
-                except (NotStationary, SingularLift):
-                    pass
-        built = [_make_engine(model, name, Sigma1, W, trace=False)
-                 for name in engines]
+    try:
+        _, Sigma1, W = _initial_conditions(model, "zero-state", None, None)
+    except (NotStationary, SingularLift):
+        Sigma1, W = np.zeros((model.r, model.r)), []
+    if W is None:   # a stored W1: one solve for every engine
+        W = _stationary_covariances(model)
+    built = [_make_engine(model, name, Sigma1, W, trace=False)
+             for name in engines]
     costs = []
     for name, eng in zip(engines, built):
         with count_flops() as counter:

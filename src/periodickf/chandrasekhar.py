@@ -50,10 +50,11 @@ state covariance W_1:
   * symmetric eigendecomposition of the increment itself, keeping the
     numerically nonzero eigenvalues (works for any start).
 
-The closed forms first check that the model is periodically stationary
-(:func:`periodickf.kalman.is_periodically_stationary`); within one
-``filter_series`` or ``count_costs`` start the check reads the decision
-the Lyapunov solve of that start recorded.
+The public closed forms first check that the model is periodically
+stationary (:func:`periodickf.kalman.is_periodically_stationary`).
+:func:`auto_factorize` given the stationary covariances takes that
+check as made: :func:`periodickf.kalman.solve_dple` returns them only
+on a stationary decision.
 """
 
 from __future__ import annotations
@@ -209,6 +210,11 @@ def factor_gain_form(model, prelude: Prelude) -> Factorization:
     one-period gain corrections.  Cheapest when ``S m < r``.
     """
     _require_stationary(model, "gain-form")
+    return _gain_form(model, prelude)
+
+
+def _gain_form(model, prelude: Prelude) -> Factorization:
+    """:func:`factor_gain_form` without its stationarity check."""
     S, r, m = model.S, model.r, model.m
     blocks = []
     M1 = np.zeros((m * S, m * S))
@@ -238,6 +244,11 @@ def factor_steady_form(model, prelude: Prelude, W0) -> Factorization:
     W_1). Cheapest when ``S m >= r``.
     """
     _require_stationary(model, "steady-form")
+    return _steady_form(model, prelude, W0)
+
+
+def _steady_form(model, prelude: Prelude, W0) -> Factorization:
+    """:func:`factor_steady_form` without its stationarity check."""
     S = model.S
     SigS = prelude.Sigma[S - 1]
     U = SigS @ model.H[S - 1]                       # r x m
@@ -271,21 +282,37 @@ def factor_eigen(DeltaSigma1) -> Factorization:
                          method="eigen")
 
 
+def _stationary_covariances(model) -> list:
+    """:func:`solve_dple`'s ``[W_1, .., W_S]``, or ``[]`` when the
+    model has none the solve can trust (``NotStationary``,
+    ``SingularLift``)."""
+    try:
+        return solve_dple(model)
+    except (NotStationary, SingularLift):
+        return []
+
+
 def auto_factorize(model, prelude: Prelude, W=None) -> Factorization:
     """Dispatch on cost: gain form when ``S m < r``, steady form when
-    ``S m >= r`` and the stationary covariances are available, falling
-    back to the eigendecomposition whenever the closed forms do not
-    apply (non-stationary model, or a prelude not started from W_1)."""
+    ``S m >= r``, falling back to the eigendecomposition whenever the
+    closed forms do not apply (no stationary covariances, or a prelude
+    not started from W_1).
+
+    ``W`` is :func:`solve_dple`'s list, which only a stationary model
+    has, so the closed forms are taken without deciding stationarity
+    again; an empty list stands for a model without one.  With none
+    given, the stationary covariances are solved for here and the
+    closed forms make their own stationarity check."""
     if W is None:
-        try:
-            W = solve_dple(model)
-        except (NotStationary, SingularLift):
-            W = None
-    if W is not None:
+        W = _stationary_covariances(model)
+        gain, steady = factor_gain_form, factor_steady_form
+    else:
+        gain, steady = _gain_form, _steady_form
+    if W:
         try:
             if model.S * model.m < model.r:
-                return factor_gain_form(model, prelude)
-            return factor_steady_form(model, prelude, W[model.S - 1])
+                return gain(model, prelude)
+            return steady(model, prelude, W[model.S - 1])
         except (NotStationary, ResidualTooLarge):
             pass
     return factor_eigen(prelude.DeltaSigma1)

@@ -65,17 +65,13 @@ is formed, an error in the gain enters the state only as that error
 times e_t, and y only as it is (the identity block, or the band's
 right-hand side), so engines whose gains agree closely still agree on
 a series whose level runs far above its innovations.  The closed-loop
-form ``(F - B H') xhat + B y``,
-which forms ``F - B H'``, loses that agreement: on the non-stationary
-5000-step series of the long-horizon test (monodromy radius 1.05,
-observations up to 1e53) its engines' log-likelihoods differ by about
-20%, where here they agree to 1.3e-15 (7.8e-16 with the product per
-step).  On that series the log-likelihood itself is at rounding level,
-about -3.61e74 (-5.14e74 with the product per step; the same recursion
-in extended precision on ``kalman``'s gains gives -2.22e74); the
--9.03e4 an earlier two-product step gave came from 67.6% of its
-innovations being exactly 0.0, its ``[F; H'] xhat`` reproducing the
-simulator's own float64 products bit for bit.
+form ``(F - B H') xhat + B y``, which forms ``F - B H'``, loses that
+agreement: on the non-stationary 5000-step series of the long-horizon
+test (monodromy radius 1.05, observations up to 1e53) its engines'
+log-likelihoods differ by about 20%, where here they agree to 1.3e-15.
+On that series the log-likelihood itself is at rounding level, about
+-3.61e74 (the same recursion in extended precision on ``kalman``'s
+gains gives -2.22e74).
 
 Steady-gain switch.  Every engine also carries a flag ``settled``: set
 after a step once its ``(K_t, Omega_t, factor_t, Sigma_t)`` sequence
@@ -98,12 +94,13 @@ keeps the last one computed in one slot (``_START_MEMO``), keyed by the
 start kind and the model's content (``_content_key``: the dimensions
 and every system matrix's dtype, shape, strides and bytes, W1
 included).  A call whose key matches, a "warm" call, takes from it the
-starting covariance, the stationary covariances and the stationarity
-decision their solve recorded, so it runs neither the start's Lyapunov
-solve nor a monodromy eigensolve; an engine it builds starts from these
-as a cold call's does.  The key is built and compared on every call
-(microseconds), so a model mutated in place, given a new list, or
-flipping an entry between 0.0 and -0.0 misses.  A start that raises is
+starting covariance and the stationary covariances, so it runs neither
+the start's Lyapunov solve nor a monodromy eigensolve; an engine it
+builds starts from these as a cold call's does, and its closed-form
+start decides no stationarity, since only a stationary model has them.
+The key is built and compared on every call (microseconds), so a model
+mutated in place, given a new list, or flipping an entry between 0.0
+and -0.0 misses.  A start that raises is
 not stored, and an ``explicit`` start is never memoized.
 
 The memo also keeps, per engine, the gain pass of a call from its
@@ -114,8 +111,8 @@ engine: ``filter_series`` (not ``_make_engine``, so ``count_costs``
 still steps real engines) copies the stored K, Omega and factors into
 its outputs in place of the gain pass, and runs the same state pass.
 A run that never settles stores nothing, so a later call on its
-content builds its engine again: the prelude, the start factorization
-and, from a stored W1, the factorization's own Lyapunov solve.
+content builds its engine again: the prelude, from a stored W1 the
+engine's own Lyapunov solve, and the start factorization.
 Outputs of a warm call are bitwise those of a cold one, errors
 included.  What differs: a replaying call charges the active flop
 counter only for the arithmetic it does, so for no engine step and
@@ -158,12 +155,13 @@ from itertools import cycle
 
 import numpy as np
 
-from .chandrasekhar import (_m_invertible, auto_factorize, build_prelude,
-                            chand_init, step_alg31, step_alg32, step_minv,
+from .chandrasekhar import (_m_invertible, _stationary_covariances,
+                            auto_factorize, build_prelude, chand_init,
+                            step_alg31, step_alg32, step_minv,
                             to_inverse_state)
 from .exceptions import (EngineInitFailed, MSingular, OmegaNotPD,
                          ResidualTooLarge)
-from .kalman import _covariance_update, _one_start, _record, solve_dple
+from .kalman import _covariance_update, solve_dple
 from .linalg import (_charge, _potrs, _sym_solve, _tbsv, factor_logdet,
                      factor_solve, spd_factor)
 from .model import EIG_FLOOR_RTOL, SYM_RTOL, _sym_psd_violations
@@ -267,7 +265,6 @@ def _initial_conditions(model, init: str, xhat1, Sigma1):
     key = _content_key(model, init)
     memo = _START_MEMO
     if memo is not None and memo.key == key:
-        _record(model)[1] = memo.decision
         return x, memo.Sigma1, memo.W
     # zero-state takes the model's W1, judged by the rule ``validate``
     # applies, falling back to the stationary covariance when none is
@@ -278,7 +275,7 @@ def _initial_conditions(model, init: str, xhat1, Sigma1):
     else:
         W = solve_dple(model)
         Sigma1v = W[0]
-    _START_MEMO = _StartMemo(key, Sigma1v, W, _record(model)[1], {})
+    _START_MEMO = _StartMemo(key, Sigma1v, W, {})
     return x, Sigma1v, W
 
 
@@ -302,9 +299,8 @@ def _content_key(model, init: str) -> list:
 class _StartMemo:
     """The start of one model content: the starting covariance and the
     stationary covariances (None when not solved for) that
-    ``_initial_conditions`` returns, the stationarity decision the
-    solve recorded (None when none was), and per engine name the
-    settled gain trajectory of a call from this start: read-only stacks
+    ``_initial_conditions`` returns, and per engine name the settled
+    gain trajectory of a call from this start: read-only stacks
     ``(K, Omega, L, B)`` of K_t, Omega_t, the Cholesky factor of
     Omega_t and the normalized gain B_t the loop used, for steps 1..T,
     where T = ``len(B)`` is that call's ``settled_at``."""
@@ -312,7 +308,6 @@ class _StartMemo:
     key: list
     Sigma1: np.ndarray
     W: list | None
-    decision: tuple | None
     gains: dict
 
 
@@ -462,9 +457,12 @@ def _check_engine(engine: str) -> None:
 def _lowrank_start(model, Sigma1, W, variant: str):
     """``(state, Sigma)``: the initial state of a low-rank engine and
     the prelude's per-season covariances (for the sigma trace).  ``W``
-    is the stationary covariance list if the caller solved for it; with
-    None the start factorization solves for it itself."""
+    is the caller's outcome of the Lyapunov solve, the stationary
+    covariance list or ``[]`` when the model has none; with None the
+    start solves for it itself, after the prelude."""
     prelude = build_prelude(model, Sigma1)
+    if W is None:
+        W = _stationary_covariances(model)
     try:
         factorization = auto_factorize(model, prelude, W=W)
         state = chand_init(model, factorization, prelude)
@@ -525,9 +523,9 @@ def filter_series(model, y, engine: str = "kalman",
         Y_{jS+s}'`` over j = 0..k-1.
 
     The stationary covariances are solved for at most once per call,
-    and stationarity decided once: a low-rank engine reuses the
-    solution the start computed, and the closed-form starts'
-    stationarity check reads the decision the solve recorded.
+    and stationarity decided once, by that solve: a low-rank engine
+    reuses the solution the start computed, and its closed-form start,
+    given it, decides nothing again.
 
     The start is memoized in one slot, keyed by ``init`` and the
     model's content (see the module docstring): a call on the same
@@ -588,16 +586,15 @@ def filter_series(model, y, engine: str = "kalman",
     _check_engine(engine)
     y2 = _coerce_observations(y, model.m)
     n = y2.shape[0]
-    with _one_start(model):
-        x1, Sigma1v, W = _initial_conditions(model, init, xhat1, Sigma1)
-        # the memo this start came from: none with a sigma trace, nor
-        # for an explicit start (its Sigma1 is no memo's)
-        memo = _START_MEMO
-        if sigma_trace or memo is None or memo.Sigma1 is not Sigma1v:
-            memo = None
-        gains = memo.gains.get(engine) if memo is not None else None
-        eng = (None if gains is not None
-               else _make_engine(model, engine, Sigma1v, W, sigma_trace))
+    x1, Sigma1v, W = _initial_conditions(model, init, xhat1, Sigma1)
+    # the memo this start came from: none with a sigma trace, nor for an
+    # explicit start (its Sigma1 is no memo's)
+    memo = _START_MEMO
+    if sigma_trace or memo is None or memo.Sigma1 is not Sigma1v:
+        memo = None
+    gains = memo.gains.get(engine) if memo is not None else None
+    eng = (None if gains is not None
+           else _make_engine(model, engine, Sigma1v, W, sigma_trace))
 
     m, r, S = model.m, model.r, model.S
     Omegas = np.empty((n, m, m))

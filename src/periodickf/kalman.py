@@ -44,21 +44,17 @@ power certifies does :func:`solve_dple` take the monodromy eigenvalues
 beyond the error bound), or after ``MAX_DOUBLINGS`` powers.  Only a
 stationary decision is followed by the sum ``W <- W + A_k W A_k'``.
 
-Stationarity is decided once per start: inside ``_one_start(model)``,
-which ``filter_series`` and ``bench.count_costs`` open around building
-their start and engines, the first decision (by :func:`solve_dple` or
-:func:`is_periodically_stationary`) is recorded and later ones read it;
-a decision the doubling certified carries no radius.  A Lyapunov solve
-that raised ``SingularLift`` in a block is recorded too, and a later
-solve there raises the same message without building anything.
-Outside a block every call builds the monodromy and decides afresh.
+Stationarity is decided where it is computed.  :func:`solve_dple` takes
+its decision from the doubling (one that certified carries no radius)
+and returns the stationary covariances only on a stationary one, so a
+caller that holds them holds the proof of stationarity and decides
+nothing again; :func:`is_periodically_stationary` builds the monodromy
+and takes its eigenvalues on every call.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -126,41 +122,11 @@ def monodromy(model: PeriodicModel) -> np.ndarray:
 
 
 def is_periodically_stationary(
-        model: PeriodicModel) -> tuple[bool, float | None]:
+        model: PeriodicModel) -> tuple[bool, float]:
     """Whether the monodromy spectral radius is below
-    ``1 - STATIONARY_MARGIN``.  Returns ``(flag, radius)``: inside
-    ``_one_start(model)``, the decision recorded there once taken, whose
-    radius is None when the Lyapunov doubling certified it (see the
-    module docstring); outside a block, always the eigenvalue radius.
-    """
-    record = _record(model)
-    if record[1] is None:
-        record[1] = _decision(monodromy(model))
-    return record[1]
-
-
-# The active ``_one_start`` record: [model, (flag, radius) or None, the
-# message of the ``SingularLift`` its Lyapunov solve raised or None].
-_START: ContextVar[list | None] = ContextVar("periodickf_start",
-                                             default=None)
-
-
-@contextmanager
-def _one_start(model: PeriodicModel):
-    """Within the block the stationarity of ``model`` is decided once."""
-    token = _START.set([model, None, None])
-    try:
-        yield
-    finally:
-        _START.reset(token)
-
-
-def _record(model: PeriodicModel) -> list:
-    """The active ``_one_start`` record of ``model``, else a fresh one
-    that outlives no call."""
-    record = _START.get()
-    return (record if record is not None and record[0] is model
-            else [model, None, None])
+    ``1 - STATIONARY_MARGIN``.  Returns ``(flag, radius)``, the radius
+    from the monodromy eigenvalues."""
+    return _decision(monodromy(model))
 
 
 def _decision(Phi: np.ndarray) -> tuple[bool, float]:
@@ -306,36 +272,26 @@ def solve_dple(model: PeriodicModel) -> list[np.ndarray]:
 
 def _solve_dple(model: PeriodicModel):
     """``(W, residual)``: :func:`solve_dple`'s ``W`` with the Lyapunov
-    residual it took on the way.  A non-stationary decision or a failed
-    solve recorded in the active ``_one_start`` block raises again
-    before anything is built; the doubling records its decision there,
-    and a ``SingularLift`` its message, which takes the radius it
-    prints from the monodromy eigenvalues."""
+    residual it took on the way.  A ``SingularLift`` message takes the
+    radius it prints from the monodromy eigenvalues."""
     S = model.S
-    record = _record(model)
-    if record[2] is not None:
-        raise SingularLift(record[2])
-    if record[1] is None or record[1][0]:
-        Phi = monodromy(model)
-        Qbar = period_noise(model)
-        W1, record[1] = _smith_doubling(Phi, Qbar)
-    stationary, rho = record[1]
+    Phi = monodromy(model)
+    Qbar = period_noise(model)
+    W1, (stationary, rho) = _smith_doubling(Phi, Qbar)
     if not stationary:
         raise NotStationary(
             f"monodromy spectral radius {rho:.9f} is not below 1")
 
     if W1 is None:
-        record[2] = (
+        raise SingularLift(
             f"the Lyapunov doubling did not settle within {MAX_DOUBLINGS} "
             f"doublings (monodromy radius {spectral_radius(Phi):.12f})")
-        raise SingularLift(record[2])
     W1 = 0.5 * (W1 + W1.T)
     residual = rel_err(W1, Phi @ W1 @ Phi.T + Qbar)
     if residual > DPLE_TOL:
-        record[2] = (
+        raise SingularLift(
             f"Lyapunov solve residual {residual:.3e} exceeds {DPLE_TOL:g} "
             f"(monodromy radius {spectral_radius(Phi):.12f})")
-        raise SingularLift(record[2])
 
     W = [W1]
     for s in range(1, S):

@@ -80,6 +80,23 @@ def eigvals_log(monkeypatch):
 
 
 @pytest.fixture
+def start_log(monkeypatch):
+    """``(method, alpha)`` of each start factorization ``filter_series``
+    makes while the test runs."""
+    factorize = filtering_module.auto_factorize
+    log = []
+
+    def recorded_factorize(*args, **kw):
+        factorization = factorize(*args, **kw)
+        log.append((factorization.method, factorization.alpha))
+        return factorization
+
+    monkeypatch.setattr(filtering_module, "auto_factorize",
+                        recorded_factorize)
+    return log
+
+
+@pytest.fixture
 def step_log(monkeypatch):
     """The times t at which ``filter_series`` called its engine's step."""
     make_engine = filtering_module._make_engine

@@ -31,25 +31,6 @@ STATIONARY_S2 = ROOT / "demos" / "models" / "stationary_s2.json"
 
 
 @pytest.fixture
-def start_log(monkeypatch):
-    """``(method, alpha)`` of each start factorization ``filter_series``
-    makes while the test runs."""
-    import periodickf.filtering as filtering_module
-
-    factorize = filtering_module.auto_factorize
-    log = []
-
-    def recorded_factorize(*args, **kw):
-        factorization = factorize(*args, **kw)
-        log.append((factorization.method, factorization.alpha))
-        return factorization
-
-    monkeypatch.setattr(filtering_module, "auto_factorize",
-                        recorded_factorize)
-    return log
-
-
-@pytest.fixture
 def gate_log(monkeypatch):
     """Every matrix ``linalg._pd_gate`` checks while the test runs."""
     import periodickf.linalg as linalg_module

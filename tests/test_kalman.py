@@ -20,7 +20,7 @@ from periodickf import (
     solve_dple,
 )
 import periodickf.kalman as kalman_module
-from periodickf.kalman import DPLE_TOL, _one_start
+from periodickf.kalman import DPLE_TOL
 from conftest import benchmark_round, random_stationary_model, traced_run
 from test_steady_gain import drawn_case
 
@@ -369,23 +369,25 @@ class TestStationarityCertificate:
           for k in range(3)),
         "near-unit0.999999", "near-unit-0.999999", "q-zero",
         "q-zero-doubled"])
-    def test_recorded_decision_is_eigvals(self, name, eigvals_log):
+    def test_solve_decides_as_eigvals(self, name, eigvals_log):
         model = self.model(name)
         del eigvals_log[:]
-        with _one_start(model):
-            try:
-                solve_dple(model)
-            except NotStationary:
-                pass
-            flag, rho = is_periodically_stationary(model)
+        try:
+            solve_dple(model)
+        except NotStationary as exc:
+            flag, message = False, str(exc)
+        else:
+            flag, message = True, None
         taken = len(eigvals_log)
         want = float(np.max(np.abs(np.linalg.eigvals(monodromy(model)))))
         assert flag == (want < self.MARGIN)
-        if name.startswith(("near-unit", "q-zero")):
-            # these take the fallback: one eigensolve decides
-            assert (taken, rho) == (1, want)
-        else:
-            assert (taken, rho) == (0, None)
+        if not flag:
+            assert message == (f"monodromy spectral radius {want:.9f} "
+                               "is not below 1")
+        # the fallback cases take one eigensolve to decide, the others
+        # are certified by the doubling's powers
+        assert taken == (1 if name.startswith(("near-unit", "q-zero"))
+                         else 0)
 
     def test_zero_dynamics_certified_at_once(self, eigvals_log):
         model = random_stationary_model(39, r=3, S=2, m=1)
@@ -403,9 +405,10 @@ class TestStationarityCertificate:
         model = PeriodicModel(S=1, r=0, m=1, d=0, F=[empty], G=[empty],
                               H=[np.zeros((0, 1))], Q=[empty],
                               R=[np.eye(1)])
-        with _one_start(model):
-            assert solve_dple(model)[0].shape == (0, 0)
-            assert is_periodically_stationary(model) == (True, None)
+        assert solve_dple(model)[0].shape == (0, 0)
+        assert kalman_module._smith_doubling(
+            monodromy(model), kalman_module.period_noise(model))[1] == \
+            (True, None)
         assert eigvals_log == []
 
     MESSAGES = {

@@ -1,6 +1,7 @@
 """Source hygiene: no private module-level name in ``src/periodickf`` is
-left defined but unread, and every class member there is read as an
-attribute somewhere in the project's Python files."""
+left defined but unread, every class member there is read as an
+attribute somewhere in the project's Python files, and no module but
+``linalg`` holds a ``ContextVar``."""
 
 import ast
 
@@ -81,6 +82,14 @@ def test_every_class_member_is_read():
                   ast.parse(path.read_text(encoding="utf-8")))
               if name not in read]
     assert unread == []
+
+
+def test_context_variables_only_in_linalg():
+    # hidden per-call state stays out: the one ContextVar is linalg's
+    # active flop counter, and a start passes what it decided as values
+    holders = [path.name for path in sorted(PACKAGE.glob("*.py"))
+               if "ContextVar" in path.read_text(encoding="utf-8")]
+    assert holders == ["linalg.py"]
 
 
 # The per-step path: no function here may call a ``numpy.linalg``

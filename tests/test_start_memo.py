@@ -8,7 +8,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-import periodickf.bench as bench_module
 import periodickf.chandrasekhar as chandrasekhar_module
 import periodickf.filtering as filtering_module
 import periodickf.kalman as kalman_module
@@ -17,7 +16,6 @@ from periodickf import (ENGINES, EngineInitFailed, NotStationary, OmegaNotPD,
                         par_family, simulate, solve_dple)
 from periodickf.chandrasekhar import ChandrasekharState, Prelude
 from periodickf.filtering import _initial_conditions, _make_engine
-from periodickf.kalman import _one_start
 from conftest import (ROOT, assert_bitwise_equal, benchmark_round,
                       pinned_state_model, random_stationary_model)
 from test_kalman import near_unit_model
@@ -69,8 +67,9 @@ def _reachable(obj):
 @pytest.fixture
 def start_calls(monkeypatch):
     """The names of the start functions called while the test runs:
-    the Lyapunov solve (by the start, by a start factorization or by
-    ``count_costs``), the prelude and the start factorization."""
+    the Lyapunov solve (by the start, or by a low-rank engine's start
+    or ``count_costs`` through ``chandrasekhar``), the prelude and the
+    start factorization."""
     calls = []
 
     def counted(module, name):
@@ -84,7 +83,6 @@ def start_calls(monkeypatch):
 
     counted(filtering_module, "solve_dple")
     counted(chandrasekhar_module, "solve_dple")
-    counted(bench_module, "solve_dple")
     counted(filtering_module, "build_prelude")
     counted(filtering_module, "auto_factorize")
     return calls
@@ -105,12 +103,12 @@ class TestWarmCallIsColdCall:
         warm = filter_series(copy.deepcopy(model), y, **kwargs)
         # no engine settles within the 40 steps, so nothing is replayed:
         # a low-rank engine builds its start again on the stored
-        # covariances, and from a stored W1 (zero-state) its
-        # factorization solves for W itself
+        # covariances, and from a stored W1 (zero-state) solves for W
+        # itself after its prelude
         assert cold.settled_at is None
         own_solve = stored_w1 and init == "zero-state"
         assert start_calls == ([] if engine == "kalman" else [
-            "build_prelude", "auto_factorize"] + ["solve_dple"] * own_solve)
+            "build_prelude", *["solve_dple"] * own_solve, "auto_factorize"])
         assert_bitwise_equal(warm, cold)
         assert warm.settled_at == cold.settled_at
 
@@ -134,8 +132,8 @@ class TestWarmCallIsColdCall:
                                            start_calls):
         # near_unit_model(0.999999) is not certified by the doubling:
         # its cold start takes one eigensolve.  A warm low-rank call
-        # builds its start again (no engine settles in 12 steps), with
-        # the recorded decision
+        # builds its start again (no engine settles in 12 steps) on the
+        # memoized stationary covariances
         model = near_unit_model(0.999999)
         y = np.zeros((12, 1))
         cold = filter_series(model, y, engine=engine)
@@ -150,8 +148,8 @@ class TestWarmCallIsColdCall:
     @pytest.mark.parametrize("engine", ENGINES[1:])
     def test_decision_returns_with_the_stationary_covariances(
             self, engine, eigvals_log, start_calls):
-        # a low-rank start built on a memoized W reads the decision the
-        # kalman call's solve recorded: its closed form takes no
+        # a low-rank start built on the W the kalman call's solve
+        # memoized takes that solve's decision: its closed form takes no
         # eigensolve of its own
         model = near_unit_model(0.999999)
         y = np.zeros((12, 1))
@@ -250,9 +248,9 @@ class TestContentKey:
         for _ in range(2):
             filter_series(model, y, engine="chand31", **start)
         assert memo() is None
-        # the start factorization solves for W itself
-        assert start_calls == ["build_prelude", "auto_factorize",
-                               "solve_dple"] * 2
+        # the engine's start solves for W itself, after its prelude
+        assert start_calls == ["build_prelude", "solve_dple",
+                               "auto_factorize"] * 2
 
 
 def _raised(call):
@@ -316,12 +314,10 @@ class TestForeignStart:
         filter_series(model, y, engine="chand31")
         stored = memo().gains["chand31"]
         del start_calls[:]
-        with _one_start(model):
-            _, Sigma1, W = _initial_conditions(model, "zero-state", None,
-                                               None)
-            assert W is memo().W
-            foreign = [w.copy() for w in W]
-            eng = _make_engine(model, "chand31", Sigma1, foreign, False)
+        _, Sigma1, W = _initial_conditions(model, "zero-state", None, None)
+        assert W is memo().W
+        foreign = [w.copy() for w in W]
+        eng = _make_engine(model, "chand31", Sigma1, foreign, False)
         assert start_calls == ["build_prelude", "auto_factorize"]
         assert memo().W is W and memo().gains["chand31"] is stored
         for t in range(1, len(stored[0]) + 1):
@@ -332,8 +328,8 @@ class TestForeignStart:
 
     def test_foreign_sigma1_takes_the_cold_path(self, start_calls):
         # an explicit start from a copy of the memo's Sigma1 is no
-        # memo's start: it builds its engine (its factorization solves
-        # for W itself), stores nothing, and gives the stored gains
+        # memo's start: it builds its engine (solving for W itself after
+        # its prelude), stores nothing, and gives the stored gains
         model, y = settling_case()
         zero = filter_series(model, y, engine="chand32")
         stored = memo().gains["chand32"]
@@ -341,8 +337,8 @@ class TestForeignStart:
         out = filter_series(model, y, engine="chand32", init="explicit",
                             xhat1=np.zeros(model.r),
                             Sigma1=memo().Sigma1.copy())
-        assert start_calls == ["build_prelude", "auto_factorize",
-                               "solve_dple"]
+        assert start_calls == ["build_prelude", "solve_dple",
+                               "auto_factorize"]
         assert memo().gains["chand32"] is stored
         assert out.settled_at == zero.settled_at
         assert np.array_equal(out.K, zero.K)
@@ -478,18 +474,16 @@ class TestStoredTrajectory:
 
     def test_memo_holds_the_start_and_the_trajectories(self):
         # every engine filters a content on which it settles, then one
-        # on which none does: each memo entry holds the start (Sigma1, W
-        # and the stationarity decision) and, per engine that settled,
-        # its four read-only stacks, but no engine state and no
-        # prelude covariance
+        # on which none does: each memo entry holds the start (Sigma1
+        # and W) and, per engine that settled, its four read-only
+        # stacks, but no engine state and no prelude covariance
         for (model, y), settles in ((settling_case(), True), (case(), False)):
             settled_at = {engine: filter_series(model, y,
                                                 engine=engine).settled_at
                           for engine in ENGINES}
             entry = memo()
             assert [f.name for f in dataclasses.fields(entry)] == [
-                "key", "Sigma1", "W", "decision", "gains"]
-            assert entry.decision is not None
+                "key", "Sigma1", "W", "gains"]
             r, m = model.r, model.m
             covariances = [a for a in _reachable(entry)
                            if isinstance(a, np.ndarray) and a.shape == (r, r)]

@@ -15,16 +15,15 @@ import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 import periodickf.kalman as kalman_module
-from periodickf import (ENGINES, PeriodicFilterError, SingularLift,
-                        count_costs, filter_series,
-                        is_periodically_stationary, load_model, monodromy,
-                        par_to_state_space, random_stationary_par,
-                        save_model, simulate, solve_dple)
+from periodickf import (ENGINES, PeriodicFilterError, count_costs,
+                        filter_series, is_periodically_stationary,
+                        load_model, monodromy, par_to_state_space,
+                        random_stationary_par, save_model, simulate,
+                        solve_dple)
 from periodickf.chandrasekhar import _m_invertible
 from periodickf.cli import main
 from periodickf.filtering import (SETTLE_MARGIN, _initial_conditions,
                                   _make_engine, _same_bits)
-from periodickf.kalman import _one_start
 from periodickf.linalg import _sym_solve
 from conftest import (ROOT, assert_bitwise_equal, benchmark_round,
                       pinned_state_model, random_stationary_model,
@@ -252,9 +251,9 @@ class TestSettleProperty:
 
 class TestOneEigensolvePerCall:
     """A ``filter_series`` call whose Lyapunov doubling certifies
-    stationarity takes no monodromy eigenvalues: the closed-form start's
-    stationarity check reads the decision the solve recorded, and
-    nothing is kept between calls."""
+    stationarity takes no monodromy eigenvalues: the closed-form start,
+    given the stationary covariances that solve returned, decides
+    nothing again."""
 
     # steady-form and gain-form starts, no stored W1
     @pytest.mark.parametrize("case", ["stationary_s2", "m2-r12",
@@ -301,10 +300,23 @@ class TestOneEigensolvePerCall:
         assert len(eigvals_log) == 0
 
 
+def w1_start(model, start: str) -> dict:
+    """``filter_series`` keywords of a start on ``model``: ``"none"``
+    (zero-state, no stored W1), ``"stored-W1"`` (zero-state from a
+    stored ``W1 = solve_dple(model)[0]``, set here) or ``"explicit"``
+    (from xhat = 0 and Sigma1 = W_1)."""
+    if start == "stored-W1":
+        model.W1 = solve_dple(model)[0]
+    elif start == "explicit":
+        return dict(init="explicit", xhat1=np.zeros(model.r),
+                    Sigma1=solve_dple(model)[0])
+    return {}
+
+
 class TestOneStartDecision:
-    """Stationarity is decided once per start: the closed-form start's
-    check reads the decision the Lyapunov solve recorded, without
-    building the monodromy again, in ``filter_series`` and in
+    """Stationarity is decided once per start, by its Lyapunov solve: a
+    closed-form start given the stationary covariances decides nothing
+    again and builds no second monodromy, in ``filter_series`` and in
     ``count_costs`` alike."""
 
     @pytest.fixture
@@ -319,13 +331,33 @@ class TestOneStartDecision:
         monkeypatch.setattr(kalman_module, "monodromy", counted)
         return log
 
+    METHOD = {"stationary_s2": "steady-form", "m2-r12": "gain-form"}
+
+    # the one solve is the start's (no stored W1) or the engine's (a
+    # stored W1, an explicit start), and the closed form takes no
+    # eigensolve on top of it
+    @pytest.mark.parametrize("start", ["none", "stored-W1", "explicit"])
     @pytest.mark.parametrize("case", ["stationary_s2", "m2-r12"])
     @pytest.mark.parametrize("engine", LOWRANK)
-    def test_filter_builds_monodromy_once(self, case, engine, builds):
+    def test_filter_builds_monodromy_once(self, case, engine, start, builds,
+                                          eigvals_log, start_log):
         model, y = _flop_case(case)
         assert model.W1 is None
-        filter_series(model, y[:30], engine=engine)
-        assert len(builds) == 1
+        kwargs = w1_start(model, start)
+        del builds[:], eigvals_log[:]
+        filter_series(model, y[:30], engine=engine, **kwargs)
+        assert (len(builds), len(eigvals_log)) == (1, 0)
+        assert [method for method, _ in start_log] == [self.METHOD[case]]
+
+    @pytest.mark.parametrize("start", ["stored-W1", "explicit"])
+    @pytest.mark.parametrize("case", ["stationary_s2", "m2-r12"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_start_from_w1_matches_unfrozen(self, case, engine, start):
+        model, y = _flop_case(case)
+        kwargs = w1_start(model, start)
+        out = filter_series(model, y, engine=engine, **kwargs)
+        assert_bitwise_equal(out, unfrozen_filter(model, y, engine=engine,
+                                                  **kwargs))
 
     # with a stored W1 one Lyapunov solve serves every low-rank engine;
     # its doubling certifies, so no eigenvalues are taken
@@ -339,8 +371,8 @@ class TestOneStartDecision:
         count_costs(model, 2)
         assert len(eigvals_log) == 0 and len(builds) == built
 
-    # the start records the non-stationary decision; the engines' own
-    # solves raise it without building the monodromy again
+    # the start's one solve decides; every engine is handed its outcome,
+    # so none builds the monodromy again
     @pytest.mark.parametrize("stored_w1", [False, True])
     def test_count_costs_non_stationary_builds_once(self, stored_w1, builds,
                                                     eigvals_log):
@@ -352,10 +384,9 @@ class TestOneStartDecision:
         count_costs(model, 2)
         assert len(eigvals_log) == 1 and len(builds) == 1
 
-
-    # a failed Lyapunov solve is recorded with its message: each low-rank
-    # engine's start raises it again without building anything, and the
-    # report is the one each engine gives metered alone
+    # a failed Lyapunov solve is made once: every low-rank engine takes
+    # the eigen start from its outcome without building anything, and
+    # the report is the one each engine gives metered alone
     @pytest.mark.parametrize("stored_w1", [False, True])
     def test_count_costs_failed_solve_builds_once(self, stored_w1, builds,
                                                   monkeypatch):
@@ -369,23 +400,6 @@ class TestOneStartDecision:
         assert [(c.engine, c.flops) for c in report.costs] == \
             [(one.costs[0].engine, one.costs[0].flops) for one in alone]
         assert report.alpha == alone[1].alpha == 12    # the eigen start
-
-    def test_failed_solve_raises_again_without_building(self, builds,
-                                                        monkeypatch):
-        monkeypatch.setattr(kalman_module, "MAX_DOUBLINGS", 1)
-        model = random_stationary_model(43, r=3, S=2, radius=0.9)
-        messages = []
-        with _one_start(model):
-            for _ in range(2):
-                with pytest.raises(SingularLift) as info:
-                    solve_dple(model)
-                messages.append(str(info.value))
-        assert len(builds) == 1
-        assert messages == ["the Lyapunov doubling did not settle within 1 "
-                            "doublings (monodromy radius 0.900000000000)"] * 2
-        with pytest.raises(SingularLift):   # outside the block: afresh
-            solve_dple(model)
-        assert len(builds) == 2
 
 
 def norm_bound_absorbed(engine) -> bool:

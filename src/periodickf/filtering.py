@@ -47,9 +47,10 @@ A_t z_t + [0; y[t+1]]`` (``y[n+1] = 0``), with
            [ -H_{s+1}' F_s,   -H_{s+1}' B_t ]],
 
 in one of two forms, chosen by r + m against ``_BAND_MAX_P``.  At or
-below it (``_band_pass``) all steps are one unit lower triangular
-banded system ``z_{t+1} - A_t z_t = [0; y[t+1]]``, held in BLAS band
-storage and solved by ``tbsv`` a chunk of steps at a time.  Above it
+below it all steps are one unit lower triangular banded system
+``z_{t+1} - A_t z_t = [0; y[t+1]]``, solved by ``linalg._band_solve``,
+the banded kernel :func:`periodickf.model.simulate` shares: BLAS band
+storage, solved by ``tbsv`` a chunk of steps at a time.  Above it
 each step is one product: row t - 1 of a work array holds ``[xhat[t],
 e_t, y[t+1]]`` (the observations written in before the loop, zeros
 after the last one), and each season s keeps one (r+m) x (r+2m) matrix
@@ -68,10 +69,10 @@ a series whose level runs far above its innovations.  The closed-loop
 form ``(F - B H') xhat + B y``, which forms ``F - B H'``, loses that
 agreement: on the non-stationary 5000-step series of the long-horizon
 test (monodromy radius 1.05, observations up to 1e53) its engines'
-log-likelihoods differ by about 20%, where here they agree to 1.3e-15.
+log-likelihoods differ by about 20%, where here they agree to 1.2e-15.
 On that series the log-likelihood itself is at rounding level, about
--3.61e74 (the same recursion in extended precision on ``kalman``'s
-gains gives -2.22e74).
+-5.75e74 (the same recursion in extended precision on ``kalman``'s
+gains gives -2.34e74).
 
 Steady-gain switch.  Every engine also carries a flag ``settled``: set
 after a step once its ``(K_t, Omega_t, factor_t, Sigma_t)`` sequence
@@ -162,8 +163,8 @@ from .chandrasekhar import (_m_invertible, _stationary_covariances,
 from .exceptions import (EngineInitFailed, MSingular, OmegaNotPD,
                          ResidualTooLarge)
 from .kalman import _covariance_update, solve_dple
-from .linalg import (_charge, _potrs, _sym_solve, _tbsv, factor_logdet,
-                     factor_solve, spd_factor)
+from .linalg import (_band_solve, _charge, _potrs, _sym_solve,
+                     factor_logdet, factor_solve, spd_factor)
 from .model import EIG_FLOOR_RTOL, SYM_RTOL, _sym_psd_violations
 
 # Engine registry: each low-rank engine name maps to its step function.
@@ -188,13 +189,11 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 # The state pass solves all its steps as one banded system when r + m is
 # at most ``_BAND_MAX_P`` (the cutover of the sweep of
-# ``tools/state_pass_sweep.py`` in BENCH_30.json: the largest p up to
+# ``tools/state_pass_sweep.py`` in BENCH_32.json: the largest p up to
 # which the band is 5% faster in the median of every (n, gains) group of
-# its cases), and makes one product per step otherwise; the band
-# is solved ``_BAND_STEPS`` steps at a time, rounded up to a multiple of
-# S, so its workspace does not grow with n.
-_BAND_MAX_P = 15
-_BAND_STEPS = 256
+# its cases; ``linalg._band_solve``), and makes one product per step
+# otherwise.
+_BAND_MAX_P = 17
 
 
 @dataclass
@@ -688,11 +687,14 @@ def _state_pass(model, y: np.ndarray, x1: np.ndarray, B: np.ndarray):
     A_t z_t + [0; y[t+1]]`` (``y[n+1] = 0``), with its season's ``A_t
     = [[F_s, B_t], [-H_{s+1}' F_s, -H_{s+1}' B_t]]``.  When r + m is
     at most ``_BAND_MAX_P`` all steps are one banded solve
-    (``_band_pass``).  Otherwise row t - 1 of a work array holds
-    ``[xhat[t], e_t, y[t+1]]``, and step t writes ``z_{t+1}`` into row t
-    as one product with the season matrix ``[A_t, [0; I]]``; steps 1..T
-    first write ``B_t`` and ``-H_{s+1}' B_t`` into that matrix, later
-    steps find the last period's there.  Raises ``ValueError`` at the
+    (``linalg._band_solve``, given the per-season columns ``-[F_s;
+    -H_{s+1}' F_s]`` of ``-A_t`` and the per-step ``-[B_t; -H_{s+1}'
+    B_t]``, the latter by one ``matmul`` per season).  Otherwise row
+    t - 1 of a work array holds ``[xhat[t], e_t, y[t+1]]``, and step t
+    writes ``z_{t+1}`` into row t as one product with the season matrix
+    ``[A_t, [0; I]]``; steps 1..T first write ``B_t`` and ``-H_{s+1}'
+    B_t`` into that matrix, later steps find the last period's there.
+    Raises ``ValueError`` at the
     first step whose prediction or innovation is not finite (where
     ``y - H'xhat`` would not be), named by this loop also when the band
     found it, so that the printed innovation carries no NaN made by a
@@ -705,7 +707,15 @@ def _state_pass(model, y: np.ndarray, x1: np.ndarray, B: np.ndarray):
     negHF = [h.dot(F) for h, F in zip(negHT, model.F)]
     T = min(len(B), n)
     if r + m <= _BAND_MAX_P:
-        z = _band_pass(model, y, x1, e1, B[:T], negHT, negHF)
+        z = np.zeros((n + 1, r + m))
+        z[0, :r], z[0, r:] = x1, e1
+        z[1:n, r:] = y[1:]
+        gains = np.empty((T, r + m, m))     # -[B_t; -H_{s+1}' B_t]
+        gains[:, :r] = B[:T]
+        for s, h in enumerate(negHT):
+            gains[s::S, r:] = np.matmul(h, B[s:T:S])
+        np.negative(gains, out=gains)
+        _band_solve(z, -np.concatenate((model.F, negHF), axis=1), gains)
         finite = np.isfinite(z[:n])
         if np.count_nonzero(finite) == finite.size:
             return z[:, :r].copy(), z[:n, r:].copy()
@@ -737,58 +747,6 @@ def _state_pass(model, y: np.ndarray, x1: np.ndarray, B: np.ndarray):
         raise ValueError(f"innovation at t={t} (season {model.season(t)}) "
                          f"is not finite ({work[t - 1, r:r + m]!r})")
     return work[:, :r].copy(), work[:n, r:r + m].copy()
-
-
-def _band_pass(model, y, x1, e1, B, negHT, negHF) -> np.ndarray:
-    """The (n + 1) x (r + m) rows ``z_t = [xhat[t]; e_t]`` of
-    ``_state_pass``, from ``z_1 = [x1; e1]``, as the unit lower
-    triangular block-bidiagonal system ``z_{t+1} - A_t z_t = [0;
-    y[t+1]]`` in BLAS band storage (2p - 1 subdiagonals, p = r + m),
-    solved by ``tbsv`` in chunks of C steps, the multiple of S from
-    ``_BAND_STEPS``: a chunk's first block is the last of the chunk
-    before it, and every chunk starts in season 1.  ``B`` holds
-    B_1..B_T; step t > T takes the B of step t - kS in the last period.
-
-    In the column-major band, entry (i, j) of step tau's ``-A`` block
-    (tau = 0.. within its chunk) is element ``p + i + j(2p - 1) + tau
-    2p^2``, so one strided view addresses all of them.  Each season's
-    F blocks are written once.  The gain blocks ``-[B_t; -H_{s+1}'
-    B_t]`` are stacked once (``-H'B`` by one ``matmul`` per season) and
-    written per chunk, a slice for the steps up to T and one assignment
-    per season for the cycled ones; the chunks after the first one past
-    T reuse its band.  Values may be non-finite; the caller checks."""
-    (n, m), r, S = y.shape, model.r, model.S
-    p, T = r + m, len(B)
-    z = np.zeros((n + 1, p))
-    z[0, :r], z[0, r:] = x1, e1
-    z[1:n, r:] = y[1:]
-    gains = np.empty((T, p, m))
-    gains[:, :r] = B
-    for s, h in enumerate(negHT):
-        gains[s::S, r:] = np.matmul(h, B[s::S])
-    np.negative(gains, out=gains)
-    C = -(-_BAND_STEPS // S) * S
-    ab = np.zeros((2 * p, (min(C, n) + 1) * p), order="F")
-    size = ab.itemsize
-    # ab.T, C-contiguous, exports ab's memory in column-major order
-    blocks = np.ndarray((min(C, n), p, p), buffer=ab.T, offset=p * size,
-                        strides=(2 * p * p * size, size, (2 * p - 1) * size))
-    for s, (F, hF) in enumerate(zip(model.F, negHF)):
-        blocks[s::S, :r, :r] = -F
-        blocks[s::S, r:, :r] = -hF
-    settled = False                 # the band holds a chunk past T
-    zf = z.reshape(-1)
-    for t0 in range(0, n, C):
-        c = min(C, n - t0)
-        if not settled:
-            k = min(max(T - t0, 0), c)      # steps with their own gains
-            blocks[:k, :, r:] = gains[t0:t0 + k]
-            for j in range(k, min(k + S, c)):
-                blocks[j:c:S, :, r:] = gains[T - S + (t0 + j - T) % S]
-            settled = k == 0
-        _tbsv(2 * p - 1, ab[:, :(c + 1) * p], zf, offx=t0 * p, lower=1,
-              diag=1, overwrite_x=1)
-    return z
 
 
 def _logdets(L: np.ndarray) -> np.ndarray:

@@ -14,9 +14,13 @@ own share.  So their results and counts are bitwise those of the
 helper-by-helper code.  The state pass in :mod:`periodickf.filtering`
 makes its per-call products through ``ndarray.dot`` too, its per-step
 ones through ``dot`` or, in its band form, one ``matmul`` per season
-over a stack of gains (bitwise the per-step ``dot``) and BLAS ``tbsv``
-(``_tbsv``, the banded triangular solve, fetched once at import), and
-charges its arithmetic once per call at the rates below.  The one
+over a stack of gains (bitwise the per-step ``dot``) and
+``_band_solve``, and charges its arithmetic once per call at the rates
+below.  ``_band_solve`` is the one banded kernel: it solves a unit
+lower block-bidiagonal recursion ``z_{t+1} = A_t z_t + b_{t+1}`` with
+BLAS ``tbsv`` (``_tbsv``, fetched once at import) a bounded chunk of
+steps at a time, for the state pass (A_t from per-season and per-step
+blocks) and for :func:`periodickf.model.simulate` (A_t = F_s).  The one
 exception to ``dot`` matching ``@``: ``dot`` multiplies two one-element
 operands directly where ``@`` accumulates from +0.0, so such a product that is
 exactly zero may come out as -0.0 where ``@`` gives 0.0.  Such a
@@ -121,10 +125,13 @@ PD_RTOL = 1e-12
  _syevd_lwork, _gesdd, _gesdd_lwork) = scipy.linalg.get_lapack_funcs(
     ("potrf", "potrs", "sytrf", "sytrf_lwork", "sytrs", "sycon", "lange",
      "syevd", "syevd_lwork", "gesdd", "gesdd_lwork"), dtype=np.float64)
-# The float64 BLAS banded triangular solve behind the state pass's band
-# form (``filtering._band_pass``), fetched once as the LAPACK handles are.
+# The float64 BLAS banded triangular solve behind ``_band_solve``,
+# fetched once as the LAPACK handles are.
 (_tbsv,) = scipy.linalg.get_blas_funcs(("tbsv",), dtype=np.float64)
 _EPS = float(np.finfo(np.float64).eps)
+# ``_band_solve`` solves this many steps at a time, rounded up to a
+# multiple of the period, so its workspace does not grow with the series.
+_BAND_STEPS = 256
 
 
 @cache
@@ -372,6 +379,57 @@ def _sym_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                       f"{rcond}.", LinAlgWarning, stacklevel=3)
     # scipy returns the solution in C order
     return x[:, 0] if b.ndim == 1 else np.ascontiguousarray(x)
+
+
+def _band_solve(z: np.ndarray, seasons, steps=None) -> None:
+    """Solve the unit lower block-bidiagonal system ``z_{t+1} + L_t z_t
+    = b_{t+1}``, t = 1..n, of a recursion ``z_{t+1} = A_t z_t + b_{t+1}``
+    (``L_t = -A_t``), in place on the rows of the C-ordered (n + 1) x p
+    array ``z``: row 0 holds z_1, row t holds b_{t+1} on entry and
+    z_{t+1} on return.  Step t's p x p ``L_t`` takes its first q columns
+    from ``seasons[(t - 1) % S]`` (``seasons`` S x p x q, or a list of S
+    such blocks) and, when ``steps`` (T x p x (p - q), T >= 1) is given,
+    its other columns from ``steps[t - 1]`` up to t = T and from the
+    last S of ``steps`` cycled after (``steps[T - S + (t - T) % S]``, so
+    T >= S when T < n).  Without ``steps``, q = p.
+
+    The system is held in BLAS band storage (2p - 1 subdiagonals) and
+    solved by ``tbsv`` in chunks of C steps, the multiple of S from
+    ``_BAND_STEPS``: a chunk's first block is the last of the chunk
+    before it, and every chunk starts with ``seasons[0]``.  In the
+    column-major band, entry (i, j) of step tau's ``L`` block (tau =
+    0.. within its chunk) is element ``p + i + j(2p - 1) + tau 2p^2``,
+    so one strided view addresses all of them.  The season blocks are
+    written once, by one assignment; the per-step columns are written
+    per chunk, a slice for the steps up to T and one assignment per
+    season for the cycled ones, and the chunks after the first one past
+    T reuse its band, as every chunk does without ``steps``.  Values may
+    be non-finite; the caller checks."""
+    n, p = z.shape[0] - 1, z.shape[1]
+    if n < 1:
+        return
+    S, q = len(seasons), np.shape(seasons[0])[1]
+    C = -(-_BAND_STEPS // S) * S
+    periods = -(-min(C, n) // S)    # in the first chunk, rounded up
+    ab = np.zeros((2 * p, (periods * S + 1) * p), order="F")
+    size = ab.itemsize
+    # ab.T, C-contiguous, exports ab's memory in column-major order
+    blocks = np.ndarray((periods * S, p, p), buffer=ab.T, offset=p * size,
+                        strides=(2 * p * p * size, size, (2 * p - 1) * size))
+    blocks.reshape(periods, S, p, p)[..., :q] = seasons
+    T = 0 if steps is None else len(steps)
+    settled = steps is None         # the band holds a chunk past T
+    zf = z.reshape(-1)
+    for t0 in range(0, n, C):
+        c = min(C, n - t0)
+        if not settled:
+            k = min(max(T - t0, 0), c)      # steps with their own columns
+            blocks[:k, :, q:] = steps[t0:t0 + k]
+            for j in range(k, min(k + S, c)):
+                blocks[j:c:S, :, q:] = steps[T - S + (t0 + j - T) % S]
+            settled = k == 0
+        _tbsv(2 * p - 1, ab[:, :(c + 1) * p], zf, offx=t0 * p, lower=1,
+              diag=1, overwrite_x=1)
 
 
 # --- uncounted utilities ---------------------------------------------------

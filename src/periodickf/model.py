@@ -39,12 +39,18 @@ import json
 
 import numpy as np
 
-from .linalg import psd_sqrt
+from .linalg import _band_solve, psd_sqrt
 
 # Validation tolerances: symmetry relative to the matrix norm, eigenvalue
 # floor relative to the spectral norm.
 SYM_RTOL = 1e-12
 EIG_FLOOR_RTOL = 1e-10
+
+# ``simulate`` solves its state recursion as one banded system when r is
+# at most ``_BAND_MAX_R`` (the cutover of the ``simulate`` sweep of
+# ``tools/state_pass_sweep.py`` in BENCH_32.json, by the state pass's
+# rule over r), and makes one product per step otherwise.
+_BAND_MAX_R = 8
 
 
 @dataclass
@@ -273,13 +279,24 @@ def simulate(model: PeriodicModel, n: int, seed: int,
 
     Notes
     -----
-    Row t - 1 of a work array holds ``[x_t, eps_t]``, eps_t the d state
-    normals of noise row t - 1, and each season keeps one r x (r + d)
+    The state recursion ``x_{t+1} - F_s x_t = G_s sqrt(Q_s) eps_t``,
+    eps_t the d state normals of noise row t - 1, takes one of two
+    forms, chosen by r against ``_BAND_MAX_R`` (the cutover of the
+    sweep of ``tools/state_pass_sweep.py`` in BENCH_32.json).  At or
+    below it, the right-hand sides are formed with one matrix product
+    per season and all n - 1 steps are one unit lower block-bidiagonal
+    system, solved by ``linalg._band_solve`` (the kernel of the filter's
+    state pass) a chunk of steps at a time; if its values are not all
+    finite, the loop below reruns the steps, so an overflowing state
+    gives the loop's values and warnings.  Above it, row t - 1 of a work
+    array holds ``[x_t, eps_t]`` and each season keeps one r x (r + d)
     matrix ``[F_s, G_s sqrt(Q_s)]``, so that step t writes x_{t+1} into
-    row t as one matrix-vector product, 2r(r + d) flops. The outputs
-    ``H_s' x + sqrt(R_s) e`` are formed with one matrix product per
-    season. These products round differently from a loop that draws
-    and multiplies at every step, so values agree with it over the same
+    row t as one matrix-vector product, 2r(r + d) flops.  The two forms
+    sum the same terms in another order, so they agree to rounding (to
+    about 1e-13 of the largest entry in the tests).  The outputs ``H_s'
+    x + sqrt(R_s) e`` are formed with one matrix product per season.
+    These products round differently from a loop that draws and
+    multiplies at every step, so values agree with it over the same
     draws to rounding, not bitwise.
     """
     if n < 0:
@@ -294,16 +311,31 @@ def simulate(model: PeriodicModel, n: int, seed: int,
     else:
         x1 = np.zeros(r)
     noise = rng.standard_normal((n, m + model.d))
-    # The state normals of the last row drive no returned state.
-    work = np.empty((n, r + model.d))
-    work[:1, :r] = x1
-    work[:, r:] = noise[:, m:]
-    M_dots = [np.hstack([F, np.asarray(G, dtype=float).dot(
-                  psd_sqrt(np.asarray(Q, dtype=float)))]).dot
-              for F, G, Q in zip(model.F, model.G, model.Q)]
-    for M_dot, row, nxt in zip(itertools.cycle(M_dots), work, work[1:, :r]):
-        M_dot(row, nxt)
-    xs = work[:, :r].copy()
+    GQ = [np.asarray(G, dtype=float).dot(psd_sqrt(np.asarray(Q, dtype=float)))
+          for G, Q in zip(model.G, model.Q)]
+    xs = None
+    if r <= _BAND_MAX_R:
+        # x_{t+1} - F_s x_t = G_s Q_s^(1/2) eps_t, t = 1..n-1, solved as
+        # one banded system; the state normals of the last row drive no
+        # returned state
+        xs = np.empty((n, r))
+        xs[:1] = x1
+        eps = noise[:n - 1, m:]
+        for i, gq in enumerate(GQ):
+            xs[1 + i::S] = eps[i::S].dot(gq.T)
+        _band_solve(xs, np.negative(model.F))
+        finite = np.isfinite(xs)
+        if np.count_nonzero(finite) != finite.size:
+            xs = None
+    if xs is None:
+        work = np.empty((n, r + model.d))
+        work[:1, :r] = x1
+        work[:, r:] = noise[:, m:]
+        M_dots = [np.hstack([F, gq]).dot for F, gq in zip(model.F, GQ)]
+        for M_dot, row, nxt in zip(itertools.cycle(M_dots), work,
+                                   work[1:, :r]):
+            M_dot(row, nxt)
+        xs = work[:, :r].copy()
     ys = np.empty((n, m))
     for i in range(S):
         sqR = psd_sqrt(np.asarray(model.R[i], dtype=float))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import periodickf.filtering as filtering_module
+import periodickf.linalg as linalg_module
 from periodickf import (FilterOutput, MSingular, OmegaNotPD, PeriodicModel,
                         filter_series)
 from periodickf.filtering import (_coerce_observations, _initial_conditions,
@@ -210,7 +211,7 @@ def unfrozen_states(model, y, x, Ms):
         z = np.zeros((n + 1, p))
         z[0] = work[0, :p]
         z[1:n, r:] = y[1:]
-        chunk = -(-filtering_module._BAND_STEPS // model.S) * model.S
+        chunk = -(-linalg_module._BAND_STEPS // model.S) * model.S
         block = np.arange(p)
         for t0 in range(0, n, chunk):
             c = min(chunk, n - t0)

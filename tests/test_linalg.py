@@ -335,7 +335,8 @@ def kernel_products(rng, r: int, m: int, a: int, draw):
         # -H'B_t, and the one product per step above the band's cutover
         "H.T x": (H.T, x), "-H.T F": (-H.T, F), "-H.T B_t": (-H.T, gain),
         "M [x; e; y]": (season, work[0], work[1, :r + m]),
-        # filtering._band_pass: -H'B_t over the steps of one season
+        # the band form of filtering._state_pass: -H'B_t over the steps
+        # of one season
         "-H.T B_t stack": (-H.T, gains[1::3]),
         # chandrasekhar._step
         "Y.T H": (Y.T, H), "M U": (M, U), "Y T": (Y, T),

@@ -1,9 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import periodickf.linalg as linalg_module
+import periodickf.model as model_module
 from periodickf import (
     ModelFormatError,
     ParModel,
@@ -45,6 +48,19 @@ def step_by_step_simulate(model, n, seed, start="zero-state"):
         ys[t - 1] = H.T @ x + sqR[i] @ rng.standard_normal(model.m)
         x = F @ x + G @ (sqQ[i] @ rng.standard_normal(model.d))
     return xs, ys
+
+
+# ``model._BAND_MAX_R`` putting every ``simulate`` call on one side of
+# its cutover
+SIM_PATHS = {"band": 10 ** 6, "loop": 0}
+# a simulate call's tracemalloc peak, per byte of its output and noise
+SIM_PEAK_PER_BYTE = 2
+
+
+def simulate_on(path, model, n, seed, monkeypatch):
+    """``simulate(model, n, seed)`` in the form ``path`` names."""
+    monkeypatch.setattr(model_module, "_BAND_MAX_R", SIM_PATHS[path])
+    return simulate(model, n, seed=seed)
 
 
 class TestSeasonArithmetic:
@@ -245,6 +261,69 @@ class TestSimulate:
         for got, ref in ((x, x_ref), (y, y_ref)):
             scale = np.max(np.abs(ref), initial=0.0)
             assert np.max(np.abs(got - ref), initial=0.0) <= 1e-13 * scale
+
+    # S = 3: the band is solved C = 258 steps at a time, and a call of
+    # n steps solves n - 1, so n = C + 1 fills one chunk exactly
+    @pytest.mark.parametrize("path", list(SIM_PATHS))
+    @pytest.mark.parametrize("d", ["1", "3r"])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n", [0, 1, 2, "C", "C+1", "C+2", "2C+1"])
+    def test_band_and_loop_agree_at_chunk_edges(self, n, m, d, path,
+                                                monkeypatch):
+        C = -(-linalg_module._BAND_STEPS // 3) * 3
+        assert C == 258
+        n = {"C": C, "C+1": C + 1, "C+2": C + 2, "2C+1": 2 * C + 1}.get(n, n)
+        model = random_stationary_model(30 + m, r=4, S=3, m=m,
+                                        d=1 if d == "1" else 12)
+        x, y = simulate_on(path, model, n, 8, monkeypatch)
+        other = simulate_on("loop" if path == "band" else "band", model, n,
+                            8, monkeypatch)
+        assert x.shape == (n, 4) and y.shape == (n, m)
+        for got in (x, y):
+            assert got.flags.c_contiguous and got.base is None
+        for got, ref in zip((x, y), other):
+            scale = np.max(np.abs(ref), initial=0.0)
+            assert np.max(np.abs(got - ref), initial=0.0) <= 1e-13 * scale
+
+    def test_non_finite_band_gives_the_loops_values_and_warnings(
+            self, monkeypatch):
+        # the state overflows at row 5241: the band alone would give 2
+        # infs and 3031 NaNs, and no warning, where the loop gives 6 infs,
+        # 3027 NaNs and numpy's overflow warnings
+        model = random_stationary_model(7, r=4, S=3, m=1, radius=1.5)
+        runs = {}
+        for path in SIM_PATHS:
+            with pytest.warns(RuntimeWarning) as record:
+                x, y = simulate_on(path, model, 6000, 1, monkeypatch)
+            runs[path] = x, y, [(w.category, str(w.message), w.filename,
+                                 w.lineno) for w in record]
+        (x, y, band_warned), (x_ref, y_ref, loop_warned) = runs.values()
+        assert np.argwhere(~np.isfinite(x_ref))[0, 0] == 5241
+        assert np.count_nonzero(np.isnan(x_ref)) == 3027
+        np.testing.assert_array_equal(x, x_ref)
+        np.testing.assert_array_equal(y, y_ref)
+        assert x.tobytes() == x_ref.tobytes()
+        assert y.tobytes() == y_ref.tobytes()
+        assert band_warned == loop_warned
+        assert ("overflow encountered in dot"
+                in [message for _, message, _, _ in loop_warned])
+
+    def test_peak_memory_within_a_multiple_of_output_and_noise(self):
+        # r = 2 runs on the band, solved a chunk at a time: a band over
+        # all 10^5 steps (2 r^2 = 8 doubles a step) would take the peak
+        # to about 2.6 times the output and noise (5 doubles a step)
+        model = random_stationary_model(9, r=2, S=2, m=1, d=1)
+        assert model.r <= model_module._BAND_MAX_R
+        n = 100_000
+        tracemalloc.start()
+        try:
+            x, y = simulate(model, n, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        noise = n * (model.m + model.d) * np.dtype(float).itemsize
+        assert peak <= SIM_PEAK_PER_BYTE * (x.nbytes + y.nbytes + noise), (
+            peak, x.nbytes + y.nbytes + noise)
 
     def test_stationary_start_matches_marginal_variance(self):
         # scalar AR(1) with phi = 0.5, sigma2 = 1: Var(y) = 1/(1-0.25) = 4/3

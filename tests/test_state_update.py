@@ -175,7 +175,7 @@ def fixed_case(name: str, engine: str):
     series-length edge for ``engine``; ``prior`` is None or the series
     of a call to make first, whose stored gain trajectory the call on
     ``y`` replays, and ``steps`` None or the band's steps per solve
-    (``filtering._BAND_STEPS``) the case takes."""
+    (``linalg._BAND_STEPS``) the case takes."""
     if name in ("stationary_s2", "par4-r48", "m2-r12"):
         return (*_flop_case(name), {}, None, None)
     kind, m = name.rsplit("-m", 1)
@@ -202,7 +202,7 @@ def fixed_case(name: str, engine: str):
             edge = S * (settled_at // S + 1 if "before" in kind
                         else (settled_at - 1) // S)
             return model, y[:3 * edge + 1], {}, None, edge
-        C = -(-filtering_module._BAND_STEPS // S) * S
+        C = -(-linalg_module._BAND_STEPS // S) * S
         n = {"n=C-1": C - 1, "n=C": C, "n=C+1": C + 1,
              "n=2C+S-1": 2 * C + S - 1}[kind]
         return model, y[:n], {}, None, None
@@ -282,7 +282,7 @@ class TestInnovationFormReference:
             filtering_module._START_MEMO = None
             model, y, kwargs, prior, steps = fixed_case(case, engine)
             if steps is not None:
-                monkeypatch.setattr(filtering_module, "_BAND_STEPS", steps)
+                monkeypatch.setattr(linalg_module, "_BAND_STEPS", steps)
             if prior is not None:
                 filter_series(model, prior, engine=engine, **kwargs)
             if path == "band":
